@@ -10,25 +10,20 @@
 //                 zero; this bench measures what it buys in wall time).
 //
 // Both engines produce bit-identical trajectories (tests/tape_test.cpp),
-// so the delta is pure memory-management overhead. The Tape variants take
-// a trailing `threads` arg (1/2/4) driving the parallel backward engine
-// (DESIGN.md §10) -- trajectories stay bit-identical across thread
-// counts, so the per-thread delta is pure scheduling. Every train-step
+// so the delta is pure memory-management overhead. Every train-step
 // bench also reports per-phase wall time (forward_ns / backward_ns /
 // apply_ns averaged per step) as counters, which JsonReporter carries
-// into BENCH_micro_train_step.json next to ns/op. The _TapeOverlap
-// variant fuses the apply into backward via completion hooks
-// (optim::OverlappedApply), so its backward_ns absorbs most of apply_ns.
+// into BENCH_micro_train_step.json next to ns/op.
 //
-// The Tape variants additionally take a trailing `fused` arg (0/1)
+// The Tape variants take a trailing `fused` arg (0/1)
 // flipping the tape's elementwise-chain fusion pass (DESIGN.md §13) via
 // set_tape_fusion, and report the tape's fusion counters (fused_nodes /
 // fusion_chains / eliminated_intermediate_bytes) plus the workspace
 // high-water mark (workspace_peak_bytes) so the JSON shows both the
 // time and the memory the fused sweeps buy.
 //
-// Args: the LM runs {batch, seq_len_plus1[, threads, fused]}, the
-// quadratic runs {rows, dim[, threads, fused]}.
+// Args: the LM runs {batch, seq_len_plus1[, fused]}, the quadratic runs
+// {rows, dim[, fused]}.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -39,7 +34,6 @@
 #include "autograd/ops.hpp"
 #include "autograd/tape.hpp"
 #include "common.hpp"
-#include "core/parallel.hpp"
 #include "data/markov_text.hpp"
 #include "nn/language_model.hpp"
 #include "optim/momentum_sgd.hpp"
@@ -82,15 +76,6 @@ struct PhaseClock {
     state.counters["apply_ns"] = benchmark::Counter(apply_ns / n);
   }
 };
-
-/// Tape benches take a trailing threads arg; spin up the pool helpers
-/// outside the timed region and point the tape's backward engine at them.
-void use_backward_threads(ag::GraphTape& tape, std::int64_t threads) {
-  if (threads > 1) {
-    yf::core::ThreadPool::instance().ensure_workers(static_cast<std::size_t>(threads - 1));
-  }
-  tape.set_backward_threads(static_cast<int>(threads));
-}
 
 /// The fusion toggle is a process-wide setting: force it per bench run
 /// and restore afterwards so later benches see the environment default.
@@ -163,17 +148,16 @@ void BM_LmTrainStep_Heap(benchmark::State& state) {
 }
 
 void BM_LmTrainStep_Tape(benchmark::State& state) {
-  FusionToggle fusion(state.range(3) != 0);
+  FusionToggle fusion(state.range(2) != 0);
   LmTask task(state.range(0), state.range(1));
   ag::GraphTape tape;
-  use_backward_threads(tape, state.range(2));
   ag::TapeScope scope(&tape);
   PhaseClock warmup_clock, clock;
   std::size_t i = 0;
   double sink = 0.0;
   // Warm-up outside the timed loop: record the graph, size the workspace,
-  // build the backward engine's dependency plan, and (fused runs) let the
-  // fusion pass stabilize, rebuild, and land its first fused replay.
+  // cache the backward order, and (fused runs) let the fusion pass
+  // stabilize, rebuild, and land its first fused replay.
   for (int w = 0; w < 4; ++w) {
     tape.begin_step();
     sink += task.step(i++, warmup_clock);
@@ -190,12 +174,10 @@ void BM_LmTrainStep_Tape(benchmark::State& state) {
 
 BENCHMARK(BM_LmTrainStep_Heap)->Args({4, 9})->Args({8, 17});
 BENCHMARK(BM_LmTrainStep_Tape)
-    ->Args({4, 9, 1, 0})
-    ->Args({4, 9, 1, 1})
-    ->Args({8, 17, 1, 0})
-    ->Args({8, 17, 1, 1})
-    ->Args({8, 17, 2, 1})
-    ->Args({8, 17, 4, 1});
+    ->Args({4, 9, 0})
+    ->Args({4, 9, 1})
+    ->Args({8, 17, 0})
+    ->Args({8, 17, 1});
 
 struct QuadraticTask {
   ag::Variable w, x, y;
@@ -233,10 +215,9 @@ void BM_QuadraticTrainStep_Heap(benchmark::State& state) {
 }
 
 void BM_QuadraticTrainStep_Tape(benchmark::State& state) {
-  FusionToggle fusion(state.range(3) != 0);
+  FusionToggle fusion(state.range(2) != 0);
   QuadraticTask task(state.range(0), state.range(1));
   ag::GraphTape tape;
-  use_backward_threads(tape, state.range(2));
   ag::TapeScope scope(&tape);
   PhaseClock warmup_clock, clock;
   double sink = 0.0;
@@ -254,48 +235,12 @@ void BM_QuadraticTrainStep_Tape(benchmark::State& state) {
   report_tape_counters(state, tape);
 }
 
-/// Backward/apply overlap: MomentumSGD shard updates fire from the tape's
-/// completion hooks while backward drains (optim::OverlappedApply), so
-/// the apply phase collapses into backward_ns.
-void BM_QuadraticTrainStep_TapeOverlap(benchmark::State& state) {
-  QuadraticTask task(state.range(0), state.range(1));
-  ag::GraphTape tape;
-  use_backward_threads(tape, state.range(2));
-  ag::TapeScope scope(&tape);
-  yf::optim::OverlappedApply overlap(*task.opt, tape, /*max_shards=*/4);
-  PhaseClock clock;
-  auto step = [&](PhaseClock& c) {
-    tape.begin_step();
-    task.opt->zero_grad();
-    overlap.begin_step();
-    ag::Variable loss;
-    const double out = c.timed(&PhaseClock::forward_ns, [&] {
-      loss = ag::mean(ag::square(ag::sub(ag::matmul(task.x, task.w), task.y)));
-      return loss.value().item();
-    });
-    c.timed(&PhaseClock::backward_ns, [&] { loss.backward(); });
-    c.timed(&PhaseClock::apply_ns, [&] { overlap.finish(); });
-    return out;
-  };
-  PhaseClock warmup_clock;
-  double sink = step(warmup_clock);
-  for (auto _ : state) sink += step(clock);
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations());
-  clock.report(state);
-}
-
 BENCHMARK(BM_QuadraticTrainStep_Heap)->Args({16, 16})->Args({32, 64});
 BENCHMARK(BM_QuadraticTrainStep_Tape)
-    ->Args({16, 16, 1, 0})
-    ->Args({16, 16, 1, 1})
-    ->Args({32, 64, 1, 0})
-    ->Args({32, 64, 1, 1})
-    ->Args({32, 64, 2, 1})
-    ->Args({32, 64, 4, 1});
-BENCHMARK(BM_QuadraticTrainStep_TapeOverlap)
-    ->Args({32, 64, 1})
-    ->Args({32, 64, 4});
+    ->Args({16, 16, 0})
+    ->Args({16, 16, 1})
+    ->Args({32, 64, 0})
+    ->Args({32, 64, 1});
 
 }  // namespace
 

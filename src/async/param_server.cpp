@@ -24,100 +24,6 @@ optim::Optimizer& checked(const std::shared_ptr<optim::Optimizer>& optimizer, co
   return *optimizer;
 }
 
-/// Per-worker backward/apply overlap (DESIGN.md §10): registers each
-/// replica parameter as a tape completion group, maps it onto the server
-/// shards its arena span overlaps, and pushes a shard the moment every
-/// parameter contributing to it has a final gradient -- the worker's own
-/// backward is still draining while the master absorbs the finished
-/// shards. A replica's engine runs its hooks inline (worker threads get
-/// zero helpers), so no synchronization is needed here; the master side
-/// is protected by the ordinary shard locks. Master-arena writes never
-/// touch replica values, so only gradient finality gates the push.
-class WorkerOverlap final : public autograd::GraphTape::BackwardHooks {
- public:
-  WorkerOverlap(ShardedParamServer& server, core::ParamArena& replica,
-                const std::vector<autograd::Variable>& params, autograd::GraphTape& tape)
-      : server_(server), replica_(replica), tape_(&tape) {
-    const auto shard_count = static_cast<std::size_t>(server.shard_count());
-    shard_params_.assign(shard_count, 0);
-    shard_remaining_.assign(shard_count, 0);
-
-    std::vector<autograd::GraphTape::LeafGroup> leaves;
-    std::vector<const autograd::Node*> seen;
-    leaves.reserve(params.size());
-    seen.reserve(params.size());
-    for (const autograd::Variable& p : params) {
-      const autograd::Node* node = p.node().get();
-      if (std::find(seen.begin(), seen.end(), node) != seen.end()) continue;
-      seen.push_back(node);
-      const std::size_t slot = replica.slot_index(p);
-      const std::int64_t lo = replica.offset(slot);
-      const std::int64_t hi = lo + static_cast<std::int64_t>(replica.slot_size(slot));
-      std::size_t first = shard_count;
-      std::size_t last = 0;
-      for (std::size_t k = 0; k < shard_count; ++k) {
-        const auto [slo, shi] = server.shard_range(k);
-        if (slo < hi && lo < shi) {
-          first = std::min(first, k);
-          last = std::max(last, k);
-          ++shard_params_[k];
-        }
-      }
-      leaves.push_back({p.node().get(), param_span_.size()});
-      param_span_.emplace_back(first, last);
-    }
-    tape.set_backward_hooks(this, leaves, param_span_.size());
-  }
-
-  ~WorkerOverlap() override { tape_->set_backward_hooks(nullptr, {}, 0); }
-  WorkerOverlap(const WorkerOverlap&) = delete;
-  WorkerOverlap& operator=(const WorkerOverlap&) = delete;
-
-  /// Arm for one backward pass; `stage` must already be begun and
-  /// `ticket` filled by this step's pull. Both must outlive flush().
-  void arm(PushStage& stage, const PullTicket& ticket) {
-    stage_ = &stage;
-    ticket_ = &ticket;
-    std::copy(shard_params_.begin(), shard_params_.end(), shard_remaining_.begin());
-    armed_ = true;
-  }
-
-  void on_group_complete(std::size_t group) override {
-    if (!armed_) return;
-    const auto [first, last] = param_span_[group];
-    for (std::size_t k = first; k <= last && k < shard_remaining_.size(); ++k) {
-      if (--shard_remaining_[k] == 0) {
-        server_.push_shard(*stage_, k, replica_.grads(), *ticket_);
-        ++overlapped_;
-      }
-    }
-  }
-
-  /// Push every shard backward did not complete (parameters absent from
-  /// the traversal keep their shards pending) and disarm.
-  void flush() {
-    if (!armed_) return;
-    for (std::size_t k = 0; k < shard_remaining_.size(); ++k) {
-      if (shard_remaining_[k] > 0) server_.push_shard(*stage_, k, replica_.grads(), *ticket_);
-    }
-    armed_ = false;
-  }
-
-  std::int64_t overlapped() const { return overlapped_; }
-
- private:
-  ShardedParamServer& server_;
-  core::ParamArena& replica_;
-  autograd::GraphTape* tape_;
-  std::vector<std::pair<std::size_t, std::size_t>> param_span_;  ///< shard [first, last]
-  std::vector<std::int64_t> shard_params_;     ///< params overlapping each shard
-  std::vector<std::int64_t> shard_remaining_;  ///< this pass, counts down to push
-  PushStage* stage_ = nullptr;
-  const PullTicket* ticket_ = nullptr;
-  bool armed_ = false;
-  std::int64_t overlapped_ = 0;
-};
-
 }  // namespace
 
 ShardedParamServer::ShardedParamServer(std::shared_ptr<optim::Optimizer> optimizer,
@@ -225,118 +131,63 @@ ApplyStats ShardedParamServer::push(std::span<double> grad, const PullTicket& ti
   if (ticket.versions.size() != shards_.size()) {
     throw std::invalid_argument("ShardedParamServer::push: ticket does not match shards");
   }
-  // push() is the split protocol run back-to-back. The stage is
-  // thread-local: pool workers are long-lived, so after the first push on
-  // a thread its capacity is retained and the steady-state push performs
+  // Eq. 37 ratio scratch, one ratio per coordinate at most. Thread-local
+  // with retained capacity: pool workers and master service threads are
+  // long-lived, so after a thread's first push the steady state performs
   // no heap allocation.
-  static thread_local PushStage stage;
-  try {
-    begin_push(stage, grad);
-    for (std::size_t k = 0; k < shards_.size(); ++k) push_shard(stage, k, grad, ticket);
-    return end_push(stage);
-  } catch (...) {
-    stage.active = false;  // keep the thread-local reusable after a throw
-    throw;
-  }
-}
+  static thread_local std::vector<double> ratios;
+  ratios.clear();
+  ratios.reserve(static_cast<std::size_t>(size_));
 
-void ShardedParamServer::begin_push(PushStage& stage, std::span<double> grad) {
-  if (stage.active) {
-    throw std::logic_error("ShardedParamServer::begin_push: stage already active");
-  }
-  if (grad.empty()) {
-    // Overlapped opening: the gradient does not exist yet, so the global
-    // stage must not want it.
-    if (!optimizer_->grad_free_begin()) {
-      throw std::logic_error(
-          "ShardedParamServer::begin_push: optimizer reads the full gradient in "
-          "begin_apply (grad_free_begin() is false); use push()");
-    }
-  } else if (static_cast<std::int64_t>(grad.size()) != size_) {
-    throw std::invalid_argument("ShardedParamServer::begin_push: gradient size mismatch");
-  }
-  stage.pushed.assign(shards_.size(), 0);
-  stage.ratios.clear();
-  // One ratio per coordinate at most: reserving the full size up front
-  // makes the scratch's growth a single first-push event instead of
-  // scheduling-dependent reallocation.
-  if (stage.ratios.capacity() < static_cast<std::size_t>(size_)) {
-    stage.ratios.reserve(static_cast<std::size_t>(size_));
-  }
+  // Opening global stage: measurement / tuning on the full gradient.
+  optim::ApplyPlan plan;
   {
     std::scoped_lock lock(stage_mu_);
-    stage.plan = optimizer_->begin_apply(grad);
+    plan = optimizer_->begin_apply(grad);
   }
-  stage.active = true;
-}
 
-void ShardedParamServer::push_shard(PushStage& stage, std::size_t k,
-                                    std::span<const double> grad, const PullTicket& ticket) {
-  if (!stage.active) throw std::logic_error("ShardedParamServer::push_shard: no active stage");
-  if (k >= shards_.size() || stage.pushed[k] != 0) {
-    throw std::logic_error("ShardedParamServer::push_shard: bad or repeated shard");
-  }
-  if (static_cast<std::int64_t>(grad.size()) != size_) {
-    throw std::invalid_argument("ShardedParamServer::push_shard: gradient size mismatch");
-  }
-  if (ticket.versions.size() != shards_.size()) {
-    throw std::invalid_argument("ShardedParamServer::push_shard: ticket does not match shards");
-  }
-  stage.pushed[k] = 1;
-
-  // Per-shard stage: stage the gradient window, fused sweep, version bump,
-  // history snapshot, and the Eq. 37 ratio contributions — all under that
-  // shard's lock only, so disjoint shards proceed in parallel. Everything
-  // here depends only on shard k's state, so shard push order is
-  // irrelevant to the values produced.
+  // Per-shard stages: stage the gradient window, fused sweep, version
+  // bump, history snapshot, and the Eq. 37 ratio contributions -- all
+  // under that shard's lock only, so two workers can apply different
+  // gradients to disjoint shards in parallel.
   auto& arena = optimizer_->arena();
-  Shard& shard = shards_[k];
-  const auto lo = static_cast<std::size_t>(shard.lo);
-  const auto n = static_cast<std::size_t>(shard.hi - shard.lo);
-  std::scoped_lock lock(shard.mu);
-  core::copy(arena.grads().subspan(lo, n), grad.subspan(lo, n));
-  optimizer_->step_span(stage.plan, shard.lo, shard.hi);
-  ++shard.version;
-  if (!opts_.measure) return;
-  shard.append(arena.values().subspan(lo, n));
-  // This gradient was computed at shard iterate x_j; with x_{j+1} now
-  // guaranteed to exist (we just applied an update), solve Eq. 16 for
-  // mu_T elementwise wherever the history still covers j-1 .. j+1.
-  const std::int64_t j = ticket.versions[k];
-  if (j < 1) return;
-  const auto* x_prev = shard.lookup(j - 1);
-  const auto* x_read = shard.lookup(j);
-  const auto* x_next = shard.lookup(j + 1);
-  if (!x_prev || !x_read || !x_next) return;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double den = (*x_read)[i] - (*x_prev)[i];
-    if (std::abs(den) < opts_.denom_eps) continue;
-    const double num = (*x_next)[i] - (*x_read)[i] + stage.plan.lr * grad[lo + i];
-    stage.ratios.push_back(num / den);
-  }
-}
-
-ApplyStats ShardedParamServer::end_push(PushStage& stage) {
-  if (!stage.active) throw std::logic_error("ShardedParamServer::end_push: no active stage");
-  for (const unsigned char pushed : stage.pushed) {
-    if (pushed == 0) {
-      throw std::logic_error("ShardedParamServer::end_push: a shard was never pushed");
+  for (std::size_t k = 0; k < shards_.size(); ++k) {
+    Shard& shard = shards_[k];
+    const auto lo = static_cast<std::size_t>(shard.lo);
+    const auto n = static_cast<std::size_t>(shard.hi - shard.lo);
+    std::scoped_lock lock(shard.mu);
+    core::copy(arena.grads().subspan(lo, n), grad.subspan(lo, n));
+    optimizer_->step_span(plan, shard.lo, shard.hi);
+    ++shard.version;
+    if (!opts_.measure) continue;
+    shard.append(arena.values().subspan(lo, n));
+    // This gradient was computed at shard iterate x_j; with x_{j+1} now
+    // guaranteed to exist (we just applied an update), solve Eq. 16 for
+    // mu_T elementwise wherever the history still covers j-1 .. j+1.
+    const std::int64_t j = ticket.versions[k];
+    if (j < 1) continue;
+    const auto* x_prev = shard.lookup(j - 1);
+    const auto* x_read = shard.lookup(j);
+    const auto* x_next = shard.lookup(j + 1);
+    if (!x_prev || !x_read || !x_next) continue;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double den = (*x_read)[i] - (*x_prev)[i];
+      if (std::abs(den) < opts_.denom_eps) continue;
+      const double num = (*x_next)[i] - (*x_read)[i] + plan.lr * grad[lo + i];
+      ratios.push_back(num / den);
     }
   }
-  stage.active = false;
 
   // Closing global stage: advance the optimizer, fold the estimate into
-  // the smoothed total momentum, and run the Algorithm 5 feedback. The
-  // median is a multiset statistic, so shard completion order cannot
-  // change it.
+  // the smoothed total momentum, and run the Algorithm 5 feedback.
   ApplyStats stats;
-  stats.applied_momentum = stage.plan.mu;
+  stats.applied_momentum = plan.mu;
   {
     std::scoped_lock lock(stage_mu_);
-    optimizer_->end_apply(stage.plan);
+    optimizer_->end_apply(plan);
     stats.update_index = updates_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (!stage.ratios.empty()) {
-      const double estimate = median_inplace(stage.ratios);
+    if (!ratios.empty()) {
+      const double estimate = median_inplace(ratios);
       stats.mu_hat_total = estimate;
       smoothed_ = smoothed_init_
                       ? opts_.smooth_beta * smoothed_ + (1.0 - opts_.smooth_beta) * estimate
@@ -459,16 +310,6 @@ ServerRunResult run_workers(ShardedParamServer& server,
       // grad_fn builds (then replays) its graph out of worker-local
       // workspace memory instead of the global allocator.
       autograd::TapeScope tape_scope(workers[w].tape);
-      // Backward/apply overlap: only meaningful with a tape (the hooks
-      // live on it) and a grad-free opening stage (YellowFin's reads the
-      // full gradient, so it falls back to the sequential push).
-      const bool overlap = opts.overlap_apply && workers[w].tape != nullptr &&
-                           server.optimizer().grad_free_begin();
-      std::optional<WorkerOverlap> overlap_hooks;
-      if (overlap) {
-        overlap_hooks.emplace(server, replica, workers[w].params, *workers[w].tape);
-      }
-      PushStage stage;
       collected[w].stats.reserve(static_cast<std::size_t>(opts.steps_per_worker));
       collected[w].losses.reserve(static_cast<std::size_t>(opts.steps_per_worker));
       PullTicket ticket;
@@ -476,20 +317,11 @@ ServerRunResult run_workers(ShardedParamServer& server,
         server.pull(replica.values(), ticket);
         replica.zero_grads();
         if (workers[w].tape) workers[w].tape->begin_step();
-        if (overlap) {
-          server.begin_push(stage);
-          overlap_hooks->arm(stage, ticket);
-        }
         const double loss = workers[w].grad_fn();
         if (opts.compute_delay_us > 0) {
           std::this_thread::sleep_for(std::chrono::microseconds(opts.compute_delay_us));
         }
-        if (overlap) {
-          overlap_hooks->flush();
-          collected[w].stats.push_back(server.end_push(stage));
-        } else {
-          collected[w].stats.push_back(server.push(replica.grads(), ticket));
-        }
+        collected[w].stats.push_back(server.push(replica.grads(), ticket));
         collected[w].losses.push_back(loss);
       }
     }));

@@ -79,20 +79,6 @@ struct ApplyStats {
   double target_momentum = 0.0;   ///< tuner target (or mu_target)
 };
 
-/// Worker-owned state for a split ("overlapped") push: the plan captured
-/// by begin_push, which shards this push has applied, and the Eq. 37
-/// ratio scratch. Reused across steps -- all capacity is retained, so a
-/// worker's steady-state overlapped push touches no heap. Not
-/// thread-safe: concurrent push_shard calls on the SAME stage must be
-/// externally serialized (a worker replica's backward engine runs its
-/// completion hooks inline, so the harness never needs to).
-struct PushStage {
-  optim::ApplyPlan plan{};
-  std::vector<unsigned char> pushed;  ///< per shard, this push
-  std::vector<double> ratios;         ///< Eq. 37 contributions, across shards
-  bool active = false;
-};
-
 class ShardedParamServer {
  public:
   explicit ShardedParamServer(std::shared_ptr<optim::Optimizer> optimizer,
@@ -119,33 +105,10 @@ class ShardedParamServer {
 
   /// Apply one worker gradient (size() scalars, computed at the iterates
   /// `ticket` describes). `grad` may be clipped in place by the
-  /// optimizer's global stage. Thread-safe; blocks only per shard.
+  /// optimizer's global stage. Thread-safe; blocks only per shard. The
+  /// Eq. 37 ratio scratch is thread-local with retained capacity, so a
+  /// worker's steady-state push touches no heap.
   ApplyStats push(std::span<double> grad, const PullTicket& ticket);
-
-  // -- Split push (backward/apply overlap, DESIGN.md §10). -------------------
-  //
-  // The three stages of push() exposed individually, so a worker can
-  // apply a shard the moment its own backward pass finishes that shard's
-  // gradients -- while the rest of backward is still draining:
-  //
-  //   begin_push(stage)              opening global stage; with an empty
-  //                                  `grad` it runs BEFORE the gradient is
-  //                                  complete, which requires an optimizer
-  //                                  whose grad_free_begin() is true
-  //   push_shard(stage, k, g, t)     stage + fused sweep for shard k; only
-  //                                  g's [shard k] window must be final.
-  //                                  Any shard order, each exactly once.
-  //   stats = end_push(stage)        closing global stage: Eq. 37 median,
-  //                                  smoothing, Algorithm 5 feedback
-  //
-  // The Eq. 37 median and every per-shard stage are shard-order-
-  // invariant, so a full sequence is bit-equivalent to push() (modulo
-  // grad-reading begin stages, which begin_push refuses without a full
-  // gradient). One stage object per in-flight push.
-  void begin_push(PushStage& stage, std::span<double> grad = {});
-  void push_shard(PushStage& stage, std::size_t k, std::span<const double> grad,
-                  const PullTicket& ticket);
-  ApplyStats end_push(PushStage& stage);
 
   /// Total gradients applied so far.
   std::int64_t updates() const { return updates_.load(std::memory_order_relaxed); }
@@ -230,13 +193,6 @@ struct ServerRunOptions {
   /// toy problems the gradient is so fast that pushes serialize and no
   /// staleness emerges (same knob as the old hogwild trainer).
   std::int64_t compute_delay_us = 0;
-  /// Overlap gradient application with backward: workers with a tape use
-  /// the split push protocol, pushing each server shard as soon as every
-  /// replica parameter overlapping it has a final gradient (tape
-  /// completion hooks). Silently falls back to sequential push() for
-  /// tape-less workers or optimizers whose begin_apply reads the full
-  /// gradient (YellowFin).
-  bool overlap_apply = false;
 };
 
 struct ServerRunResult {

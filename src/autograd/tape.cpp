@@ -1,14 +1,12 @@
 #include "autograd/tape.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cstdlib>
+#include <atomic>
 #include <cstring>
 #include <stdexcept>
 
 #include "core/env.hpp"
 #include "core/kernels/kernel_table.hpp"
-#include "core/parallel.hpp"
 #include "tensor/ops.hpp"
 
 namespace yf::autograd {
@@ -35,9 +33,9 @@ struct FusedChain {
 namespace {
 
 /// Effective backward parents: a fused tail stands in for its whole chain,
-/// so traversal and the engine plan expand it through the chain's external
-/// inputs (the merged parent set) instead of its literal parents (which
-/// include bufferless interiors).
+/// so traversal expands it through the chain's external inputs (the merged
+/// parent set) instead of its literal parents (which include bufferless
+/// interiors).
 std::size_t eff_parent_count(const Node* n) {
   return n->fused != nullptr ? n->fused->inputs.size() : n->parents.size();
 }
@@ -50,35 +48,11 @@ Node* eff_parent(const Node* n, std::size_t i) {
 /// first use), else 0/1. set_tape_fusion overrides the environment.
 std::atomic<int> g_tape_fusion{-1};
 
-int resolve_tape_fusion_env() {
-  const std::string v = core::env_str("YF_TAPE_FUSION", "on");
-  return (v == "off" || v == "0" || v == "false") ? 0 : 1;
-}
-
 thread_local GraphTape* t_active_tape = nullptr;
 
 /// Process-wide DFS stamp source: unique epochs even when several tapes
 /// traverse graphs that share leaf nodes.
 std::atomic<std::uint64_t> g_visit_epoch{0};
-
-/// Hard cap on backward participants; also sizes the stack-allocated
-/// helper-task batch in run_engine.
-constexpr int kMaxBackwardThreads = 64;
-
-/// Process default participant count: YF_BACKWARD_THREADS when set
-/// (0 = match the pool fan-out), else 1 (serial). The checked parse keeps
-/// a typo'd value ("four") from strtol-ing to 0 and silently flipping
-/// serial backward into match-the-pool mode.
-int default_backward_threads() {
-  static const int v = [] {
-    if (const auto env = core::env_int_value("YF_BACKWARD_THREADS")) {
-      const auto n = *env;
-      if (n >= 0) return static_cast<int>(std::min<std::int64_t>(n, kMaxBackwardThreads));
-    }
-    return 1;
-  }();
-  return v;
-}
 
 NodePtr alias_handle(Node* n) {
   // Non-owning aliasing handle: no control block, no refcount traffic.
@@ -92,28 +66,14 @@ void set_tape_fusion(bool on) { g_tape_fusion.store(on ? 1 : 0, std::memory_orde
 bool tape_fusion_enabled() {
   const int v = g_tape_fusion.load(std::memory_order_relaxed);
   if (v >= 0) return v != 0;
-  static const int env = resolve_tape_fusion_env();
-  return env != 0;
+  static const bool env = core::checked_env_bool("YF_TAPE_FUSION", true);
+  return env;
 }
 
 GraphTape::GraphTape(std::int64_t workspace_reserve) : ws_(workspace_reserve) {}
 
 GraphTape::~GraphTape() {
-  // Helper tasks carry a raw pointer to this tape; every one submitted
-  // must have started (and found the pass done) or finished before the
-  // state it touches goes away. Queued helpers run as soon as a pool
-  // worker frees up, so this only blocks while the pool is saturated.
-  {
-    std::unique_lock lock(engine_mu_);
-    engine_cv_.wait(lock, [&] { return submitted_helpers_ == 0 && active_helpers_ == 0; });
-  }
   if (t_active_tape == this) t_active_tape = nullptr;
-}
-
-int GraphTape::backward_threads() const {
-  int t = backward_threads_ >= 0 ? backward_threads_ : default_backward_threads();
-  if (t == 0) t = static_cast<int>(core::ThreadPool::instance().fanout());
-  return std::clamp(t, 1, kMaxBackwardThreads);
 }
 
 void GraphTape::begin_step() {
@@ -321,83 +281,7 @@ void GraphTape::build_order(Node* out) {
   }
   order_out_ = out;
   order_epoch_ = structure_epoch_;
-  order_visit_epoch_ = epoch;
   order_valid_ = true;
-  build_plan();
-}
-
-void GraphTape::build_plan() {
-  const auto n = static_cast<std::int32_t>(order_.size());
-  for (std::int32_t i = 0; i < n; ++i) order_[i]->order_index = i;
-
-  // Distinct requires-grad parents per node (CSR). Duplicate edges --
-  // mul(x, x) -- are folded: the pullback runs once and accumulates both
-  // contributions, so one gate per distinct parent is exact.
-  par_off_.clear();
-  par_idx_.clear();
-  par_off_.reserve(static_cast<std::size_t>(n) + 1);
-  par_off_.push_back(0);
-  for (std::int32_t i = 0; i < n; ++i) {
-    const Node* nd = order_[i];
-    const auto edge_begin = static_cast<std::size_t>(par_off_.back());
-    const std::size_t pc = eff_parent_count(nd);
-    for (std::size_t pk = 0; pk < pc; ++pk) {
-      const Node* pn = eff_parent(nd, pk);
-      // A parent outside this traversal receives no gradient: no gate.
-      if (!pn->requires_grad || pn->visit_epoch != order_visit_epoch_) continue;
-      const std::int32_t pi = pn->order_index;
-      bool dup = false;
-      for (std::size_t e = edge_begin; e < par_idx_.size(); ++e) {
-        if (par_idx_[e] == pi) {
-          dup = true;
-          break;
-        }
-      }
-      if (!dup) par_idx_.push_back(pi);
-    }
-    par_off_.push_back(static_cast<std::int32_t>(par_idx_.size()));
-  }
-
-  // Consumer CSR, consumers listed in execution order (descending order
-  // index -- execution walks order_ back-to-front).
-  const std::size_t edges = par_idx_.size();
-  cons_off_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (std::size_t e = 0; e < edges; ++e) {
-    ++cons_off_[static_cast<std::size_t>(par_idx_[e]) + 1];
-  }
-  for (std::int32_t i = 0; i < n; ++i) cons_off_[i + 1] += cons_off_[i];
-  cons_fill_.assign(cons_off_.begin(), cons_off_.end() - 1);
-  cons_idx_.resize(edges);
-  for (std::int32_t i = n - 1; i >= 0; --i) {
-    for (std::int32_t e = par_off_[i]; e < par_off_[i + 1]; ++e) {
-      cons_idx_[static_cast<std::size_t>(cons_fill_[par_idx_[e]]++)] = i;
-    }
-  }
-
-  // init_pending_[i] = consumer count (gradient completeness) plus one
-  // sequence gate per parent edge where i is not that parent's first
-  // consumer in execution order. next_consumer_[e] names the node whose
-  // gate edge e opens. The serial order satisfies every gate, so the
-  // engine cannot deadlock; every accumulation happens in serial order,
-  // so trajectories are bit-identical at any thread count.
-  next_consumer_.assign(edges, -1);
-  init_pending_.assign(static_cast<std::size_t>(n), 0);
-  for (std::int32_t i = 0; i < n; ++i) {
-    init_pending_[i] = cons_off_[i + 1] - cons_off_[i];
-  }
-  for (std::int32_t p = 0; p < n; ++p) {
-    for (std::int32_t s = cons_off_[p]; s < cons_off_[p + 1]; ++s) {
-      const std::int32_t c = cons_idx_[s];
-      std::int32_t e = par_off_[c];
-      while (par_idx_[e] != p) ++e;
-      if (s + 1 < cons_off_[p + 1]) next_consumer_[e] = cons_idx_[s + 1];
-      if (s > cons_off_[p]) ++init_pending_[c];
-    }
-  }
-
-  pending_.resize(static_cast<std::size_t>(n));
-  ready_.resize(std::max<std::size_t>(1, static_cast<std::size_t>(n)));
-  ++plan_builds_;
 }
 
 // -- Tape fusion (DESIGN.md §13). ---------------------------------------------
@@ -521,16 +405,6 @@ void GraphTape::maybe_fuse() {
   // reclaims the interiors' storage -- the re-recorded graph acquires
   // value/grad windows for non-interior nodes only, and the fresh
   // high-water mark measures the fused footprint on its own.
-  if (!hook_nodes_.empty()) {
-    std::size_t w = 0;
-    for (Node* nd : hook_nodes_) {
-      if (nd->tape != this) hook_nodes_[w++] = nd;
-    }
-    if (w != hook_nodes_.size()) {
-      hook_nodes_.resize(w);
-      ++hooks_epoch_;
-    }
-  }
   nodes_.clear();
   chains_.clear();
   chains_.resize(static_cast<std::size_t>(nchains));
@@ -771,42 +645,6 @@ void GraphTape::unfuse_all() {
   fusion_checked_epoch_ = ~std::uint64_t{0};
 }
 
-void GraphTape::set_backward_hooks(BackwardHooks* hooks, std::span<const LeafGroup> leaves,
-                                   std::size_t group_count) {
-  for (Node* nd : hook_nodes_) nd->hook_group = -1;
-  hook_nodes_.clear();
-  hooks_ = hooks;
-  hook_group_count_ = hooks != nullptr ? group_count : 0;
-  if (hooks != nullptr) {
-    hook_nodes_.reserve(leaves.size());
-    for (const LeafGroup& lg : leaves) {
-      if (lg.node == nullptr || lg.group >= group_count) {
-        throw std::invalid_argument("GraphTape::set_backward_hooks: bad leaf group");
-      }
-      if (lg.node->hook_group >= 0) continue;  // tied parameters: one gate
-      lg.node->hook_group = static_cast<std::int32_t>(lg.group);
-      hook_nodes_.push_back(lg.node);
-    }
-  }
-  ++hooks_epoch_;
-}
-
-void GraphTape::ensure_group_counts() {
-  if (hooks_ == nullptr) return;
-  if (group_hooks_epoch_ == hooks_epoch_ && group_plan_builds_ == plan_builds_) return;
-  group_init_.assign(hook_group_count_, 0);
-  group_remaining_.assign(hook_group_count_, 0);
-  for (const Node* nd : hook_nodes_) {
-    // Leaves absent from the current traversal never execute and never
-    // fire; their groups stay at their init count and the caller's
-    // post-backward sweep covers them.
-    if (nd->visit_epoch != order_visit_epoch_) continue;
-    ++group_init_[static_cast<std::size_t>(nd->hook_group)];
-  }
-  group_hooks_epoch_ = hooks_epoch_;
-  group_plan_builds_ = plan_builds_;
-}
-
 void GraphTape::backward_from(Node* out, const tensor::Tensor& seed) {
   if (out == nullptr || out->tape != this) {
     throw std::logic_error("GraphTape::backward_from: node does not belong to this tape");
@@ -819,14 +657,6 @@ void GraphTape::backward_from(Node* out, const tensor::Tensor& seed) {
   if (!out->requires_grad) return;
   if (!(order_valid_ && order_out_ == out && order_epoch_ == structure_epoch_)) {
     build_order(out);
-  }
-  // From inside a pool worker (param-server replicas) the engine runs
-  // with zero helpers: its peers are draining their own passes.
-  int threads = backward_threads();
-  if (core::ThreadPool::on_worker_thread()) threads = 1;
-  if (threads > 1 || hooks_ != nullptr) {
-    run_engine(out, seed, threads);
-    return;
   }
   // Same pass as the heap path: materialize, zero the non-leaf per-pass
   // buffers, seed, then run pullbacks children-before-parents.
@@ -842,171 +672,6 @@ void GraphTape::backward_from(Node* out, const tensor::Tensor& seed) {
     } else if (n->backward_fn) {
       n->backward_fn(*n);
     }
-  }
-}
-
-void GraphTape::run_engine(Node* out, const tensor::Tensor& seed, int threads) {
-  ensure_group_counts();
-  // Prologue identical to the serial path.
-  for (Node* n : order_) n->ensure_grad();
-  for (Node* n : order_) {
-    if (!n->parents.empty()) n->grad.zero_();
-  }
-  out->ensure_grad().add_(seed);
-
-  const auto n = static_cast<std::int32_t>(order_.size());
-  std::copy(init_pending_.begin(), init_pending_.end(), pending_.begin());
-  std::copy(group_init_.begin(), group_init_.end(), group_remaining_.begin());
-  executed_.store(0, std::memory_order_relaxed);
-  engine_failed_.store(false, std::memory_order_relaxed);
-  engine_error_ = nullptr;
-  engine_total_ = n;
-  {
-    std::scoped_lock lock(engine_mu_);
-    engine_done_ = false;
-    ready_head_ = 0;
-    ready_count_ = 0;
-    // Seed the ring in execution order; normally only the output node
-    // starts with no open gates.
-    for (std::int32_t i = n - 1; i >= 0; --i) {
-      if (init_pending_[i] == 0) ready_[ready_count_++] = i;
-    }
-  }
-
-  int helpers = std::min({threads - 1, kMaxBackwardThreads - 1, n - 1});
-  if (helpers > 0) {
-    auto& pool = core::ThreadPool::instance();
-    pool.ensure_workers(static_cast<std::size_t>(helpers));
-    std::array<core::RawTask, kMaxBackwardThreads> tasks;
-    for (int h = 0; h < helpers; ++h) {
-      tasks[static_cast<std::size_t>(h)] = {&GraphTape::helper_entry, this};
-    }
-    {
-      std::scoped_lock lock(engine_mu_);
-      submitted_helpers_ += helpers;
-    }
-    const std::size_t accepted = pool.try_submit_batch(
-        std::span<const core::RawTask>(tasks.data(), static_cast<std::size_t>(helpers)));
-    if (accepted < static_cast<std::size_t>(helpers)) {
-      // Ring full: proceed with fewer helpers.
-      std::scoped_lock lock(engine_mu_);
-      submitted_helpers_ -= helpers - static_cast<int>(accepted);
-    }
-  }
-
-  {
-    // Mark the driving thread as a worker so kernels inside pullbacks run
-    // inline instead of fanning chunks onto a pool that is busy draining
-    // this very pass (parallelism now comes from the graph, not the
-    // elementwise sweeps).
-    core::detail::ScopedWorkerMark mark;
-    engine_worker();
-  }
-
-  std::unique_lock lock(engine_mu_);
-  engine_cv_.wait(lock, [&] { return engine_done_ && active_helpers_ == 0; });
-  if (engine_error_) {
-    const std::exception_ptr err = engine_error_;
-    engine_error_ = nullptr;
-    lock.unlock();
-    std::rethrow_exception(err);
-  }
-}
-
-void GraphTape::engine_worker() {
-  for (;;) {
-    std::int32_t index;
-    {
-      std::unique_lock lock(engine_mu_);
-      engine_cv_.wait(lock, [&] { return engine_done_ || ready_count_ > 0; });
-      if (ready_count_ == 0) return;  // pass complete
-      index = ready_[ready_head_];
-      ready_head_ = (ready_head_ + 1) % ready_.size();
-      --ready_count_;
-    }
-    execute_node(index);
-  }
-}
-
-void GraphTape::execute_node(std::int32_t index) {
-  Node* node = order_[static_cast<std::size_t>(index)];
-  if ((node->fused != nullptr || node->backward_fn) &&
-      !engine_failed_.load(std::memory_order_relaxed)) {
-    try {
-      if (node->fused != nullptr) {
-        run_fused_backward(*node);
-      } else {
-        node->backward_fn(*node);
-      }
-    } catch (...) {
-      engine_failed_.store(true, std::memory_order_relaxed);
-      std::scoped_lock lock(engine_mu_);
-      if (!engine_error_) engine_error_ = std::current_exception();
-    }
-  }
-  if (hooks_ != nullptr && node->hook_group >= 0 &&
-      static_cast<std::size_t>(node->hook_group) < hook_group_count_) {
-    std::atomic_ref<std::int32_t> remaining(
-        group_remaining_[static_cast<std::size_t>(node->hook_group)]);
-    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-        !engine_failed_.load(std::memory_order_relaxed)) {
-      try {
-        hooks_->on_group_complete(static_cast<std::size_t>(node->hook_group));
-      } catch (...) {
-        engine_failed_.store(true, std::memory_order_relaxed);
-        std::scoped_lock lock(engine_mu_);
-        if (!engine_error_) engine_error_ = std::current_exception();
-      }
-    }
-  }
-  for (std::int32_t e = par_off_[index]; e < par_off_[index + 1]; ++e) {
-    // Open the next sibling's sequence gate, then retire this node's
-    // consumer slot on the parent. The acq_rel chains through these
-    // counters order every accumulation into a shared parent exactly as
-    // the serial replay would.
-    if (next_consumer_[e] >= 0) decrement_pending(next_consumer_[e]);
-    decrement_pending(par_idx_[e]);
-  }
-  if (executed_.fetch_add(1, std::memory_order_acq_rel) + 1 == engine_total_) {
-    {
-      std::scoped_lock lock(engine_mu_);
-      engine_done_ = true;
-    }
-    engine_cv_.notify_all();
-  }
-}
-
-void GraphTape::decrement_pending(std::int32_t index) {
-  std::atomic_ref<std::int32_t> pending(pending_[static_cast<std::size_t>(index)]);
-  if (pending.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-  {
-    std::scoped_lock lock(engine_mu_);
-    ready_[(ready_head_ + ready_count_) % ready_.size()] = index;
-    ++ready_count_;
-  }
-  engine_cv_.notify_one();
-}
-
-void GraphTape::helper_entry(void* ctx) {
-  auto* tape = static_cast<GraphTape*>(ctx);
-  {
-    std::scoped_lock lock(tape->engine_mu_);
-    --tape->submitted_helpers_;
-    if (tape->engine_done_) {
-      // Stale task: the pass it was submitted for already finished.
-      tape->engine_cv_.notify_all();  // the destructor may be waiting
-      return;
-    }
-    ++tape->active_helpers_;
-  }
-  tape->engine_worker();
-  {
-    std::scoped_lock lock(tape->engine_mu_);
-    --tape->active_helpers_;
-    // Notify while still holding the lock: the destructor's wait cannot
-    // return (and destroy the condition variable) until we release it,
-    // so the broadcast never touches a dead cv.
-    tape->engine_cv_.notify_all();
   }
 }
 

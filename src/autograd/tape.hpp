@@ -40,22 +40,15 @@
 //    storage, and ops revalidate them per step only against storage
 //    identity.
 //
-// Parallel backward (DESIGN.md §10): when more than one backward thread
-// is configured (set_backward_threads / YF_BACKWARD_THREADS) or
-// completion hooks are installed, backward_from runs a dependency-
-// counting ready-queue engine over the cached order instead of the
-// serial loop. Per-node sequence gates force every gradient accumulation
-// into a shared parent to happen in the canonical (serial) order, so the
-// resulting trajectory is bit-identical for every thread count.
+// Backward is serial (DESIGN.md §10): one thread walks the cached order
+// children-before-parents. Pullbacks at this repo's shapes cost a few
+// microseconds, no more than a cross-thread hand-off, so parallelism
+// lives in the kernels and in the parameter server's worker fan-out.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <exception>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -132,53 +125,11 @@ class GraphTape {
   /// observation or structure change (DESIGN.md §13).
   void materialize_interior(Node* n);
 
-  // -- Parallel engine configuration. ---------------------------------------
-
-  /// Backward participant count for this tape. 1 = serial replay (the
-  /// default), n > 1 = the calling thread plus up to n-1 pool helpers
-  /// drain the ready queue together, 0 = match the pool fan-out. A
-  /// negative value reverts to the process default (YF_BACKWARD_THREADS
-  /// when set, else 1). Backward invoked from inside a pool worker (the
-  /// param-server replicas) always runs with zero helpers.
-  void set_backward_threads(int n) { backward_threads_ = n; }
-  int backward_threads() const;
-
-  /// Observer for backward/optimizer overlap: fires while backward is
-  /// still draining, on whichever engine thread completed the group.
-  /// Callbacks must only touch state whose gradient contributions are
-  /// complete (the group's leaves) and must not record ops or re-enter
-  /// the tape.
-  class BackwardHooks {
-   public:
-    virtual ~BackwardHooks() = default;
-    /// All registered leaves of `group` have final gradients for this
-    /// pass, and nothing later in backward reads their values.
-    virtual void on_group_complete(std::size_t group) = 0;
-  };
-
-  /// A leaf node assigned to a completion group (groups index [0,
-  /// group_count) passed to set_backward_hooks).
-  struct LeafGroup {
-    Node* node = nullptr;
-    std::size_t group = 0;
-  };
-
-  /// Install (or clear, with nullptr) completion hooks. `leaves` assigns
-  /// graph leaves -- typically arena parameters -- to groups; a group
-  /// fires once per backward pass when its last in-order leaf completes.
-  /// Leaves absent from the traversal of the current output never fire;
-  /// callers sweep unfired groups after backward returns. Installing
-  /// hooks forces the engine path even at one thread (zero helpers).
-  void set_backward_hooks(BackwardHooks* hooks, std::span<const LeafGroup> leaves,
-                          std::size_t group_count);
-  BackwardHooks* backward_hooks() const { return hooks_; }
-
  private:
   bool matches(const Node& n, const char* sig, std::span<const NodePtr> parents,
                std::span<const std::int64_t> dims, std::span<const double> attrs,
                bool requires_grad) const;
   void build_order(Node* out);
-  void build_plan();
   // -- Fusion pass (tape.cpp; DESIGN.md §13). -------------------------------
   void maybe_fuse();
   void finalize_fusion_plan();
@@ -190,12 +141,6 @@ class GraphTape {
   void repair_node(Node& n);
   void truncate_fusion(std::size_t cut);
   void unfuse_all();
-  void ensure_group_counts();
-  void run_engine(Node* out, const tensor::Tensor& seed, int threads);
-  void engine_worker();
-  void execute_node(std::int32_t index);
-  void decrement_pending(std::int32_t index);
-  static void helper_entry(void* ctx);
 
   std::deque<Node> nodes_;  ///< deque: stable addresses under growth
   std::size_t cursor_ = 0;
@@ -215,7 +160,6 @@ class GraphTape {
     std::size_t next_parent;
   };
   std::vector<DfsFrame> dfs_stack_;
-  std::uint64_t order_visit_epoch_ = 0;  ///< DFS stamp of the cached order
 
   // -- Fusion state (DESIGN.md §13). ------------------------------------------
   //
@@ -243,75 +187,18 @@ class GraphTape {
   // Fusion-scan scratch (consumer edge counts), reused across scans.
   std::vector<std::int32_t> fuse_edges_;
   std::vector<Node*> fuse_single_;
-
-  // -- Parallel engine plan (rebuilt together with order_). -------------------
-  //
-  // order_ is post-order (parents before children); execution walks it
-  // back-to-front, so in *execution order* higher indices run first and
-  // "the next consumer of P after C" is P's consumer with the largest
-  // order index strictly below C's. The plan stores, per node i:
-  //
-  //  * its distinct requires-grad parents (CSR: par_off_/par_idx_),
-  //    deduplicated so mul(x, x) counts x once;
-  //  * per parent edge, the order index of the *next* consumer of that
-  //    parent in execution order, or -1 for the last one
-  //    (next_consumer_, parallel to par_idx_);
-  //  * init_pending_[i] = (#consumers of i) + (#parent edges where i is
-  //    not that parent's first consumer in execution order). The first
-  //    term gates on the node's gradient being complete; the second is
-  //    the sequence gate that serializes sibling accumulations into a
-  //    shared parent in canonical order. Executing a node decrements its
-  //    next sibling's gate and each parent's consumer count; a count
-  //    reaching zero pushes that node onto the ready ring. The serial
-  //    order satisfies every gate, so the engine cannot deadlock, and
-  //    every accumulation happens in the serial order, so results are
-  //    bit-identical at any thread count.
-  std::vector<std::int32_t> par_off_;
-  std::vector<std::int32_t> par_idx_;
-  std::vector<std::int32_t> next_consumer_;
-  std::vector<std::int32_t> init_pending_;
-  std::uint64_t plan_builds_ = 0;
-  // Plan-build scratch (capacity reused across rebuilds).
-  std::vector<std::int32_t> cons_off_;
-  std::vector<std::int32_t> cons_idx_;
-  std::vector<std::int32_t> cons_fill_;
-
-  // -- Engine runtime state (preallocated by build_plan). ---------------------
-  std::vector<std::int32_t> pending_;  ///< accessed via std::atomic_ref
-  std::vector<std::int32_t> ready_;    ///< ring, capacity order_.size()
-  std::size_t ready_head_ = 0;
-  std::size_t ready_count_ = 0;
-  std::mutex engine_mu_;
-  std::condition_variable engine_cv_;
-  std::atomic<std::int64_t> executed_{0};
-  std::int64_t engine_total_ = 0;
-  std::atomic<bool> engine_failed_{false};
-  std::exception_ptr engine_error_;
-  bool engine_done_ = true;  ///< true between passes: stale helpers exit
-  int active_helpers_ = 0;
-  int submitted_helpers_ = 0;  ///< enqueued on the pool, not yet started
-
-  // -- Completion hooks (backward/apply overlap). -----------------------------
-  BackwardHooks* hooks_ = nullptr;
-  std::vector<Node*> hook_nodes_;
-  std::size_t hook_group_count_ = 0;
-  std::uint64_t hooks_epoch_ = 0;         ///< bumped by set_backward_hooks
-  std::uint64_t group_hooks_epoch_ = 0;   ///< hooks_epoch_ the counts match
-  std::uint64_t group_plan_builds_ = 0;   ///< plan_builds_ the counts match
-  std::vector<std::int32_t> group_init_;
-  std::vector<std::int32_t> group_remaining_;  ///< via std::atomic_ref
-
-  int backward_threads_ = -1;  ///< negative: process default
 };
 
 /// Tape currently installed on this thread (nullptr: heap graph building).
 GraphTape* active_tape();
 
 /// Process-wide switch for the tape fusion pass (DESIGN.md §13). Defaults
-/// to the YF_TAPE_FUSION environment variable ("on"/"off"/"1"/"0"), or on
-/// when unset. Turning fusion off takes effect at each tape's next
-/// begin_step(), which unfuses any active chains in place; trajectories
-/// are bit-identical either way -- this is a memory/throughput knob.
+/// to the YF_TAPE_FUSION environment variable, read once through
+/// core::checked_env_bool (on|off|1|0|true|false; anything else warns and
+/// keeps fusion on), or on when unset. Turning fusion off takes effect at
+/// each tape's next begin_step(), which unfuses any active chains in
+/// place; trajectories are bit-identical either way -- this is a
+/// memory/throughput knob.
 void set_tape_fusion(bool on);
 bool tape_fusion_enabled();
 

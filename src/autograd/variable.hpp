@@ -60,12 +60,6 @@ struct Node {
   std::vector<tensor::Tensor> scratch;  ///< op scratch reused across steps
   std::uint64_t visit_epoch = 0;    ///< DFS stamp for the cached backward order
 
-  // -- Parallel backward engine bookkeeping (autograd/tape.hpp). Written
-  // -- by the tape that traverses this node; graphs must not share nodes
-  // -- across concurrently-running backward passes (one tape per thread).
-  std::int32_t order_index = -1;  ///< position in the owning tape's cached order
-  std::int32_t hook_group = -1;   ///< leaf-completion group (backward/apply overlap)
-
   // -- Tape fusion bookkeeping (DESIGN.md §13). Interior nodes of a fused
   // -- chain carry no value/grad buffers at all: `fuse_skip` marks them,
   // -- `fuse_dims` preserves the output shape for replay matching, and the

@@ -55,8 +55,8 @@ class ParamArena {
 
   std::int64_t offset(std::size_t i) const { return slots_[i].offset; }
   const tensor::Shape& shape(std::size_t i) const { return slots_[i].shape; }
-  /// Scalar count of slot `i` (shard/slot overlap math in the overlap
-  /// drivers; slot i spans [offset(i), offset(i) + slot_size(i))).
+  /// Scalar count of slot `i`; slot i spans [offset(i), offset(i) +
+  /// slot_size(i)).
   std::size_t slot_size(std::size_t i) const {
     return static_cast<std::size_t>(tensor::numel(slots_[i].shape));
   }

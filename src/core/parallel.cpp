@@ -18,20 +18,9 @@ thread_local bool t_on_worker = false;
 }  // namespace
 
 struct ThreadPool::Impl {
-  /// Raw-task slot ring capacity. Sized far above any real demand: the
-  /// backward engine submits at most (participants - 1) helper tasks per
-  /// pass, and passes from distinct threads are rare (worker replicas run
-  /// their engines inline). A full ring just means fewer helpers.
-  static constexpr std::size_t kRawRing = 256;
-
   std::mutex mu;
   std::condition_variable work_ready;
   std::deque<std::packaged_task<void()>> queue;
-  /// Preallocated ring of allocation-free tasks (try_submit_batch);
-  /// drained ahead of `queue` -- raw tasks are the per-step hot path.
-  RawTask raw_ring[kRawRing];
-  std::size_t raw_head = 0;
-  std::size_t raw_count = 0;
   std::vector<std::thread> workers;
   std::size_t fanout = 1;
   bool stopping = false;
@@ -39,26 +28,15 @@ struct ThreadPool::Impl {
   void worker_loop() {
     t_on_worker = true;
     for (;;) {
-      RawTask raw;
       std::packaged_task<void()> task;
       {
         std::unique_lock lock(mu);
-        work_ready.wait(lock, [&] { return stopping || raw_count > 0 || !queue.empty(); });
-        if (stopping && raw_count == 0 && queue.empty()) return;
-        if (raw_count > 0) {
-          raw = raw_ring[raw_head];
-          raw_head = (raw_head + 1) % kRawRing;
-          --raw_count;
-        } else {
-          task = std::move(queue.front());
-          queue.pop_front();
-        }
+        work_ready.wait(lock, [&] { return stopping || !queue.empty(); });
+        if (stopping && queue.empty()) return;
+        task = std::move(queue.front());
+        queue.pop_front();
       }
-      if (raw.fn != nullptr) {
-        raw.fn(raw.ctx);
-      } else {
-        task();
-      }
+      task();
     }
   }
 
@@ -127,32 +105,9 @@ std::future<void> ThreadPool::submit(std::function<void()> fn) {
   return fut;
 }
 
-std::size_t ThreadPool::try_submit_batch(std::span<const RawTask> tasks) {
-  std::size_t accepted = 0;
-  {
-    std::scoped_lock lock(impl_->mu);
-    for (const RawTask& task : tasks) {
-      if (impl_->raw_count == Impl::kRawRing) break;
-      impl_->raw_ring[(impl_->raw_head + impl_->raw_count) % Impl::kRawRing] = task;
-      ++impl_->raw_count;
-      ++accepted;
-    }
-  }
-  if (accepted == 1) {
-    impl_->work_ready.notify_one();
-  } else if (accepted > 1) {
-    impl_->work_ready.notify_all();
-  }
-  return accepted;
-}
-
 bool ThreadPool::on_worker_thread() { return t_on_worker; }
 
 namespace detail {
-
-ScopedWorkerMark::ScopedWorkerMark() : prev_(t_on_worker) { t_on_worker = true; }
-
-ScopedWorkerMark::~ScopedWorkerMark() { t_on_worker = prev_; }
 
 void parallel_for_dispatch(std::int64_t n, std::int64_t grain, const BodyRef& body) {
   auto& pool = ThreadPool::instance();

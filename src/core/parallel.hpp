@@ -16,7 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <future>
-#include <span>
+#include <memory>
 
 namespace yf::core {
 
@@ -29,18 +29,6 @@ inline constexpr std::int64_t kDefaultGrain = 1 << 14;
 /// grain before pool dispatch amortizes. Partitioning never changes
 /// elementwise results, so the two grains may differ freely.
 inline constexpr std::int64_t kSimdGrain = 1 << 16;
-
-/// Allocation-free task: a plain function pointer plus context. Raw tasks
-/// land in a preallocated slot ring inside the pool, so enqueueing one
-/// touches no heap -- the submission path of the parallel backward engine
-/// (autograd/tape.hpp), whose steady state must not allocate. The context
-/// must outlive the task's execution; there is no completion handle --
-/// callers track completion themselves (the engine counts executed nodes
-/// and active helpers).
-struct RawTask {
-  void (*fn)(void*) = nullptr;
-  void* ctx = nullptr;
-};
 
 class ThreadPool {
  public:
@@ -77,19 +65,11 @@ class ThreadPool {
   /// Enqueue a task; the future rethrows any exception it raised.
   ///
   /// COLD PATH: constructing the std::function and the promise/future
-  /// pair heap-allocates per task. The remaining callers are per-run
-  /// setup costs (parallel_for's chunk dispatch, run_workers' one task
-  /// per worker per run) -- anything invoked per training step must go
-  /// through try_submit_batch instead.
+  /// pair heap-allocates per task. The callers are parallel_for's chunk
+  /// dispatch, which only runs above the grain, and run_workers' one
+  /// task per worker per run. Nothing a zero-allocation step runs may
+  /// submit here.
   std::future<void> submit(std::function<void()> fn);
-
-  /// Enqueue raw tasks into the preallocated slot ring: no std::function,
-  /// no future, no heap traffic. Returns the number actually enqueued
-  /// (0..tasks.size()); when the ring is full the remainder is simply not
-  /// submitted -- callers for whom helpers are an optimization (the
-  /// backward engine) proceed with fewer. Tasks may start running before
-  /// this returns.
-  std::size_t try_submit_batch(std::span<const RawTask> tasks);
 
   /// True when called from inside a pool worker (used to run nested
   /// parallel constructs inline).
@@ -116,24 +96,6 @@ struct BodyRef {
 
 /// Pool-dispatching slow path; `body` must stay alive for the call.
 void parallel_for_dispatch(std::int64_t n, std::int64_t grain, const BodyRef& body);
-
-/// RAII: mark the calling thread as a pool worker for the scope. The
-/// backward engine installs this on the thread that drives a parallel
-/// pass, so kernels invoked from inside node pullbacks run inline instead
-/// of fanning out onto a pool whose workers are already busy draining the
-/// engine's ready queue (that fan-out could otherwise deadlock: the
-/// chunks would sit behind engine helpers that only finish once the
-/// caller makes progress).
-class ScopedWorkerMark {
- public:
-  ScopedWorkerMark();
-  ~ScopedWorkerMark();
-  ScopedWorkerMark(const ScopedWorkerMark&) = delete;
-  ScopedWorkerMark& operator=(const ScopedWorkerMark&) = delete;
-
- private:
-  bool prev_;
-};
 
 }  // namespace detail
 

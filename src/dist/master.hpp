@@ -11,7 +11,7 @@
 //   push (seq)   -> push_reply (ApplyStats of the application)
 //   shutdown     -> shutdown_ack, connection closes
 //
-// Pull and push frames land on the SAME begin_push/push_shard/end_push
+// Pull and push frames land on the SAME ShardedParamServer::pull/push
 // and Eq. 37 measurement paths the in-process workers use -- the server
 // object neither knows nor cares that a gradient arrived over a socket,
 // so Algorithm 5's closed-loop momentum feedback runs unchanged under

@@ -1,6 +1,5 @@
 #include "optim/optimizer.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace yf::optim {
@@ -39,72 +38,6 @@ void Optimizer::save_state(core::StateWriter& w) const { w.i64(iteration_); }
 void Optimizer::load_state(core::StateReader& r) {
   iteration_ = r.i64();
   if (iteration_ < 0) throw core::StateError("Optimizer: negative iteration counter");
-}
-
-OverlappedApply::OverlappedApply(Optimizer& opt, autograd::GraphTape& tape,
-                                 std::size_t max_shards)
-    : opt_(opt), tape_(tape) {
-  if (!opt.grad_free_begin()) {
-    throw std::invalid_argument(
-        "OverlappedApply: optimizer's begin_apply reads the full gradient "
-        "(grad_free_begin() is false); use the sequential step() instead");
-  }
-  if (max_shards == 0) throw std::invalid_argument("OverlappedApply: max_shards == 0");
-
-  // Contiguous parameter-aligned shards of roughly equal scalar count.
-  const core::ParamArena& arena = opt.arena();
-  const auto want = static_cast<std::int64_t>(max_shards);
-  const std::int64_t target = (arena.size() + want - 1) / want;
-  std::vector<std::size_t> slot_shard(arena.count(), 0);
-  Shard cur{0, 0};
-  for (std::size_t i = 0; i < arena.count(); ++i) {
-    slot_shard[i] = shards_.size();
-    cur.hi = arena.offset(i) + static_cast<std::int64_t>(arena.slot_size(i));
-    if (cur.hi - cur.lo >= target && i + 1 < arena.count()) {
-      shards_.push_back(cur);
-      cur.lo = cur.hi;
-    }
-  }
-  shards_.push_back(cur);
-
-  std::vector<autograd::GraphTape::LeafGroup> leaves;
-  leaves.reserve(opt.params().size());
-  for (const autograd::Variable& p : opt.params()) {
-    leaves.push_back({p.node().get(), slot_shard[arena.slot_index(p)]});
-  }
-  tape.set_backward_hooks(this, leaves, shards_.size());
-  applied_.assign(shards_.size(), 0);
-}
-
-OverlappedApply::~OverlappedApply() { tape_.set_backward_hooks(nullptr, {}, 0); }
-
-void OverlappedApply::begin_step() {
-  plan_ = opt_.begin_apply(opt_.arena().grads());
-  std::fill(applied_.begin(), applied_.end(), static_cast<unsigned char>(0));
-  armed_ = true;
-}
-
-void OverlappedApply::on_group_complete(std::size_t group) {
-  // Fires on an engine thread while backward is still draining. Distinct
-  // groups touch distinct applied_ bytes and disjoint arena spans; the
-  // caller's join on backward orders everything before finish().
-  if (!armed_ || group >= shards_.size()) return;
-  const Shard s = shards_[group];
-  opt_.step_span(plan_, s.lo, s.hi);
-  applied_[group] = 1;
-}
-
-void OverlappedApply::finish() {
-  if (!armed_) return;
-  for (std::size_t g = 0; g < shards_.size(); ++g) {
-    if (applied_[g] != 0) {
-      ++overlapped_;  // counted here: callbacks race, finish is serial
-      continue;
-    }
-    opt_.step_span(plan_, shards_[g].lo, shards_[g].hi);
-  }
-  opt_.end_apply(plan_);
-  armed_ = false;
 }
 
 }  // namespace yf::optim

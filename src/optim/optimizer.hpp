@@ -44,7 +44,6 @@
 #include <string>
 #include <vector>
 
-#include "autograd/tape.hpp"
 #include "autograd/variable.hpp"
 #include "core/arena.hpp"
 #include "core/state.hpp"
@@ -83,15 +82,6 @@ class Optimizer {
   /// Closing global stage; advances the iteration counter.
   virtual void end_apply(const ApplyPlan& plan);
 
-  /// True when begin_apply() never reads the gradient, so the global
-  /// stage may run BEFORE the gradient is complete and span sweeps may
-  /// start as soon as their shard's gradient window is final -- the
-  /// backward/apply overlap path (DESIGN.md §10). YellowFin measures and
-  /// clips the full gradient in begin_apply and returns false; overlap
-  /// consumers must fall back to the sequential protocol there. Any
-  /// subclass whose begin_apply touches `grad` must override this.
-  virtual bool grad_free_begin() const { return true; }
-
   /// Human-readable optimizer name for reports ("adam", "yellowfin", ...).
   virtual std::string name() const = 0;
 
@@ -129,63 +119,6 @@ class Optimizer {
   std::vector<autograd::Variable> params_;
   core::ParamArena arena_;
   std::int64_t iteration_ = 0;
-};
-
-/// Backward/optimizer overlap driver for the synchronous path
-/// (DESIGN.md §10): partitions the optimizer's arena into contiguous
-/// parameter-aligned shards, registers each shard's leaves as a tape
-/// completion group, and runs that shard's fused step_span *inside*
-/// backward the moment its gradients are final -- a parameter's value is
-/// only read by its consumers' pullbacks, so once they have all executed
-/// the in-place update races with nothing.
-///
-/// Usage per step, replacing optimizer.step():
-///
-///   overlap.begin_step();     // capture the plan (grad-free global stage)
-///   loss.backward();          // engine fires step_span per finished shard
-///   overlap.finish();         // sweep unfired shards + end_apply
-///
-/// The trajectory is bit-identical to optimizer.step(): step_span over
-/// disjoint spans of one plan is span-partition-invariant, and the plan
-/// itself never depends on the gradient (grad_free_begin is required --
-/// the constructor throws for YellowFin-style optimizers).
-class OverlappedApply final : public autograd::GraphTape::BackwardHooks {
- public:
-  /// Registers hooks on `tape` (cleared again by the destructor). At
-  /// most `max_shards` shards of roughly equal scalar count, never
-  /// splitting a parameter.
-  OverlappedApply(Optimizer& opt, autograd::GraphTape& tape, std::size_t max_shards = 8);
-  ~OverlappedApply() override;
-  OverlappedApply(const OverlappedApply&) = delete;
-  OverlappedApply& operator=(const OverlappedApply&) = delete;
-
-  /// Grad-free global stage; arm the hooks for the coming backward.
-  void begin_step();
-
-  /// Engine callback: shard `group`'s gradients are final -- apply it.
-  void on_group_complete(std::size_t group) override;
-
-  /// Apply every shard the engine did not complete (leaves absent from
-  /// the traversal, or backward run without the engine), then end_apply.
-  void finish();
-
-  std::size_t shard_count() const { return shards_.size(); }
-  /// Cumulative shards applied inside backward (overlap actually won).
-  std::int64_t overlapped() const { return overlapped_; }
-
- private:
-  struct Shard {
-    std::int64_t lo = 0;
-    std::int64_t hi = 0;
-  };
-
-  Optimizer& opt_;
-  autograd::GraphTape& tape_;
-  std::vector<Shard> shards_;
-  ApplyPlan plan_{};
-  std::vector<unsigned char> applied_;  ///< per shard, this pass
-  bool armed_ = false;
-  std::int64_t overlapped_ = 0;
 };
 
 }  // namespace yf::optim

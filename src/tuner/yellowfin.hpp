@@ -60,10 +60,6 @@ class YellowFin : public optim::Optimizer {
   void step_span(const optim::ApplyPlan& plan, std::int64_t lo, std::int64_t hi) override;
   std::string name() const override { return "yellowfin"; }
 
-  /// begin_apply clips and measures the FULL gradient: the plan depends
-  /// on every shard, so nothing may be applied before backward finishes.
-  bool grad_free_begin() const override { return false; }
-
   /// Base lr here means the tuner's current (smoothed) alpha.
   double lr() const override { return alpha_; }
   void set_lr(double lr) override { alpha_ = lr; }

@@ -207,30 +207,10 @@ TEST(AllocCount, GemmPackingIsAllocationFreeInSteadyState) {
     sink += loss.value().item();
   };
   for (int i = 0; i < 3; ++i) step();
-  // Under the parallel backward engine the matmul pullbacks can land on
-  // pool helper threads whose per-thread GEMM packing workspaces
-  // (core/gemm.cpp) are still cold, and which helper executes a node is
-  // scheduling-dependent -- so that one-time warm-up (a handful of
-  // allocations per pack shape, per thread) may fall inside the measured
-  // region. The contract under threads is therefore step-count
-  // independence: allocations over 64 steps must stay within the
-  // O(threads) warm-up budget. Serial keeps the strict zero.
-  const int participants = tape.backward_threads();
   const auto steps_allocs = allocations_during([&] {
     for (int i = 0; i < 64; ++i) step();
   });
-  if (participants <= 1) {
-    EXPECT_EQ(steps_allocs, 0u)
-        << "packed-GEMM training steps must not touch the heap after warm-up";
-  } else {
-    // Two pack shapes (the NT/TN pullbacks) x at most 16 allocations of
-    // workspace growth per cold helper thread; any per-step allocation
-    // would overshoot this budget by the loop length.
-    const auto warmup_budget = static_cast<std::uint64_t>(participants - 1) * 16u;
-    EXPECT_LE(steps_allocs, warmup_budget)
-        << "packed-GEMM training allocations must be one-time per-thread "
-           "warm-up, not per-step";
-  }
+  EXPECT_EQ(steps_allocs, 0u) << "packed-GEMM training steps must not touch the heap after warm-up";
   EXPECT_TRUE(std::isfinite(sink));
 }
 
@@ -289,78 +269,6 @@ TEST(AllocCount, TrainLoopWithTapeIsAllocationFreePerStep) {
   const auto short_run = run(16);
   const auto long_run = run(64);
   EXPECT_EQ(short_run, long_run) << "per-run allocations must not scale with iterations";
-}
-
-TEST(AllocCount, ParallelBackwardStepIsAllocationFreeAfterWarmup) {
-  force_inline_parallelism();
-  // The multithreaded backward engine (DESIGN.md §10) on 3 threads: the
-  // dependency-count plan, pending counters, ready ring, and helper task
-  // batch are all preallocated by the first pass, so steady-state steps
-  // must stay heap-free even while engine helpers drain the graph.
-  yf::core::ThreadPool::instance().ensure_workers(3);
-  t::Rng rng(29);
-  ag::Variable w(rng.normal_tensor({6, 4}), /*requires_grad=*/true);
-  ag::Variable x(rng.normal_tensor({8, 6}));
-  ag::Variable y(rng.normal_tensor({8, 4}));
-  yf::optim::MomentumSGD opt({w}, 0.05, 0.9);
-
-  ag::GraphTape tape;
-  tape.set_backward_threads(3);
-  ag::TapeScope scope(&tape);
-  double sink = 0.0;
-  auto step = [&] {
-    tape.begin_step();
-    opt.zero_grad();
-    auto loss = ag::mean(ag::square(ag::sub(ag::matmul(x, w), y)));
-    loss.backward();
-    opt.step();
-    sink += loss.value().item();
-  };
-  for (int i = 0; i < 3; ++i) step();  // warm-up: plan + ring + helpers
-
-  const auto n = allocations_during([&] {
-    for (int i = 0; i < 16; ++i) step();
-  });
-  EXPECT_EQ(n, 0u) << "steady-state parallel backward must not touch the heap";
-  EXPECT_TRUE(std::isfinite(sink));
-}
-
-TEST(AllocCount, OverlappedApplyStepIsAllocationFreeAfterWarmup) {
-  force_inline_parallelism();
-  // Backward/optimizer overlap: completion hooks fire fused shard updates
-  // from inside the parallel backward drain. The shard table, applied
-  // flags, and hook group counters live in the driver/tape, so overlapped
-  // steps inherit the zero-allocation contract of sequential ones.
-  yf::core::ThreadPool::instance().ensure_workers(3);
-  t::Rng rng(31);
-  ag::Variable w1(rng.normal_tensor({6, 4}), /*requires_grad=*/true);
-  ag::Variable w2(rng.normal_tensor({4, 3}), /*requires_grad=*/true);
-  ag::Variable x(rng.normal_tensor({8, 6}));
-  ag::Variable y(rng.normal_tensor({8, 3}));
-  yf::optim::MomentumSGD opt({w1, w2}, 0.05, 0.9);
-
-  ag::GraphTape tape;
-  tape.set_backward_threads(3);
-  ag::TapeScope scope(&tape);
-  yf::optim::OverlappedApply overlap(opt, tape, /*max_shards=*/4);
-  double sink = 0.0;
-  auto step = [&] {
-    tape.begin_step();
-    opt.zero_grad();
-    overlap.begin_step();
-    auto loss = ag::mean(ag::square(ag::sub(ag::matmul(ag::matmul(x, w1), w2), y)));
-    loss.backward();
-    overlap.finish();
-    sink += loss.value().item();
-  };
-  for (int i = 0; i < 3; ++i) step();  // warm-up: hook groups + plan
-
-  const auto n = allocations_during([&] {
-    for (int i = 0; i < 16; ++i) step();
-  });
-  EXPECT_EQ(n, 0u) << "steady-state overlapped apply must not touch the heap";
-  EXPECT_TRUE(std::isfinite(sink));
-  EXPECT_GT(overlap.overlapped(), 0);
 }
 
 TEST(AllocCount, ServingSteadyStateIsAllocationFree) {
@@ -506,7 +414,7 @@ TEST(AllocCount, ServerWorkersWithModelReplicasAndTapes) {
   // Same slack rationale as above, plus headroom for one-time per-thread
   // warm-up: run_workers places worker bodies on arbitrary pool threads,
   // and the first body a given thread ever runs pays for its
-  // thread_local push staging (ShardedParamServer::begin_push) -- an
+  // thread_local Eq. 37 ratio scratch (ShardedParamServer::push) -- an
   // O(pool threads) cost that lands nondeterministically in either run.
   // A real per-step leak would add at least 72 counts (2 workers x 36
   // extra steps), far above this slack.

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "autograd/ops.hpp"
-#include "autograd/tape.hpp"
 #include "core/arena.hpp"
 #include "core/kernels/backend.hpp"
 #include "nn/linear.hpp"
@@ -344,134 +343,6 @@ TEST(ShardedParamServer, RealModuleWorkersTrainConcurrently) {
   const double tail = mean(run.losses.end() - 40, run.losses.end());
   EXPECT_LT(tail, head);
   for (double v : server.optimizer().arena().values()) EXPECT_TRUE(std::isfinite(v));
-}
-
-TEST(ShardedParamServer, SplitPushMatchesMonolithicPushInAnyShardOrder) {
-  auto run = [](bool split) {
-    auto master = make_params(kShapes, 77);
-    auto opt = make_momentum(master);
-    async::ParamServerOptions sopts;
-    sopts.shards = 4;
-    async::ShardedParamServer server(opt, sopts);
-    auto worker_params = make_params(kShapes, 77);
-    core::ParamArena replica(worker_params);
-    t::Rng noise(123);
-    async::PushStage stage;
-    std::vector<double> mus;
-    for (int s = 0; s < 12; ++s) {
-      const auto ticket = server.pull(replica.values());
-      replica.zero_grads();
-      quad_grads(worker_params, 1.3, noise);
-      async::ApplyStats stats;
-      if (split) {
-        // Reverse shard order: the median and every per-shard stage are
-        // shard-order-invariant, so this must match push() bit for bit.
-        server.begin_push(stage);
-        for (std::int64_t k = server.shard_count() - 1; k >= 0; --k) {
-          server.push_shard(stage, static_cast<std::size_t>(k), replica.grads(), ticket);
-        }
-        stats = server.end_push(stage);
-      } else {
-        stats = server.push(replica.grads(), ticket);
-      }
-      mus.push_back(stats.mu_hat_total.value_or(-42.0));
-    }
-    return std::pair{flat_values(master), mus};
-  };
-
-  const auto mono = run(false);
-  const auto split = run(true);
-  ASSERT_EQ(mono.first.size(), split.first.size());
-  for (std::size_t i = 0; i < mono.first.size(); ++i) {
-    EXPECT_EQ(mono.first[i], split.first[i]) << "master value " << i;
-  }
-  ASSERT_EQ(mono.second.size(), split.second.size());
-  for (std::size_t s = 0; s < mono.second.size(); ++s) {
-    EXPECT_EQ(mono.second[s], split.second[s]) << "mu_hat at step " << s;
-  }
-}
-
-TEST(ShardedParamServer, SplitPushRejectsProtocolMisuse) {
-  auto master = make_params(kShapes, 77);
-  async::ShardedParamServer server(make_momentum(master), {});
-  auto worker_params = make_params(kShapes, 77);
-  core::ParamArena replica(worker_params);
-  const auto ticket = server.pull(replica.values());
-
-  async::PushStage stage;
-  EXPECT_THROW(server.push_shard(stage, 0, replica.grads(), ticket), std::logic_error);
-  EXPECT_THROW(server.end_push(stage), std::logic_error);
-  server.begin_push(stage);
-  EXPECT_THROW(server.begin_push(stage), std::logic_error);  // already active
-  server.push_shard(stage, 0, replica.grads(), ticket);
-  EXPECT_THROW(server.push_shard(stage, 0, replica.grads(), ticket), std::logic_error);
-  EXPECT_THROW(server.end_push(stage), std::logic_error);  // shards missing
-  // end_push's throw deactivated nothing: finish the push properly.
-  for (std::size_t k = 1; k < static_cast<std::size_t>(server.shard_count()); ++k) {
-    server.push_shard(stage, k, replica.grads(), ticket);
-  }
-  EXPECT_EQ(server.end_push(stage).update_index, 1);
-
-  // A grad-reading opening stage cannot start without the full gradient.
-  async::ShardedParamServer yf_server(make_yellowfin(make_params(kShapes, 78)), {});
-  async::PushStage yf_stage;
-  EXPECT_THROW(yf_server.begin_push(yf_stage), std::logic_error);
-}
-
-TEST(ShardedParamServer, OverlappedApplyMatchesSequentialPushForSingleWorker) {
-  auto run = [](bool overlap) {
-    auto master = make_linear_worker(0);
-    auto opt = std::make_shared<yf::optim::MomentumSGD>(master.params, 0.1, 0.9);
-    async::ParamServerOptions sopts;
-    sopts.shards = 3;
-    async::ShardedParamServer server(opt, sopts);
-    ag::GraphTape tape;
-    auto worker = make_linear_worker(7);
-    worker.tape = &tape;
-    async::ServerRunOptions ropts;
-    ropts.steps_per_worker = 40;
-    ropts.overlap_apply = overlap;
-    const auto result = async::run_workers(server, {worker}, ropts);
-    const auto values = server.optimizer().arena().values();
-    return std::pair{result.losses, std::vector<double>(values.begin(), values.end())};
-  };
-
-  // One worker pushes strictly in sequence, so the overlapped protocol
-  // must reproduce the sequential trajectory bit for bit.
-  const auto sequential = run(false);
-  const auto overlapped = run(true);
-  ASSERT_EQ(sequential.first.size(), overlapped.first.size());
-  for (std::size_t s = 0; s < sequential.first.size(); ++s) {
-    EXPECT_EQ(sequential.first[s], overlapped.first[s]) << "loss at step " << s;
-  }
-  ASSERT_EQ(sequential.second.size(), overlapped.second.size());
-  for (std::size_t i = 0; i < sequential.second.size(); ++i) {
-    EXPECT_EQ(sequential.second[i], overlapped.second[i]) << "master value " << i;
-  }
-}
-
-TEST(ShardedParamServer, OverlapApplyFallsBackToSequentialForYellowFin) {
-  // YellowFin's begin_apply clips the full gradient (grad_free_begin
-  // false): overlap_apply must silently use the sequential push and
-  // change nothing.
-  auto run = [](bool overlap) {
-    auto master = make_linear_worker(0);
-    auto opt = make_yellowfin(master.params);
-    async::ShardedParamServer server(opt, {});
-    ag::GraphTape tape;
-    auto worker = make_linear_worker(9);
-    worker.tape = &tape;
-    async::ServerRunOptions ropts;
-    ropts.steps_per_worker = 20;
-    ropts.overlap_apply = overlap;
-    const auto result = async::run_workers(server, {worker}, ropts);
-    const auto values = server.optimizer().arena().values();
-    return std::vector<double>(values.begin(), values.end());
-  };
-  const auto off = run(false);
-  const auto on = run(true);
-  ASSERT_EQ(off.size(), on.size());
-  for (std::size_t i = 0; i < off.size(); ++i) EXPECT_EQ(off[i], on[i]);
 }
 
 TEST(ShardedParamServer, RejectsWorkerAliasedToMaster) {

@@ -5,14 +5,14 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <optional>
+#include <cstdlib>
+#include <string>
 #include <tuple>
 #include <utility>
 
 #include "autograd/gradcheck.hpp"
 #include "autograd/ops.hpp"
-#include "core/parallel.hpp"
+#include "core/env.hpp"
 #include "data/markov_text.hpp"
 #include "data/synth_cifar.hpp"
 #include "nn/language_model.hpp"
@@ -360,180 +360,11 @@ TEST(GraphTapeModels, ResNetTrainingTrajectoryIsBitIdenticalToHeapPath) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel backward engine (DESIGN.md §10): the dependency-counting
-// ready-queue executor must produce bit-identical trajectories at every
-// participant count, because sequence gates replay every accumulation
-// into a shared parent in the canonical serial order.
-// ---------------------------------------------------------------------------
-
-TEST(GraphTapeParallel, SharedParentAccumulationOrderIsCanonical) {
-  yf::core::ThreadPool::instance().ensure_workers(8);
-  // A wide fan-out onto one shared parent, with branch scales spread
-  // across 16 orders of magnitude: if the engine ever accumulated
-  // first-come-first-served instead of in canonical order, the float
-  // rounding of x.grad would differ between runs.
-  auto run = [](int threads) {
-    ag::GraphTape tape;
-    tape.set_backward_threads(threads);
-    ag::TapeScope scope(&tape);
-    auto x = leaf({0.1234567891234, -7.77e3, 3.3e-7});
-    std::vector<double> grads;
-    for (int step = 0; step < 3; ++step) {
-      tape.begin_step();
-      x.zero_grad();
-      auto acc = ag::mul_scalar(x, 1.0e8);
-      for (int b = 1; b < 12; ++b) {
-        const double scale = (b % 2 == 0 ? 1.0 : -1.0) * std::pow(10.0, 8 - 1.5 * b);
-        acc = ag::add(acc, ag::tanh(ag::mul_scalar(x, scale)));
-      }
-      auto y = ag::sum(acc);
-      y.backward();
-      const auto g = x.grad().data();
-      grads.insert(grads.end(), g.begin(), g.end());
-    }
-    return grads;
-  };
-
-  const auto serial = run(1);
-  for (const int threads : {2, 8}) {
-    const auto parallel = run(threads);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(serial[i], parallel[i]) << "grad " << i << " at threads=" << threads;
-    }
-  }
-}
-
-TEST(GraphTapeParallel, LmYellowFinTrajectoryIsThreadCountInvariant) {
-  yf::core::ThreadPool::instance().ensure_workers(8);
-  const std::int64_t batch = 4, seq_plus1 = 7, steps = 6;
-  yf::data::MarkovTextConfig dcfg;
-  dcfg.vocab = 12;
-  dcfg.branching = 2;
-  yf::data::MarkovText dataset(dcfg);
-  t::Rng data_rng(11);
-  std::vector<std::vector<std::int64_t>> batches;
-  for (std::int64_t s = 0; s < steps; ++s) {
-    batches.push_back(dataset.sample_batch(batch, seq_plus1, data_rng));
-  }
-
-  auto run = [&](int threads) {
-    nn::LanguageModelConfig cfg;
-    cfg.vocab = 12;
-    cfg.embed_dim = 6;
-    cfg.hidden = 8;
-    cfg.layers = 2;
-    t::Rng model_rng(1);
-    nn::LSTMLanguageModel model(cfg, model_rng);
-    yf::tuner::YellowFin opt(model.parameters());
-    ag::GraphTape tape;
-    tape.set_backward_threads(threads);
-    ag::TapeScope scope(&tape);
-    std::vector<double> losses;
-    for (std::int64_t s = 0; s < steps; ++s) {
-      tape.begin_step();
-      opt.zero_grad();
-      auto loss = model.loss(batches[static_cast<std::size_t>(s)], batch, seq_plus1);
-      loss.backward();
-      opt.step();
-      losses.push_back(loss.value().item());
-    }
-    return std::pair{losses, yf::nn::flatten_values(opt.params())};
-  };
-
-  const auto serial = run(1);
-  for (const int threads : {2, 8}) {
-    const auto parallel = run(threads);
-    for (std::int64_t s = 0; s < steps; ++s) {
-      EXPECT_EQ(serial.first[static_cast<std::size_t>(s)],
-                parallel.first[static_cast<std::size_t>(s)])
-          << "loss diverged at step " << s << " threads=" << threads;
-    }
-    ASSERT_EQ(serial.second.size(), parallel.second.size());
-    for (std::int64_t i = 0; i < serial.second.size(); ++i) {
-      EXPECT_EQ(serial.second[i], parallel.second[i])
-          << "parameter " << i << " threads=" << threads;
-    }
-  }
-}
-
-TEST(GraphTapeParallel, ResNetOverlappedApplyTrajectoryIsBitIdentical) {
-  yf::core::ThreadPool::instance().ensure_workers(8);
-  const std::int64_t steps = 3;
-  yf::data::SynthCifarConfig dcfg;
-  dcfg.classes = 3;
-  dcfg.height = 8;
-  dcfg.width = 8;
-  yf::data::SynthCifar dataset(dcfg);
-  t::Rng data_rng(21);
-  std::vector<yf::data::ImageBatch> batches;
-  for (std::int64_t s = 0; s < steps; ++s) batches.push_back(dataset.sample(4, data_rng));
-
-  // overlap < 0: sequential opt.step(); otherwise OverlappedApply with
-  // that many shards, the fused sweeps racing backward shard by shard.
-  auto run = [&](int threads, int overlap_shards) {
-    nn::MiniResNetConfig cfg;
-    cfg.base_channels = 4;
-    cfg.blocks_per_stage = 1;
-    cfg.num_classes = 3;
-    cfg.with_batchnorm = true;
-    t::Rng model_rng(2);
-    nn::MiniResNet model(cfg, model_rng);
-    yf::optim::MomentumSGD opt(model.parameters(), 0.05, 0.9);
-    ag::GraphTape tape;
-    tape.set_backward_threads(threads);
-    std::optional<yf::optim::OverlappedApply> overlap;
-    if (overlap_shards >= 0) {
-      overlap.emplace(opt, tape, static_cast<std::size_t>(overlap_shards));
-    }
-    ag::TapeScope scope(&tape);
-    ag::Variable images(batches[0].images.clone());
-    std::vector<double> losses;
-    for (std::int64_t s = 0; s < steps; ++s) {
-      tape.begin_step();
-      const auto& b = batches[static_cast<std::size_t>(s)];
-      t::copy_into(images.value(), b.images);
-      opt.zero_grad();
-      auto loss = ag::softmax_cross_entropy(model.forward(images), b.labels);
-      if (overlap) {
-        overlap->begin_step();
-        loss.backward();
-        overlap->finish();
-      } else {
-        loss.backward();
-        opt.step();
-      }
-      losses.push_back(loss.value().item());
-    }
-    const std::int64_t overlapped = overlap ? overlap->overlapped() : 0;
-    return std::tuple{losses, yf::nn::flatten_values(opt.params()), overlapped};
-  };
-
-  const auto baseline = run(1, -1);
-  for (const auto [threads, shards] : {std::pair{1, 4}, std::pair{4, 4}, std::pair{4, 8}}) {
-    const auto overlapped_run = run(threads, shards);
-    for (std::int64_t s = 0; s < steps; ++s) {
-      EXPECT_EQ(std::get<0>(baseline)[static_cast<std::size_t>(s)],
-                std::get<0>(overlapped_run)[static_cast<std::size_t>(s)])
-          << "loss diverged at step " << s << " threads=" << threads;
-    }
-    ASSERT_EQ(std::get<1>(baseline).size(), std::get<1>(overlapped_run).size());
-    for (std::int64_t i = 0; i < std::get<1>(baseline).size(); ++i) {
-      EXPECT_EQ(std::get<1>(baseline)[i], std::get<1>(overlapped_run)[i])
-          << "parameter " << i << " threads=" << threads << " shards=" << shards;
-    }
-    // Every ResNet parameter is on the traversal, so every shard's
-    // update ran inside backward.
-    EXPECT_GT(std::get<2>(overlapped_run), 0) << "no overlap at threads=" << threads;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Tape fusion (DESIGN.md §13): elementwise chains collapse into single
 // fused sweeps at the end of warm-up. The contract under test is
 // threefold: trajectories are EXPECT_EQ-bit-identical fused vs unfused
-// (both model families, any backward thread count -- the ctest backend
-// matrix re-runs this file per kernel table), intermediates genuinely
+// (both model families -- the ctest backend matrix re-runs this file per
+// kernel table), intermediates genuinely
 // leave the workspace, and instability (structure/attr changes, interior
 // reads) degrades to the unfused path instead of to wrong gradients.
 // ---------------------------------------------------------------------------
@@ -576,8 +407,7 @@ TEST(GraphTapeFusion, ElementwiseChainCollapsesAndDropsIntermediates) {
       << "fused workspace peak must shrink by the eliminated intermediates";
 }
 
-TEST(GraphTapeFusion, LmYellowFinTrajectoryMatchesUnfusedAtAnyThreadCount) {
-  yf::core::ThreadPool::instance().ensure_workers(4);
+TEST(GraphTapeFusion, LmYellowFinTrajectoryMatchesUnfused) {
   const std::int64_t batch = 4, seq_plus1 = 7, steps = 6;
   yf::data::MarkovTextConfig dcfg;
   dcfg.vocab = 12;
@@ -589,7 +419,7 @@ TEST(GraphTapeFusion, LmYellowFinTrajectoryMatchesUnfusedAtAnyThreadCount) {
     batches.push_back(dataset.sample_batch(batch, seq_plus1, data_rng));
   }
 
-  auto run = [&](bool fused, int threads, std::int64_t* fused_nodes_out) {
+  auto run = [&](bool fused, std::int64_t* fused_nodes_out) {
     FusionGuard guard(fused);
     nn::LanguageModelConfig cfg;
     cfg.vocab = 12;
@@ -600,7 +430,6 @@ TEST(GraphTapeFusion, LmYellowFinTrajectoryMatchesUnfusedAtAnyThreadCount) {
     nn::LSTMLanguageModel model(cfg, model_rng);
     yf::tuner::YellowFin opt(model.parameters());
     ag::GraphTape tape;
-    tape.set_backward_threads(threads);
     ag::TapeScope scope(&tape);
     std::vector<double> losses;
     for (std::int64_t s = 0; s < steps; ++s) {
@@ -615,28 +444,24 @@ TEST(GraphTapeFusion, LmYellowFinTrajectoryMatchesUnfusedAtAnyThreadCount) {
     return std::pair{losses, yf::nn::flatten_values(opt.params())};
   };
 
-  const auto unfused = run(false, 1, nullptr);
-  for (const int threads : {1, 4}) {
-    std::int64_t fused_nodes = 0;
-    const auto fused = run(true, threads, &fused_nodes);
-    // The LSTM cell is elementwise-dense (gate activations, cell update):
-    // fusion must actually engage, or this test proves nothing.
-    EXPECT_GT(fused_nodes, 0) << "fusion never fired at threads=" << threads;
-    for (std::int64_t s = 0; s < steps; ++s) {
-      EXPECT_EQ(unfused.first[static_cast<std::size_t>(s)],
-                fused.first[static_cast<std::size_t>(s)])
-          << "loss diverged at step " << s << " threads=" << threads;
-    }
-    ASSERT_EQ(unfused.second.size(), fused.second.size());
-    for (std::int64_t i = 0; i < unfused.second.size(); ++i) {
-      EXPECT_EQ(unfused.second[i], fused.second[i])
-          << "parameter " << i << " threads=" << threads;
-    }
+  const auto unfused = run(false, nullptr);
+  std::int64_t fused_nodes = 0;
+  const auto fused = run(true, &fused_nodes);
+  // The LSTM cell is elementwise-dense (gate activations, cell update):
+  // fusion must actually engage, or this test proves nothing.
+  EXPECT_GT(fused_nodes, 0) << "fusion never fired";
+  for (std::int64_t s = 0; s < steps; ++s) {
+    EXPECT_EQ(unfused.first[static_cast<std::size_t>(s)],
+              fused.first[static_cast<std::size_t>(s)])
+        << "loss diverged at step " << s;
+  }
+  ASSERT_EQ(unfused.second.size(), fused.second.size());
+  for (std::int64_t i = 0; i < unfused.second.size(); ++i) {
+    EXPECT_EQ(unfused.second[i], fused.second[i]) << "parameter " << i;
   }
 }
 
-TEST(GraphTapeFusion, ResNetBatchNormTrajectoryMatchesUnfusedAtAnyThreadCount) {
-  yf::core::ThreadPool::instance().ensure_workers(4);
+TEST(GraphTapeFusion, ResNetBatchNormTrajectoryMatchesUnfused) {
   const std::int64_t steps = 3;
   yf::data::SynthCifarConfig dcfg;
   dcfg.classes = 3;
@@ -647,7 +472,7 @@ TEST(GraphTapeFusion, ResNetBatchNormTrajectoryMatchesUnfusedAtAnyThreadCount) {
   std::vector<yf::data::ImageBatch> batches;
   for (std::int64_t s = 0; s < steps; ++s) batches.push_back(dataset.sample(4, data_rng));
 
-  auto run = [&](bool fused, int threads) {
+  auto run = [&](bool fused) {
     FusionGuard guard(fused);
     nn::MiniResNetConfig cfg;
     cfg.base_channels = 4;
@@ -658,7 +483,6 @@ TEST(GraphTapeFusion, ResNetBatchNormTrajectoryMatchesUnfusedAtAnyThreadCount) {
     nn::MiniResNet model(cfg, model_rng);
     yf::optim::MomentumSGD opt(model.parameters(), 0.05, 0.9);
     ag::GraphTape tape;
-    tape.set_backward_threads(threads);
     ag::TapeScope scope(&tape);
     ag::Variable images(batches[0].images.clone());
     std::vector<double> losses;
@@ -675,19 +499,16 @@ TEST(GraphTapeFusion, ResNetBatchNormTrajectoryMatchesUnfusedAtAnyThreadCount) {
     return std::pair{losses, yf::nn::flatten_values(opt.params())};
   };
 
-  const auto unfused = run(false, 1);
-  for (const int threads : {1, 4}) {
-    const auto fused = run(true, threads);
-    for (std::int64_t s = 0; s < steps; ++s) {
-      EXPECT_EQ(unfused.first[static_cast<std::size_t>(s)],
-                fused.first[static_cast<std::size_t>(s)])
-          << "loss diverged at step " << s << " threads=" << threads;
-    }
-    ASSERT_EQ(unfused.second.size(), fused.second.size());
-    for (std::int64_t i = 0; i < unfused.second.size(); ++i) {
-      EXPECT_EQ(unfused.second[i], fused.second[i])
-          << "parameter " << i << " threads=" << threads;
-    }
+  const auto unfused = run(false);
+  const auto fused = run(true);
+  for (std::int64_t s = 0; s < steps; ++s) {
+    EXPECT_EQ(unfused.first[static_cast<std::size_t>(s)],
+              fused.first[static_cast<std::size_t>(s)])
+        << "loss diverged at step " << s;
+  }
+  ASSERT_EQ(unfused.second.size(), fused.second.size());
+  for (std::int64_t i = 0; i < unfused.second.size(); ++i) {
+    EXPECT_EQ(unfused.second[i], fused.second[i]) << "parameter " << i;
   }
 }
 
@@ -812,6 +633,30 @@ TEST(GraphTapeFusion, InteriorValueReadMaterializesAndDissolvesChain) {
   }
   EXPECT_EQ(after.first, ref_loss);
   for (std::int64_t i = 0; i < 3; ++i) EXPECT_EQ(after.second[i], ref_grad[i]);
+}
+
+TEST(GraphTapeFusion, FusionKnobAcceptsOnlyBooleanSpellings) {
+  // YF_TAPE_FUSION goes through the strict boolean parse: a typo warns and
+  // keeps the default instead of silently reading as "on".
+  const char* saved = ::getenv("YF_TAPE_FUSION");
+  const std::string saved_copy = saved ? saved : "";
+  for (const char* on : {"on", "1", "true"}) {
+    ::setenv("YF_TAPE_FUSION", on, 1);
+    EXPECT_TRUE(yf::core::checked_env_bool("YF_TAPE_FUSION", false)) << on;
+  }
+  for (const char* off : {"off", "0", "false"}) {
+    ::setenv("YF_TAPE_FUSION", off, 1);
+    EXPECT_FALSE(yf::core::checked_env_bool("YF_TAPE_FUSION", true)) << off;
+  }
+  for (const char* typo : {"OFF", "no", "bogus"}) {  // warn, keep the default
+    ::setenv("YF_TAPE_FUSION", typo, 1);
+    EXPECT_TRUE(yf::core::checked_env_bool("YF_TAPE_FUSION", true)) << typo;
+    EXPECT_FALSE(yf::core::checked_env_bool("YF_TAPE_FUSION", false)) << typo;
+  }
+  ::unsetenv("YF_TAPE_FUSION");
+  EXPECT_TRUE(yf::core::checked_env_bool("YF_TAPE_FUSION", true));
+  EXPECT_FALSE(yf::core::checked_env_bool("YF_TAPE_FUSION", false));
+  if (saved) ::setenv("YF_TAPE_FUSION", saved_copy.c_str(), 1);
 }
 
 TEST(GraphTapeGradcheck, ElementwiseChainWithFusionForcedOn) {
