@@ -38,6 +38,8 @@ AsyncStepStats AsyncTrainer::step() {
   auto& params = const_cast<std::vector<autograd::Variable>&>(optimizer_->params());
 
   // Worker view: gradient at the current iterate.
+  autograd::TapeScope tape_scope(&tape_);
+  tape_.begin_step();
   optimizer_->zero_grad();
   stats.loss = grad_fn_();
   tensor::Tensor flat_grad = nn::flatten_grads(params);

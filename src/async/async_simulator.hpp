@@ -10,6 +10,11 @@
 // Optionally closes the momentum loop (Algorithm 5) when driving a
 // YellowFin optimizer: measured total momentum feeds the negative
 // feedback controller, which overrides the applied algorithmic momentum.
+//
+// The trainer owns an autograd::GraphTape for its lifetime: step()
+// installs it on the calling thread and begins a tape step before the
+// gradient closure, so a fixed-structure model replays its cached graph
+// (DESIGN.md §8) with the same trajectory as the per-step heap graph.
 #pragma once
 
 #include <functional>
@@ -18,6 +23,7 @@
 
 #include "async/staleness_queue.hpp"
 #include "async/total_momentum.hpp"
+#include "autograd/tape.hpp"
 #include "optim/optimizer.hpp"
 #include "tuner/closed_loop.hpp"
 #include "tuner/yellowfin.hpp"
@@ -52,7 +58,8 @@ class AsyncTrainer {
   AsyncTrainer(std::shared_ptr<optim::Optimizer> optimizer, GradFn grad_fn,
                const AsyncTrainerOptions& opts);
 
-  /// One simulated server step.
+  /// One simulated server step. Variables the gradient closure creates
+  /// are tape handles, valid until the next step() or the trainer dies.
   AsyncStepStats step();
 
   const TotalMomentumEstimator& estimator() const { return estimator_; }
@@ -68,6 +75,7 @@ class AsyncTrainer {
   StalenessQueue<tensor::Tensor> queue_;
   TotalMomentumEstimator estimator_;
   tuner::ClosedLoopController controller_;
+  autograd::GraphTape tape_;
 };
 
 }  // namespace yf::async

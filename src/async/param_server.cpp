@@ -284,6 +284,9 @@ ServerRunResult run_workers(ShardedParamServer& server,
                             const std::vector<ServerWorker>& workers,
                             const ServerRunOptions& opts) {
   if (workers.empty()) throw std::invalid_argument("run_workers: no workers");
+  if (opts.steps_per_worker < 0) {
+    throw std::invalid_argument("run_workers: steps_per_worker must be >= 0");
+  }
   struct PerWorker {
     std::vector<ApplyStats> stats;
     std::vector<double> losses;
@@ -306,17 +309,18 @@ ServerRunResult run_workers(ShardedParamServer& server,
       if (replica.values_tensor().shares_storage_with(master_values)) {
         throw std::invalid_argument("run_workers: worker params alias the master arena");
       }
-      // Per-replica tape: installed for this worker's whole run, so every
-      // grad_fn builds (then replays) its graph out of worker-local
-      // workspace memory instead of the global allocator.
-      autograd::TapeScope tape_scope(workers[w].tape);
+      // Per-replica tape for this worker's whole run: every grad_fn builds
+      // (then replays) its graph out of worker-local workspace memory
+      // instead of the global allocator.
+      autograd::GraphTape tape;
+      autograd::TapeScope tape_scope(&tape);
       collected[w].stats.reserve(static_cast<std::size_t>(opts.steps_per_worker));
       collected[w].losses.reserve(static_cast<std::size_t>(opts.steps_per_worker));
       PullTicket ticket;
       for (std::int64_t s = 0; s < opts.steps_per_worker; ++s) {
         server.pull(replica.values(), ticket);
         replica.zero_grads();
-        if (workers[w].tape) workers[w].tape->begin_step();
+        tape.begin_step();
         const double loss = workers[w].grad_fn();
         if (opts.compute_delay_us > 0) {
           std::this_thread::sleep_for(std::chrono::microseconds(opts.compute_delay_us));

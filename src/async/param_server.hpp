@@ -45,10 +45,6 @@
 #include "tensor/tensor.hpp"
 #include "tuner/closed_loop.hpp"
 
-namespace yf::autograd {
-class GraphTape;
-}
-
 namespace yf::async {
 
 struct ParamServerOptions {
@@ -176,15 +172,13 @@ class ShardedParamServer {
 /// A worker's model replica: parameters with the same total size as the
 /// master (they are flattened into a worker-local arena) plus a gradient
 /// closure that computes a minibatch loss and leaves gradients on them.
+/// run_workers gives each worker body its own autograd::GraphTape on its
+/// pool thread and begins a tape step before every grad_fn call, so each
+/// replica replays its cached graph out of its own workspace instead of
+/// contending on the global allocator.
 struct ServerWorker {
   std::vector<autograd::Variable> params;
   std::function<double()> grad_fn;
-  /// Optional per-replica autograd tape: run_workers installs it on the
-  /// worker's pool thread and begins a tape step before every grad_fn
-  /// call, so each replica replays its cached graph out of its own
-  /// workspace instead of contending on the global allocator. Owned by
-  /// the caller; one tape must not be shared between workers.
-  autograd::GraphTape* tape = nullptr;
 };
 
 struct ServerRunOptions {
@@ -201,8 +195,8 @@ struct ServerRunResult {
   std::int64_t total_updates = 0;
 };
 
-/// Run every worker for `steps_per_worker` pull/compute/push rounds on the
-/// shared pool. Worker parameters must not alias the master arena.
+/// Run every worker for `steps_per_worker` (>= 0) pull/compute/push rounds
+/// on the shared pool. Worker parameters must not alias the master arena.
 ServerRunResult run_workers(ShardedParamServer& server,
                             const std::vector<ServerWorker>& workers,
                             const ServerRunOptions& opts = {});

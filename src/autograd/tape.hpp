@@ -28,7 +28,10 @@
 //
 // Contracts:
 //  * one tape per thread of graph construction; a tape is not
-//    thread-safe (each worker replica owns its own tape);
+//    thread-safe. The training loops own theirs (DESIGN.md §8):
+//    train::train records on one per call, run_workers and
+//    run_channel_workers on one per worker body, AsyncTrainer on a
+//    member;
 //  * Variables handed out during a step stay valid until the node they
 //    reference is truncated or the tape dies; across `begin_step()` a
 //    stale handle observes the *new* step's value (same buffer);
@@ -203,8 +206,9 @@ void set_tape_fusion(bool on);
 bool tape_fusion_enabled();
 
 /// RAII installation of a tape as the thread's active tape. A null tape
-/// is a no-op (whatever was active stays active), so call sites can
-/// thread an optional tape through unconditionally.
+/// is a no-op (whatever was active stays active), so a loop that runs
+/// either on a tape or eagerly (the tests' reference loops) can thread
+/// an optional tape through unconditionally.
 class TapeScope {
  public:
   explicit TapeScope(GraphTape* tape);

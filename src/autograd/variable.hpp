@@ -7,15 +7,20 @@
 //
 // Nodes come from one of two owners:
 //
-//  * the historical heap path: every op makes a fresh
-//    `shared_ptr<Node>`, freed when the last Variable handle drops --
-//    per-step memory is bounded by a single forward pass;
 //  * an active `GraphTape` (autograd/tape.hpp): nodes live in the tape's
 //    pool and are *reused* across steps when the recorded op structure
 //    matches, with values/grads backed by a core::Workspace. After a
 //    one-step warm-up a training step performs no heap allocation in
 //    forward or backward. Tape handles are non-owning: they stay valid
 //    until the tape truncates that node (structure change) or dies.
+//    Every training loop -- train::train, async::AsyncTrainer,
+//    async::run_workers, dist::run_channel_workers -- records on a tape
+//    it owns;
+//  * the eager heap path, for ops built with no tape installed (hand
+//    loops outside those, gradcheck, inference probes): every op makes
+//    a fresh `shared_ptr<Node>`, freed when the last Variable handle
+//    drops. It is the reference the tape's bit-identity tests compare
+//    against.
 //
 // Parameters are *leaf* variables (`requires_grad == true`, no parents);
 // their `.grad()` accumulates across backward calls until `zero_grad()`.

@@ -13,6 +13,12 @@ namespace {
 /// block-hops on the warm-up path.
 constexpr std::int64_t kMinBlock = 1024;
 
+/// Growth cap: blocks double the total capacity until it reaches this
+/// size (256 KB), then grow by max(kMaxGrowth, request). Uncapped
+/// doubling leaves up to half of a large workspace unused, and a tape
+/// built per training run would rebuild those megabyte blocks every run.
+constexpr std::int64_t kMaxGrowth = 32768;
+
 /// Keep consecutive acquisitions 64-byte aligned relative to block start.
 constexpr std::int64_t kAlign = 8;
 
@@ -31,14 +37,15 @@ Workspace::Workspace(std::int64_t initial_capacity) {
 std::int64_t Workspace::reserve(std::int64_t n) {
   const std::int64_t need = aligned(std::max<std::int64_t>(n, 1));
 
-  // Advance past exhausted blocks; allocate a fresh one (geometric in the
-  // total capacity) only when none of the remaining blocks fits.
+  // Advance past exhausted blocks; allocate a fresh one (doubling the
+  // total capacity up to kMaxGrowth, then kMaxGrowth at a time) only when
+  // none of the remaining blocks fits.
   while (cur_ < blocks_.size() && off_ + need > blocks_[cur_].size()) {
     ++cur_;
     off_ = 0;
   }
   if (cur_ == blocks_.size()) {
-    const std::int64_t size = std::max({kMinBlock, need, capacity_});
+    const std::int64_t size = std::max({kMinBlock, need, std::min(capacity_, kMaxGrowth)});
     blocks_.emplace_back(tensor::Shape{size});
     capacity_ += size;
   }

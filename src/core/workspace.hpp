@@ -7,10 +7,14 @@
 // pointer; nothing is freed individually. Two properties make it the
 // memory substrate of the autograd tape (autograd/tape.hpp):
 //
-//  * high-water-mark reuse: blocks are only ever *added* (geometric
-//    growth) and never released, so once a workload's peak demand has
-//    been observed -- the tape's one-step warm-up -- every later
-//    acquisition is served from existing storage with zero heap traffic;
+//  * high-water-mark reuse: blocks are only ever *added* and never
+//    released, so once a workload's peak demand has been observed -- the
+//    tape's one-step warm-up -- every later acquisition is served from
+//    existing storage with zero heap traffic. A new block doubles the
+//    total capacity until it reaches 32768 doubles (256 KB); past that,
+//    blocks are max(32768, request) doubles, so a large workspace's
+//    unused tail stays near one such block instead of up to half of its
+//    capacity;
 //  * marker rollback: `mark()` captures the bump position and
 //    `rollback()` returns to it, releasing every acquisition made in
 //    between at once. The tape uses this to discard the tail of a

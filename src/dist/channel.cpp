@@ -32,6 +32,9 @@ const char* engine_name(Engine engine) {
 async::ServerRunResult run_channel_workers(const std::vector<ChannelWorker>& workers,
                                            const ChannelRunOptions& opts) {
   if (workers.empty()) throw std::invalid_argument("run_channel_workers: no workers");
+  if (opts.steps_per_worker < 0) {
+    throw std::invalid_argument("run_channel_workers: steps_per_worker must be >= 0");
+  }
   for (const ChannelWorker& w : workers) {
     if (w.channel == nullptr) {
       throw std::invalid_argument("run_channel_workers: worker without a channel");
@@ -59,14 +62,15 @@ async::ServerRunResult run_channel_workers(const std::vector<ChannelWorker>& wor
         if (replica.size() != worker.channel->size()) {
           throw std::invalid_argument("run_channel_workers: replica size != master size");
         }
-        autograd::TapeScope tape_scope(worker.tape);
+        autograd::GraphTape tape;
+        autograd::TapeScope tape_scope(&tape);
         out.stats.reserve(static_cast<std::size_t>(opts.steps_per_worker));
         out.losses.reserve(static_cast<std::size_t>(opts.steps_per_worker));
         async::PullTicket ticket;
         for (std::int64_t s = 0; s < opts.steps_per_worker; ++s) {
           worker.channel->pull(replica.values(), ticket);
           replica.zero_grads();
-          if (worker.tape) worker.tape->begin_step();
+          tape.begin_step();
           const double loss = worker.grad_fn();
           if (opts.compute_delay_us > 0) {
             std::this_thread::sleep_for(std::chrono::microseconds(opts.compute_delay_us));

@@ -89,13 +89,13 @@ const char* engine_name(Engine engine);
 // channel I/O); each worker needs its OWN channel.
 // ---------------------------------------------------------------------------
 
+/// Like async::ServerWorker, each worker body records onto its own
+/// autograd::GraphTape on its thread, with a tape step begun before every
+/// grad_fn call.
 struct ChannelWorker {
   ParamChannel* channel = nullptr;  ///< not owned; one worker per channel
   std::vector<autograd::Variable> params;
   std::function<double()> grad_fn;
-  /// Optional per-worker tape, installed on the worker thread for the
-  /// whole run (same ownership contract as async::ServerWorker::tape).
-  autograd::GraphTape* tape = nullptr;
 };
 
 struct ChannelRunOptions {
@@ -103,7 +103,7 @@ struct ChannelRunOptions {
   std::int64_t compute_delay_us = 0;  ///< simulated gradient latency
 };
 
-/// Run every worker for steps_per_worker pull/compute/push rounds.
+/// Run every worker for steps_per_worker (>= 0) pull/compute/push rounds.
 /// Results merge in update_index order like async::run_workers; the
 /// single-worker sequence (pull, zero, grad, push) is statement-for-
 /// statement the run_workers loop, which is what makes channel and

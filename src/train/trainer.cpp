@@ -3,20 +3,23 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "autograd/tape.hpp"
 #include "optim/clipping.hpp"
 
 namespace yf::train {
 
 TrainResult train(optim::Optimizer& optimizer, const GradFn& grad_fn, const TrainOptions& opts) {
+  if (opts.iterations < 0) throw std::invalid_argument("train: iterations must be >= 0");
   if (opts.schedule && (opts.epoch_length <= 0 || opts.base_lr <= 0.0)) {
     throw std::invalid_argument("train: schedule requires epoch_length and base_lr");
   }
   TrainResult result;
   result.losses.reserve(static_cast<std::size_t>(opts.iterations));
   auto& params = const_cast<std::vector<autograd::Variable>&>(optimizer.params());
-  // The trainer owns the tape scope for the whole run: every grad_fn call
-  // below records onto (and, after warm-up, replays) the caller's tape.
-  autograd::TapeScope tape_scope(opts.tape);
+  // One tape per call: every grad_fn below records onto it and, after
+  // warm-up, replays it; a val_fn records its own graph after the step's.
+  autograd::GraphTape tape;
+  autograd::TapeScope tape_scope(&tape);
 
   for (std::int64_t it = 0; it < opts.iterations; ++it) {
     if (result.diverged) {
@@ -27,7 +30,7 @@ TrainResult train(optim::Optimizer& optimizer, const GradFn& grad_fn, const Trai
       const auto epoch = it / opts.epoch_length;
       optimizer.set_lr(opts.base_lr * opts.schedule->factor(epoch));
     }
-    if (opts.tape) opts.tape->begin_step();
+    tape.begin_step();
     optimizer.zero_grad();
     const double loss = grad_fn();
     if (!std::isfinite(loss) || loss > opts.divergence_bound) {

@@ -6,7 +6,6 @@
 
 #include "async/async_simulator.hpp"  // for GradFn
 #include "async/param_server.hpp"
-#include "autograd/tape.hpp"
 #include "optim/lr_schedule.hpp"
 #include "optim/optimizer.hpp"
 
@@ -31,11 +30,6 @@ struct TrainOptions {
   /// Abort when loss is NaN/inf or exceeds this bound (divergence guard);
   /// remaining iterations are filled with the bound so curves stay rectangular.
   double divergence_bound = 1e9;
-  /// Optional autograd tape owned by the caller for the whole run: the
-  /// loop installs it on this thread and calls begin_step() before each
-  /// grad_fn, so model steps reuse the cached graph (zero steady-state
-  /// allocations, DESIGN.md §8). Null keeps the per-step heap graph.
-  autograd::GraphTape* tape = nullptr;
 };
 
 struct TrainResult {
@@ -45,6 +39,12 @@ struct TrainResult {
   bool diverged = false;
 };
 
+/// Run `opts.iterations` steps. The loop records every grad_fn and val_fn
+/// call onto an autograd::GraphTape it owns for this call and begins a
+/// tape step before each grad_fn, so a fixed-structure step replays its
+/// cached graph (zero steady-state allocations, DESIGN.md §8) with the
+/// same losses as the per-step heap graph. Variables the closures create
+/// are tape handles: do not keep them past the call.
 TrainResult train(optim::Optimizer& optimizer, const GradFn& grad_fn, const TrainOptions& opts);
 
 /// Asynchronous counterpart of train(): drive `server` with the given

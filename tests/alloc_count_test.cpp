@@ -11,6 +11,8 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <new>
 
 #include "autograd/ops.hpp"
@@ -18,6 +20,7 @@
 #include "core/alloc_count.hpp"
 #include "core/parallel.hpp"
 #include "data/markov_text.hpp"
+#include "dist/channel.hpp"
 #include "nn/language_model.hpp"
 #include "optim/momentum_sgd.hpp"
 #include "serve/engine.hpp"
@@ -246,14 +249,14 @@ TEST(AllocCount, QuadraticYellowFinStepIsAllocationFreeAfterWarmup) {
 
 TEST(AllocCount, TrainLoopWithTapeIsAllocationFreePerStep) {
   force_inline_parallelism();
-  // train::train allocates its result vectors once per run; per-step
-  // freedom shows up as run cost independent of the iteration count.
+  // train::train allocates its result vectors and records its own tape
+  // once per run; per-step freedom shows up as run cost independent of
+  // the iteration count.
   t::Rng rng(7);
   ag::Variable w(rng.normal_tensor({4, 2}), /*requires_grad=*/true);
   ag::Variable x(rng.normal_tensor({5, 4}));
   ag::Variable y(rng.normal_tensor({5, 2}));
   yf::optim::MomentumSGD opt({w}, 0.05, 0.9);
-  ag::GraphTape tape;
   auto grad_fn = [&] {
     auto loss = ag::mean(ag::square(ag::sub(ag::matmul(x, w), y)));
     loss.backward();
@@ -262,7 +265,6 @@ TEST(AllocCount, TrainLoopWithTapeIsAllocationFreePerStep) {
   auto run = [&](std::int64_t iters) {
     yf::train::TrainOptions o;
     o.iterations = iters;
-    o.tape = &tape;
     return allocations_during([&] { (void)yf::train::train(opt, grad_fn, o); });
   };
   (void)run(8);  // warm-up
@@ -362,64 +364,112 @@ TEST(AllocCount, ShardedServerWithTwoWorkersIsAllocationFreePerStep) {
       << "server pull/push/apply must not allocate per step with 2 workers";
 }
 
+namespace {
+
+/// Master LM, its sharded server, and two LM worker replicas sharing one
+/// fixed batch: the fixture of the worker-harness allocation pins below.
+struct LmReplicaCluster {
+  static constexpr std::int64_t kBatch = 4, kSeqPlus1 = 7;
+
+  static nn::LanguageModelConfig config() {
+    nn::LanguageModelConfig cfg;
+    cfg.vocab = 12;
+    cfg.embed_dim = 6;
+    cfg.hidden = 8;
+    cfg.layers = 1;
+    return cfg;
+  }
+
+  LmReplicaCluster() {
+    yf::data::MarkovTextConfig dcfg;
+    dcfg.vocab = 12;
+    dcfg.branching = 2;
+    yf::data::MarkovText dataset(dcfg);
+    t::Rng data_rng(13);
+    const auto tokens = dataset.sample_batch(kBatch, kSeqPlus1, data_rng);
+
+    t::Rng master_rng(1);
+    master = std::make_unique<nn::LSTMLanguageModel>(config(), master_rng);
+    auto opt = std::make_shared<yf::optim::MomentumSGD>(master->parameters(), 0.1, 0.9);
+    yf::async::ParamServerOptions server_opts;
+    server_opts.shards = 2;
+    server_opts.history = 8;
+    server = std::make_unique<yf::async::ShardedParamServer>(opt, server_opts);
+
+    for (std::uint64_t w = 0; w < 2; ++w) {
+      t::Rng replica_rng(100 + w);
+      auto model = std::make_shared<nn::LSTMLanguageModel>(config(), replica_rng);
+      params.push_back(model->parameters());
+      grad_fns.push_back([model, tokens] {
+        auto loss = model->loss(tokens, kBatch, kSeqPlus1);
+        loss.backward();
+        return loss.value().item();
+      });
+    }
+  }
+
+  std::unique_ptr<nn::LSTMLanguageModel> master;
+  std::unique_ptr<yf::async::ShardedParamServer> server;
+  std::vector<std::vector<ag::Variable>> params;  ///< per replica
+  std::vector<std::function<double()>> grad_fns;  ///< per replica
+};
+
+}  // namespace
+
 TEST(AllocCount, ServerWorkersWithModelReplicasAndTapes) {
   force_inline_parallelism();
-  const std::int64_t batch = 4, seq_plus1 = 7;
-  yf::data::MarkovTextConfig dcfg;
-  dcfg.vocab = 12;
-  dcfg.branching = 2;
-  yf::data::MarkovText dataset(dcfg);
-  t::Rng data_rng(13);
-  auto tokens = dataset.sample_batch(batch, seq_plus1, data_rng);
-
-  nn::LanguageModelConfig cfg;
-  cfg.vocab = 12;
-  cfg.embed_dim = 6;
-  cfg.hidden = 8;
-  cfg.layers = 1;
-  t::Rng master_rng(1);
-  nn::LSTMLanguageModel master(cfg, master_rng);
-  auto opt = std::make_shared<yf::optim::MomentumSGD>(master.parameters(), 0.1, 0.9);
-  yf::async::ParamServerOptions server_opts;
-  server_opts.shards = 2;
-  server_opts.history = 8;
-  yf::async::ShardedParamServer server(opt, server_opts);
-
-  // Each worker: its own model replica, its own tape, shared fixed batch.
-  std::vector<std::shared_ptr<nn::LSTMLanguageModel>> models;
-  std::vector<std::unique_ptr<ag::GraphTape>> tapes;
-  std::vector<yf::async::ServerWorker> workers(2);
-  for (std::size_t w = 0; w < workers.size(); ++w) {
-    t::Rng replica_rng(100 + w);
-    models.push_back(std::make_shared<nn::LSTMLanguageModel>(cfg, replica_rng));
-    tapes.push_back(std::make_unique<ag::GraphTape>());
-    auto model = models.back();
-    workers[w].params = model->parameters();
-    workers[w].tape = tapes.back().get();
-    workers[w].grad_fn = [model, tokens, batch, seq_plus1] {
-      auto loss = model->loss(tokens, batch, seq_plus1);
-      loss.backward();
-      return loss.value().item();
-    };
+  // Each worker: its own model replica, shared fixed batch; run_workers
+  // records each worker body on its own tape.
+  LmReplicaCluster cluster;
+  std::vector<yf::async::ServerWorker> workers;
+  for (std::size_t w = 0; w < cluster.params.size(); ++w) {
+    workers.push_back({cluster.params[w], cluster.grad_fns[w]});
   }
 
   auto run = [&](std::int64_t steps) {
     yf::async::ServerRunOptions ro;
     ro.steps_per_worker = steps;
-    return allocations_during([&] { (void)yf::async::run_workers(server, workers, ro); });
+    return allocations_during([&] { (void)yf::async::run_workers(*cluster.server, workers, ro); });
   };
-  (void)run(12);  // warm-up: tape recording on each worker thread
+  (void)run(12);  // warm-up: pool threads and their per-thread scratch
   const auto short_run = run(12);
   const auto long_run = run(48);
-  // Same slack rationale as above, plus headroom for one-time per-thread
-  // warm-up: run_workers places worker bodies on arbitrary pool threads,
-  // and the first body a given thread ever runs pays for its
-  // thread_local Eq. 37 ratio scratch (ShardedParamServer::push) -- an
-  // O(pool threads) cost that lands nondeterministically in either run.
-  // A real per-step leak would add at least 72 counts (2 workers x 36
-  // extra steps), far above this slack.
+  // Every run records each worker's tape afresh, a cost independent of
+  // the step count. Same slack rationale as above, plus headroom for
+  // one-time per-thread warm-up: run_workers places worker bodies on
+  // arbitrary pool threads, and the first body a given thread ever runs
+  // pays for its thread_local Eq. 37 ratio scratch
+  // (ShardedParamServer::push) -- an O(pool threads) cost that lands
+  // nondeterministically in either run. A real per-step leak would add
+  // at least 72 counts (2 workers x 36 extra steps), far above this slack.
   EXPECT_LE(long_run, short_run + 24)
       << "model forward/backward on worker replicas must replay allocation-free";
+}
+
+TEST(AllocCount, ChannelWorkersWithModelReplicasAndTapes) {
+  force_inline_parallelism();
+  // The channel harness over two InprocChannels: the same replicas, on
+  // plain threads, each recording on the tape its worker body owns.
+  LmReplicaCluster cluster;
+  std::vector<std::unique_ptr<yf::dist::InprocChannel>> channels;
+  std::vector<yf::dist::ChannelWorker> workers;
+  for (std::size_t w = 0; w < cluster.params.size(); ++w) {
+    channels.push_back(std::make_unique<yf::dist::InprocChannel>(*cluster.server));
+    workers.push_back({channels.back().get(), cluster.params[w], cluster.grad_fns[w]});
+  }
+
+  auto run = [&](std::int64_t steps) {
+    yf::dist::ChannelRunOptions ro;
+    ro.steps_per_worker = steps;
+    return allocations_during([&] { (void)yf::dist::run_channel_workers(workers, ro); });
+  };
+  (void)run(12);  // warm-up
+  const auto short_run = run(12);
+  const auto long_run = run(48);
+  // Each run starts fresh threads, whose thread_local scratch and tapes
+  // are per-run costs; a per-step leak would add at least 72 counts.
+  EXPECT_LE(long_run, short_run + 24)
+      << "channel workers must replay their replicas allocation-free";
 }
 
 TEST(AllocCount, FusedTapeReplayIsAllocationFreeAndFusesOnlyAtWarmup) {

@@ -12,6 +12,8 @@
 #include <bit>
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "async/param_server.hpp"
@@ -148,6 +150,25 @@ TEST(DistEngine, OneWorkerSocketTrajectoryBitIdenticalToInproc) {
     }
     EXPECT_EQ(inproc.result.losses[i], socket.result.losses[i]);
   }
+}
+
+TEST(DistEngine, RunChannelWorkersRejectsNegativeStepCount) {
+  auto master = make_params(kShapes, 77);
+  auto opt = std::make_shared<yf::optim::MomentumSGD>(master, 0.05, 0.5);
+  async::ShardedParamServer server(opt, {});
+  dist::InprocChannel channel(server);
+  std::vector<dist::ChannelWorker> workers;
+  workers.push_back(make_quad_worker(123));
+  workers[0].channel = &channel;
+  dist::ChannelRunOptions ropts;
+  ropts.steps_per_worker = -1;
+  try {
+    (void)dist::run_channel_workers(workers, ropts);
+    FAIL() << "a negative step count must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("steps_per_worker"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(server.updates(), 0);
 }
 
 TEST(DistEngine, HelloHandshakeReportsMasterGeometry) {

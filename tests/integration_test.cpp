@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "autograd/ops.hpp"
 #include "data/markov_text.hpp"
@@ -161,6 +163,19 @@ TEST(Integration, TrainerValidationProbe) {
   ASSERT_EQ(result.val_values.size(), 4u);
   EXPECT_EQ(result.val_iterations[0], 10);
   EXPECT_EQ(result.val_values[3], 42.0);
+}
+
+TEST(Integration, TrainerRejectsNegativeIterations) {
+  LmTask task;
+  yf::optim::SGD opt(task.model->parameters(), 0.5);
+  train::TrainOptions opts;
+  opts.iterations = -1;
+  try {
+    (void)train::train(opt, task.grad_fn(), opts);
+    FAIL() << "a negative iteration count must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("iterations"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Integration, TrainerScheduleLowersLr) {

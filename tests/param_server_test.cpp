@@ -11,6 +11,7 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "autograd/ops.hpp"
@@ -357,6 +358,22 @@ TEST(ShardedParamServer, RejectsWorkerAliasedToMaster) {
   async::ServerRunOptions ropts;
   ropts.steps_per_worker = 1;
   EXPECT_THROW(async::run_workers(server, workers, ropts), std::invalid_argument);
+}
+
+TEST(ShardedParamServer, RunWorkersRejectsNegativeStepCount) {
+  auto master = make_linear_worker(0);
+  auto opt = std::make_shared<yf::optim::MomentumSGD>(master.params, 0.1, 0.9);
+  async::ShardedParamServer server(opt, {});
+  std::vector<async::ServerWorker> workers = {make_linear_worker(1)};
+  async::ServerRunOptions ropts;
+  ropts.steps_per_worker = -1;
+  try {
+    (void)async::run_workers(server, workers, ropts);
+    FAIL() << "a negative step count must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("steps_per_worker"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(server.updates(), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,24 +1,33 @@
 // GraphTape: replay reuse, truncation, and -- the load-bearing claim --
 // bit-identical numerics between the tape path and the per-step heap
-// graph for full model training (LM with BPTT, conv/batchnorm ResNet).
+// graph for full model training (LM with BPTT, conv/batchnorm ResNet),
+// including through the training loops, which record on tapes they own.
 #include "autograd/tape.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <deque>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
 
+#include "async/async_simulator.hpp"
 #include "autograd/gradcheck.hpp"
 #include "autograd/ops.hpp"
 #include "core/env.hpp"
+#include "data/copy_translate.hpp"
 #include "data/markov_text.hpp"
 #include "data/synth_cifar.hpp"
 #include "nn/language_model.hpp"
 #include "nn/resnet.hpp"
+#include "nn/seq2seq.hpp"
+#include "optim/clipping.hpp"
 #include "optim/momentum_sgd.hpp"
 #include "tensor/ops.hpp"
+#include "train/trainer.hpp"
 #include "tuner/yellowfin.hpp"
 
 namespace ag = yf::autograd;
@@ -673,4 +682,251 @@ TEST(GraphTapeGradcheck, ElementwiseChainWithFusionForcedOn) {
       },
       {x, y});
   EXPECT_TRUE(result.ok) << result.detail;
+}
+
+// ---------------------------------------------------------------------------
+// Training loops own their tapes: train() records every grad_fn and val_fn
+// call on a tape of its own, AsyncTrainer on a member tape, and each must
+// step exactly the trajectory a hand-written eager loop steps on the
+// per-step heap graph.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// train()'s statement sequence with no tape installed: the eager
+/// reference the recorded run is pinned against.
+yf::train::TrainResult eager_train(yf::optim::Optimizer& opt, const yf::train::GradFn& grad_fn,
+                                   const yf::train::TrainOptions& opts) {
+  EXPECT_EQ(ag::active_tape(), nullptr);
+  auto& params = const_cast<std::vector<ag::Variable>&>(opt.params());
+  yf::train::TrainResult r;
+  for (std::int64_t it = 0; it < opts.iterations; ++it) {
+    opt.zero_grad();
+    const double loss = grad_fn();
+    if (opts.clip_norm) yf::optim::clip_grad_norm(params, *opts.clip_norm);
+    opt.step();
+    r.losses.push_back(loss);
+    if (opts.val_fn && (it + 1) % opts.val_every == 0) {
+      r.val_values.push_back(opts.val_fn());
+      r.val_iterations.push_back(it + 1);
+    }
+  }
+  return r;
+}
+
+void expect_same_run(const yf::train::TrainResult& eager, const yf::train::TrainResult& taped) {
+  EXPECT_FALSE(taped.diverged);
+  ASSERT_EQ(eager.losses.size(), taped.losses.size());
+  for (std::size_t i = 0; i < eager.losses.size(); ++i) {
+    EXPECT_EQ(eager.losses[i], taped.losses[i]) << "loss diverged at step " << i;
+  }
+  ASSERT_EQ(eager.val_values.size(), taped.val_values.size());
+  ASSERT_FALSE(eager.val_values.empty());
+  for (std::size_t i = 0; i < eager.val_values.size(); ++i) {
+    EXPECT_EQ(eager.val_iterations[i], taped.val_iterations[i]);
+    EXPECT_EQ(eager.val_values[i], taped.val_values[i]) << "val probe " << i;
+  }
+}
+
+}  // namespace
+
+TEST(GraphTapeTrainingLoops, TrainLmWithValidationMatchesEagerLoop) {
+  // table2's TS-sub char LM with quick-mode YellowFin. Every 7th step the
+  // val probe records a forward-only loss graph after the step's own.
+  const std::int64_t batch = 6, seq_plus1 = 13;
+  auto run = [&](bool eager) {
+    yf::data::MarkovTextConfig dcfg;
+    dcfg.vocab = 33;
+    dcfg.branching = 3;
+    dcfg.seed = 13;
+    auto dataset = std::make_shared<yf::data::MarkovText>(dcfg);
+    nn::LanguageModelConfig cfg;
+    cfg.vocab = 33;
+    cfg.embed_dim = 12;
+    cfg.hidden = 16;
+    cfg.layers = 2;
+    t::Rng model_rng(1);
+    auto model = std::make_shared<nn::LSTMLanguageModel>(cfg, model_rng);
+    yf::tuner::YellowFinOptions yopts;
+    yopts.beta = 0.995;
+    yopts.slow_start_iters = 50;
+    yf::tuner::YellowFin opt(model->parameters(), yopts);
+    auto rng = std::make_shared<t::Rng>(2001);
+    const yf::train::GradFn grad_fn = [=] {
+      const auto tokens = dataset->sample_batch(batch, seq_plus1, *rng);
+      auto loss = model->loss(tokens, batch, seq_plus1);
+      loss.backward();
+      return loss.value().item();
+    };
+    yf::train::TrainOptions opts;
+    opts.iterations = 30;
+    opts.val_every = 7;
+    opts.val_fn = [=] {
+      t::Rng val_rng(31337);  // the same held-out batch every call
+      return model->loss(dataset->sample_batch(batch, seq_plus1, val_rng), batch, seq_plus1)
+          .value()
+          .item();
+    };
+    return eager ? eager_train(opt, grad_fn, opts) : yf::train::train(opt, grad_fn, opts);
+  };
+  expect_same_run(run(true), run(false));
+}
+
+TEST(GraphTapeTrainingLoops, TrainResNetWithWiderValBatchMatchesEagerLoop) {
+  // MiniResNet+BN trained at batch 32 through a persistent input leaf, so
+  // its graph replays; the val probe runs a new batch of 64 through a
+  // fresh leaf, so a second graph shape sits after the training graph on
+  // the same tape and is re-recorded on every probe.
+  const std::int64_t batch = 32;
+  auto run = [&](bool eager) {
+    yf::data::SynthCifarConfig dcfg;
+    dcfg.classes = 10;
+    dcfg.height = 8;
+    dcfg.width = 8;
+    dcfg.noise = 0.5;
+    dcfg.jitter = 0.2;
+    dcfg.seed = 7;
+    auto dataset = std::make_shared<yf::data::SynthCifar>(dcfg);
+    nn::MiniResNetConfig cfg;
+    cfg.base_channels = 4;
+    cfg.blocks_per_stage = 1;
+    cfg.num_classes = 10;
+    t::Rng model_rng(1);
+    auto model = std::make_shared<nn::MiniResNet>(cfg, model_rng);
+    yf::tuner::YellowFin opt(model->parameters());
+    auto rng = std::make_shared<t::Rng>(1001);
+    ag::Variable images(t::Tensor(t::Shape{batch, 3, 8, 8}));
+    const yf::train::GradFn grad_fn = [=]() mutable {
+      const auto b = dataset->sample(batch, *rng);
+      t::copy_into(images.value(), b.images);
+      auto loss = ag::softmax_cross_entropy(model->forward(images), b.labels);
+      loss.backward();
+      return loss.value().item();
+    };
+    yf::train::TrainOptions opts;
+    opts.iterations = 12;
+    opts.val_every = 5;
+    auto val_rng = std::make_shared<t::Rng>(77);
+    opts.val_fn = [=] {
+      const auto b = dataset->sample(64, *val_rng);
+      return ag::softmax_cross_entropy(model->forward(ag::Variable(b.images)), b.labels)
+          .value()
+          .item();
+    };
+    return eager ? eager_train(opt, grad_fn, opts) : yf::train::train(opt, grad_fn, opts);
+  };
+  expect_same_run(run(true), run(false));
+}
+
+TEST(GraphTapeTrainingLoops, TrainSeq2SeqWithSpikesTruncatesAndMatchesEagerLoop) {
+  // Table 1's seq2seq with injected loss spikes and manual clipping: a
+  // spiked step records one more node (the scaled loss) at the cursor
+  // where the val probe records its graph, so each spike after a probe,
+  // and each probe after a spike, truncates the tape's tail.
+  auto run = [&](bool eager, std::vector<bool>* spikes) {
+    yf::data::CopyTranslateConfig dcfg;
+    dcfg.vocab = 12;
+    dcfg.src_len = 6;
+    dcfg.seed = 23;
+    auto dataset = std::make_shared<yf::data::CopyTranslate>(dcfg);
+    nn::Seq2SeqConfig cfg;
+    cfg.src_vocab = dataset->src_vocab();
+    cfg.tgt_vocab = dataset->tgt_vocab();
+    cfg.embed_dim = 10;
+    cfg.hidden = 16;
+    cfg.layers = 1;
+    t::Rng model_rng(1);
+    auto model = std::make_shared<nn::Seq2Seq>(cfg, model_rng);
+    yf::optim::MomentumSGD opt(model->parameters(), 0.1, 0.9);
+    auto rng = std::make_shared<t::Rng>(4001);
+    const yf::train::GradFn grad_fn = [=] {
+      const auto b = dataset->sample(6, *rng);
+      auto loss = model->loss(b.src, b.src_len, b.tgt, b.tgt_len_plus1, b.batch);
+      const bool spike = rng->bernoulli(0.3);
+      if (spike) loss = ag::mul_scalar(loss, 20.0);
+      if (spikes) spikes->push_back(spike);
+      loss.backward();
+      return loss.value().item();
+    };
+    yf::train::TrainOptions opts;
+    opts.iterations = 16;
+    opts.clip_norm = 1.0;
+    opts.val_every = 4;
+    opts.val_fn = [=] {
+      t::Rng val_rng(515151);
+      const auto b = dataset->sample(16, val_rng);
+      return model->loss(b.src, b.src_len, b.tgt, b.tgt_len_plus1, b.batch).value().item();
+    };
+    return eager ? eager_train(opt, grad_fn, opts) : yf::train::train(opt, grad_fn, opts);
+  };
+  std::vector<bool> spikes;
+  const auto eager = run(true, &spikes);
+  // Some step between the first and the last probe spikes, so the tape
+  // sees probe, spike, probe at one cursor position: two truncations.
+  ASSERT_EQ(spikes.size(), 16u);
+  EXPECT_NE(std::find(spikes.begin() + 4, spikes.begin() + 12, true), spikes.begin() + 12);
+  expect_same_run(eager, run(false, nullptr));
+}
+
+TEST(GraphTapeTrainingLoops, AsyncTrainerMatchesEagerDelayedLoop) {
+  // AsyncTrainer records each gradient closure on the tape it owns; an
+  // eager loop that applies the gradient from `staleness` steps back must
+  // step the same trajectory.
+  const std::int64_t batch = 4, seq_plus1 = 7, steps = 12, staleness = 3;
+  auto run = [&](bool eager) {
+    yf::data::MarkovTextConfig dcfg;
+    dcfg.vocab = 12;
+    dcfg.branching = 2;
+    auto dataset = std::make_shared<yf::data::MarkovText>(dcfg);
+    nn::LanguageModelConfig cfg;
+    cfg.vocab = 12;
+    cfg.embed_dim = 6;
+    cfg.hidden = 8;
+    cfg.layers = 2;
+    t::Rng model_rng(1);
+    auto model = std::make_shared<nn::LSTMLanguageModel>(cfg, model_rng);
+    auto opt = std::make_shared<yf::tuner::YellowFin>(model->parameters());
+    auto rng = std::make_shared<t::Rng>(17);
+    const yf::async::GradFn grad_fn = [=] {
+      auto loss = model->loss(dataset->sample_batch(batch, seq_plus1, *rng), batch, seq_plus1);
+      loss.backward();
+      return loss.value().item();
+    };
+    std::vector<double> losses;
+    if (eager) {
+      auto& params = const_cast<std::vector<ag::Variable>&>(opt->params());
+      std::deque<t::Tensor> queue;
+      for (std::int64_t s = 0; s < steps; ++s) {
+        opt->zero_grad();
+        losses.push_back(grad_fn());
+        queue.push_back(nn::flatten_grads(params));
+        if (static_cast<std::int64_t>(queue.size()) <= staleness) continue;
+        const auto delayed = queue.front().data();
+        std::size_t off = 0;
+        for (auto& p : params) {
+          auto g = p.node()->ensure_grad().data();
+          std::copy_n(delayed.begin() + static_cast<std::ptrdiff_t>(off), g.size(), g.begin());
+          off += g.size();
+        }
+        queue.pop_front();
+        opt->step();
+      }
+    } else {
+      yf::async::AsyncTrainerOptions aopts;
+      aopts.staleness = staleness;
+      yf::async::AsyncTrainer trainer(opt, grad_fn, aopts);
+      for (std::int64_t s = 0; s < steps; ++s) losses.push_back(trainer.step().loss);
+    }
+    return std::pair{losses, nn::flatten_values(opt->params())};
+  };
+  const auto eager = run(true);
+  const auto taped = run(false);
+  for (std::int64_t s = 0; s < steps; ++s) {
+    EXPECT_EQ(eager.first[static_cast<std::size_t>(s)], taped.first[static_cast<std::size_t>(s)])
+        << "loss diverged at step " << s;
+  }
+  ASSERT_EQ(eager.second.size(), taped.second.size());
+  for (std::int64_t i = 0; i < eager.second.size(); ++i) {
+    EXPECT_EQ(eager.second[i], taped.second[i]) << "parameter " << i;
+  }
 }

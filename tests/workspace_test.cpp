@@ -56,6 +56,25 @@ TEST(Workspace, GrowsAcrossBlocksWhenDemandRises) {
   EXPECT_GE(ws.capacity(), 100000);
 }
 
+TEST(Workspace, GrowthPastTheCapAddsCappedBlocks) {
+  // A tape-sized warm-up demand of 200k doubles, in acquisitions of 1000.
+  // Doubling stops at 32768-double (256 KB) blocks, so the unused tail
+  // stays below one such block; uncapped doubling would end on a
+  // 131072-double block with over 62k doubles unused.
+  constexpr std::int64_t kCappedBlock = 32768;
+  core::Workspace ws;
+  std::int64_t cap_after_warmup = 0;
+  for (int step = 0; step < 4; ++step) {
+    const auto mark = ws.mark();
+    for (int i = 0; i < 200; ++i) (void)ws.acquire_span(1000);
+    if (step == 0) cap_after_warmup = ws.capacity();
+    ws.rollback(mark);
+  }
+  EXPECT_EQ(ws.high_water(), 200000);
+  EXPECT_LT(ws.capacity() - ws.high_water(), kCappedBlock);
+  EXPECT_EQ(ws.capacity(), cap_after_warmup) << "capacity must not grow after warm-up";
+}
+
 TEST(Workspace, TensorsOutliveTheWorkspace) {
   t::Tensor survivor;
   {
