@@ -120,7 +120,9 @@ void report(const char* engine, const Series& sync, const Series& open, const Se
 
 int main() {
   const std::int64_t iterations = yfb::iters(700, 40000);
-  const std::int64_t workers = yfb::env_int("YF_WORKERS", 16);
+  // At least one worker, as yfb::server_workers() clamps: zero workers
+  // would ask the simulator for staleness -1.
+  const std::int64_t workers = std::max<std::int64_t>(1, yfb::env_int("YF_WORKERS", 16));
   std::printf("Figure 4: total momentum dynamics (CNN task, %lld applications, %lld workers)\n",
               static_cast<long long>(iterations), static_cast<long long>(workers));
 

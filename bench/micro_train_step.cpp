@@ -15,15 +15,12 @@
 // apply_ns averaged per step) as counters, which JsonReporter carries
 // into BENCH_micro_train_step.json next to ns/op.
 //
-// The Tape variants take a trailing `fused` arg (0/1)
-// flipping the tape's elementwise-chain fusion pass (DESIGN.md §13) via
-// set_tape_fusion, and report the tape's fusion counters (fused_nodes /
-// fusion_chains / eliminated_intermediate_bytes) plus the workspace
-// high-water mark (workspace_peak_bytes) so the JSON shows both the
-// time and the memory the fused sweeps buy.
+// The Tape variants also report the workspace high-water mark
+// (workspace_peak_bytes), so the JSON shows the memory a replayed step
+// holds next to its time.
 //
-// Args: the LM runs {batch, seq_len_plus1[, fused]}, the quadratic runs
-// {rows, dim[, fused]}.
+// Args: the LM runs {batch, seq_len_plus1}, the quadratic runs
+// {rows, dim}.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -77,22 +74,8 @@ struct PhaseClock {
   }
 };
 
-/// The fusion toggle is a process-wide setting: force it per bench run
-/// and restore afterwards so later benches see the environment default.
-struct FusionToggle {
-  bool prev;
-  explicit FusionToggle(bool on) : prev(ag::tape_fusion_enabled()) { ag::set_tape_fusion(on); }
-  ~FusionToggle() { ag::set_tape_fusion(prev); }
-};
-
-/// Fusion + workspace counters for the tape benches: what the fused
-/// sweeps eliminated, and the peak workspace footprint of the run.
+/// Peak workspace footprint of a tape bench run.
 void report_tape_counters(benchmark::State& state, const ag::GraphTape& tape) {
-  state.counters["fused_nodes"] = benchmark::Counter(static_cast<double>(tape.fused_nodes()));
-  state.counters["fusion_chains"] =
-      benchmark::Counter(static_cast<double>(tape.fusion_chains()));
-  state.counters["eliminated_intermediate_bytes"] =
-      benchmark::Counter(static_cast<double>(tape.eliminated_intermediate_bytes()));
   state.counters["workspace_peak_bytes"] =
       benchmark::Counter(static_cast<double>(tape.workspace().high_water_bytes()));
 }
@@ -148,16 +131,14 @@ void BM_LmTrainStep_Heap(benchmark::State& state) {
 }
 
 void BM_LmTrainStep_Tape(benchmark::State& state) {
-  FusionToggle fusion(state.range(2) != 0);
   LmTask task(state.range(0), state.range(1));
   ag::GraphTape tape;
   ag::TapeScope scope(&tape);
   PhaseClock warmup_clock, clock;
   std::size_t i = 0;
   double sink = 0.0;
-  // Warm-up outside the timed loop: record the graph, size the workspace,
-  // cache the backward order, and (fused runs) let the fusion pass
-  // stabilize, rebuild, and land its first fused replay.
+  // Warm-up outside the timed loop: record the graph, size the workspace
+  // and cache the backward order.
   for (int w = 0; w < 4; ++w) {
     tape.begin_step();
     sink += task.step(i++, warmup_clock);
@@ -173,11 +154,7 @@ void BM_LmTrainStep_Tape(benchmark::State& state) {
 }
 
 BENCHMARK(BM_LmTrainStep_Heap)->Args({4, 9})->Args({8, 17});
-BENCHMARK(BM_LmTrainStep_Tape)
-    ->Args({4, 9, 0})
-    ->Args({4, 9, 1})
-    ->Args({8, 17, 0})
-    ->Args({8, 17, 1});
+BENCHMARK(BM_LmTrainStep_Tape)->Args({4, 9})->Args({8, 17});
 
 struct QuadraticTask {
   ag::Variable w, x, y;
@@ -215,7 +192,6 @@ void BM_QuadraticTrainStep_Heap(benchmark::State& state) {
 }
 
 void BM_QuadraticTrainStep_Tape(benchmark::State& state) {
-  FusionToggle fusion(state.range(2) != 0);
   QuadraticTask task(state.range(0), state.range(1));
   ag::GraphTape tape;
   ag::TapeScope scope(&tape);
@@ -236,11 +212,7 @@ void BM_QuadraticTrainStep_Tape(benchmark::State& state) {
 }
 
 BENCHMARK(BM_QuadraticTrainStep_Heap)->Args({16, 16})->Args({32, 64});
-BENCHMARK(BM_QuadraticTrainStep_Tape)
-    ->Args({16, 16, 0})
-    ->Args({16, 16, 1})
-    ->Args({32, 64, 0})
-    ->Args({32, 64, 1});
+BENCHMARK(BM_QuadraticTrainStep_Tape)->Args({16, 16})->Args({32, 64});
 
 }  // namespace
 

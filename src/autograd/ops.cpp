@@ -6,7 +6,6 @@
 #include "autograd/tape.hpp"
 #include "core/conv_math.hpp"
 #include "core/kernels.hpp"
-#include "core/kernels/kernel_table.hpp"
 #include "tensor/ops.hpp"
 
 // Every op here follows the same shape (DESIGN.md §8):
@@ -16,7 +15,8 @@
 //      match-or-creates the cached node at the cursor (zero allocation on
 //      a match), otherwise it builds a fresh heap node;
 //   3. compute the value *into* the frame's output tensor through the
-//      `_into` tensor kernels -- never into a fresh temporary;
+//      `_into` tensor kernels, on replay as on first recording -- never
+//      into a fresh temporary;
 //   4. when the frame is fresh (first recording / heap path), allocate
 //      any backward scratch via make_scratch() and install the pullback
 //      closure. Closures are built once per node and reused on replay.
@@ -36,41 +36,15 @@ std::span<const std::int64_t> dims_of(const t::Tensor& x) {
   return {x.shape().data(), x.shape().size()};
 }
 
-/// Mark a fresh node as fusible (DESIGN.md §13): a single-output pointwise
-/// op with no cross-element reads, eligible for the tape's fused-sweep
-/// pass. The tag is the step opcode the chain compiler emits for it.
-void tag_fusible(GraphTape::Frame& f, core::detail::FusedOpKind kind) {
-  if (f.fresh) f.node->fuse_kind = static_cast<std::uint8_t>(kind) + 1;
-}
-
-/// Output dims of a variable that may be a bufferless fused-chain
-/// interior (its dropped value's shape lives in Node::fuse_dims). The
-/// fusible ops use this for validation and frame dims so consuming a
-/// chain predecessor never dereferences -- or materializes -- its value.
-std::span<const std::int64_t> dims_of_var(const Variable& v) {
-  const Node* n = v.node().get();
-  if (n->fuse_skip) return {n->fuse_dims.data(), n->fuse_dims.size()};
-  return dims_of(n->value);
-}
-
-/// Shape equality over dims spans; the fuse-aware twin of
-/// tensor::check_same_shape.
-void check_same_dims(std::span<const std::int64_t> a, std::span<const std::int64_t> b,
-                     const char* what) {
-  if (a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin())) return;
-  throw std::invalid_argument(std::string(what) + ": shape mismatch");
-}
-
 }  // namespace
 
 Variable add(const Variable& a, const Variable& b) {
-  check_same_dims(dims_of_var(a), dims_of_var(b), "autograd::add");
+  t::check_same_shape(a.value(), b.value(), "autograd::add");
   auto an = a.node();
   auto bn = b.node();
   const NodePtr parents[] = {an, bn};
-  auto f = make_frame("add", parents, dims_of_var(a));
-  tag_fusible(f, core::detail::FusedOpKind::kAdd);
-  if (!f.skip_compute) t::add_into(f.node->value, a.value(), b.value());
+  auto f = make_frame("add", parents, dims_of(a.value()));
+  t::add_into(f.node->value, a.value(), b.value());
   if (f.fresh && f.node->requires_grad) {
     f.node->backward_fn = [an, bn](Node& n) {
       an->accumulate_grad(n.grad);
@@ -81,13 +55,12 @@ Variable add(const Variable& a, const Variable& b) {
 }
 
 Variable sub(const Variable& a, const Variable& b) {
-  check_same_dims(dims_of_var(a), dims_of_var(b), "autograd::sub");
+  t::check_same_shape(a.value(), b.value(), "autograd::sub");
   auto an = a.node();
   auto bn = b.node();
   const NodePtr parents[] = {an, bn};
-  auto f = make_frame("sub", parents, dims_of_var(a));
-  tag_fusible(f, core::detail::FusedOpKind::kSub);
-  if (!f.skip_compute) t::sub_into(f.node->value, a.value(), b.value());
+  auto f = make_frame("sub", parents, dims_of(a.value()));
+  t::sub_into(f.node->value, a.value(), b.value());
   if (f.fresh && f.node->requires_grad) {
     f.node->backward_fn = [an, bn](Node& n) {
       an->accumulate_grad(n.grad);
@@ -98,13 +71,12 @@ Variable sub(const Variable& a, const Variable& b) {
 }
 
 Variable mul(const Variable& a, const Variable& b) {
-  check_same_dims(dims_of_var(a), dims_of_var(b), "autograd::mul");
+  t::check_same_shape(a.value(), b.value(), "autograd::mul");
   auto an = a.node();
   auto bn = b.node();
   const NodePtr parents[] = {an, bn};
-  auto f = make_frame("mul", parents, dims_of_var(a));
-  tag_fusible(f, core::detail::FusedOpKind::kMul);
-  if (!f.skip_compute) t::mul_into(f.node->value, a.value(), b.value());
+  auto f = make_frame("mul", parents, dims_of(a.value()));
+  t::mul_into(f.node->value, a.value(), b.value());
   if (f.fresh && f.node->requires_grad) {
     f.node->backward_fn = [an, bn](Node& n) {
       const auto og = n.grad.data();
@@ -129,9 +101,8 @@ Variable add_scalar(const Variable& a, double s) {
   auto an = a.node();
   const NodePtr parents[] = {an};
   const double attrs[] = {s};
-  auto f = make_frame("add_scalar", parents, dims_of_var(a), attrs);
-  tag_fusible(f, core::detail::FusedOpKind::kAddScalar);
-  if (!f.skip_compute) t::add_scalar_into(f.node->value, a.value(), s);
+  auto f = make_frame("add_scalar", parents, dims_of(a.value()), attrs);
+  t::add_scalar_into(f.node->value, a.value(), s);
   if (f.fresh && f.node->requires_grad) {
     f.node->backward_fn = [an](Node& n) { an->accumulate_grad(n.grad); };
   }
@@ -142,9 +113,8 @@ Variable mul_scalar(const Variable& a, double s) {
   auto an = a.node();
   const NodePtr parents[] = {an};
   const double attrs[] = {s};
-  auto f = make_frame("mul_scalar", parents, dims_of_var(a), attrs);
-  tag_fusible(f, core::detail::FusedOpKind::kMulScalar);
-  if (!f.skip_compute) t::mul_scalar_into(f.node->value, a.value(), s);
+  auto f = make_frame("mul_scalar", parents, dims_of(a.value()), attrs);
+  t::mul_scalar_into(f.node->value, a.value(), s);
   if (f.fresh && f.node->requires_grad) {
     f.node->backward_fn = [an, s](Node& n) {
       if (an->requires_grad) an->ensure_grad().add_(n.grad, s);
@@ -159,13 +129,11 @@ namespace {
 /// the *output* value (tanh, sigmoid, exp) or the *input* value.
 template <typename DFn>
 Variable unary_op(const Variable& a, const char* sig,
-                  void (*compute_into)(t::Tensor&, const t::Tensor&), DFn dfn,
-                  core::detail::FusedOpKind kind) {
+                  void (*compute_into)(t::Tensor&, const t::Tensor&), DFn dfn) {
   auto an = a.node();
   const NodePtr parents[] = {an};
-  auto f = make_frame(sig, parents, dims_of_var(a));
-  tag_fusible(f, kind);
-  if (!f.skip_compute) compute_into(f.node->value, a.value());
+  auto f = make_frame(sig, parents, dims_of(a.value()));
+  compute_into(f.node->value, a.value());
   if (f.fresh && f.node->requires_grad) {
     f.node->backward_fn = [an, dfn](Node& n) {
       if (!an->requires_grad) return;
@@ -184,38 +152,32 @@ Variable unary_op(const Variable& a, const char* sig,
 
 Variable relu(const Variable& a) {
   return unary_op(
-      a, "relu", t::relu_into, [](double x, double) { return x > 0.0 ? 1.0 : 0.0; },
-      core::detail::FusedOpKind::kRelu);
+      a, "relu", t::relu_into, [](double x, double) { return x > 0.0 ? 1.0 : 0.0; });
 }
 
 Variable tanh(const Variable& a) {
   return unary_op(
-      a, "tanh", t::tanh_into, [](double, double y) { return 1.0 - y * y; },
-      core::detail::FusedOpKind::kTanh);
+      a, "tanh", t::tanh_into, [](double, double y) { return 1.0 - y * y; });
 }
 
 Variable sigmoid(const Variable& a) {
   return unary_op(
-      a, "sigmoid", t::sigmoid_into, [](double, double y) { return y * (1.0 - y); },
-      core::detail::FusedOpKind::kSigmoid);
+      a, "sigmoid", t::sigmoid_into, [](double, double y) { return y * (1.0 - y); });
 }
 
 Variable exp(const Variable& a) {
   return unary_op(
-      a, "exp", t::exp_into, [](double, double y) { return y; },
-      core::detail::FusedOpKind::kExp);
+      a, "exp", t::exp_into, [](double, double y) { return y; });
 }
 
 Variable log(const Variable& a) {
   return unary_op(
-      a, "log", t::log_into, [](double x, double) { return 1.0 / x; },
-      core::detail::FusedOpKind::kLog);
+      a, "log", t::log_into, [](double x, double) { return 1.0 / x; });
 }
 
 Variable square(const Variable& a) {
   return unary_op(
-      a, "square", t::square_into, [](double x, double) { return 2.0 * x; },
-      core::detail::FusedOpKind::kSquare);
+      a, "square", t::square_into, [](double x, double) { return 2.0 * x; });
 }
 
 Variable sum(const Variable& a) {

@@ -44,14 +44,16 @@
 //    identity.
 //
 // Backward is serial (DESIGN.md §10): one thread walks the cached order
-// children-before-parents. Pullbacks at this repo's shapes cost a few
-// microseconds, no more than a cross-thread hand-off, so parallelism
-// lives in the kernels and in the parameter server's worker fan-out.
+// children-before-parents and runs every node's own pullback. Pullbacks
+// at this repo's shapes cost a few microseconds, no more than a
+// cross-thread hand-off, so parallelism lives in the kernels and in the
+// parameter server's worker fan-out. Elementwise chains are not fused:
+// at these shapes their interior buffers are already L1-resident
+// (DESIGN.md §13).
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -82,28 +84,11 @@ class GraphTape {
   core::Workspace& workspace() { return ws_; }
   const core::Workspace& workspace() const { return ws_; }
 
-  // -- Fusion stats (DESIGN.md §13). ----------------------------------------
-  /// Nodes currently folded into fused sweeps (chain members, tails
-  /// included).
-  std::int64_t fused_nodes() const { return fused_nodes_; }
-  /// Fused chains currently active.
-  std::int64_t fusion_chains() const { return fusion_chains_; }
-  /// Bytes of intermediate value+grad storage eliminated by dropping
-  /// chain-interior buffers from the workspace.
-  std::int64_t eliminated_intermediate_bytes() const { return eliminated_bytes_; }
-  /// Times the fusion pass rebuilt the tape (fires at warm-up and again
-  /// after any truncation, once the structure re-stabilizes).
-  std::int64_t fusion_rebuilds() const { return fusion_rebuilds_; }
-
   // -- Op-author interface (autograd/ops.cpp). ------------------------------
   struct Frame {
     Node* node = nullptr;
     NodePtr handle;     ///< owning (heap) or non-owning alias (tape)
     bool fresh = true;  ///< install backward_fn / scratch when true
-    /// The value is produced by a fused sweep (or not at all, for a
-    /// bufferless chain interior) -- the op must skip its elementwise
-    /// compute call. Closures are still installed when `fresh`.
-    bool skip_compute = false;
   };
 
   /// Match-or-create the node at the cursor. `attrs` are immutable op
@@ -120,30 +105,11 @@ class GraphTape {
   /// unchanged. Invoked via Variable::backward().
   void backward_from(Node* out, const tensor::Tensor& seed);
 
-  /// An external reader (Variable::value/grad on a stale handle) wants to
-  /// observe a bufferless fused-chain interior: unfuse the owning chain,
-  /// restoring heap buffers with this step's values. No-op for ordinary
-  /// nodes. Fused ops themselves never call this -- they read shapes via
-  /// fuse_dims -- so a chain is only ever dissolved by genuinely foreign
-  /// observation or structure change (DESIGN.md §13).
-  void materialize_interior(Node* n);
-
  private:
   bool matches(const Node& n, const char* sig, std::span<const NodePtr> parents,
                std::span<const std::int64_t> dims, std::span<const double> attrs,
                bool requires_grad) const;
   void build_order(Node* out);
-  // -- Fusion pass (tape.cpp; DESIGN.md §13). -------------------------------
-  void maybe_fuse();
-  void finalize_fusion_plan();
-  void abandon_fusion_plan();
-  void complete_chain(Node& tail);
-  void run_fused_forward(Node& tail);
-  void run_fused_backward(Node& tail);
-  void unfuse_chain(std::int32_t chain);
-  void repair_node(Node& n);
-  void truncate_fusion(std::size_t cut);
-  void unfuse_all();
 
   std::deque<Node> nodes_;  ///< deque: stable addresses under growth
   std::size_t cursor_ = 0;
@@ -163,47 +129,10 @@ class GraphTape {
     std::size_t next_parent;
   };
   std::vector<DfsFrame> dfs_stack_;
-
-  // -- Fusion state (DESIGN.md §13). ------------------------------------------
-  //
-  // Chains live behind unique_ptr so Node::fused stays stable while the
-  // vector grows; a slot is reset to null when its chain is unfused. The
-  // plan is keyed by recording index and only consulted while the fused
-  // rebuild step is re-recording the graph (plan_active_).
-  struct FusePlanEntry {
-    const char* sig = nullptr;
-    std::int64_t elems = 0;
-    std::uint8_t kind = 0;   ///< 1 + FusedOpKind, matching Node::fuse_kind
-    std::int8_t role = 0;    ///< 0 none, 1 interior, 2 tail
-    std::int32_t chain = -1;
-    std::int32_t step = -1;
-  };
-  std::vector<std::unique_ptr<FusedChain>> chains_;
-  std::vector<FusePlanEntry> fuse_plan_;
-  bool plan_active_ = false;
-  std::uint64_t fusion_checked_epoch_ = ~std::uint64_t{0};  ///< last structure scanned
-  std::int64_t step_start_fresh_ = 0;  ///< fresh_ at begin_step (stability check)
-  std::int64_t fused_nodes_ = 0;
-  std::int64_t fusion_chains_ = 0;
-  std::int64_t eliminated_bytes_ = 0;
-  std::int64_t fusion_rebuilds_ = 0;
-  // Fusion-scan scratch (consumer edge counts), reused across scans.
-  std::vector<std::int32_t> fuse_edges_;
-  std::vector<Node*> fuse_single_;
 };
 
 /// Tape currently installed on this thread (nullptr: heap graph building).
 GraphTape* active_tape();
-
-/// Process-wide switch for the tape fusion pass (DESIGN.md §13). Defaults
-/// to the YF_TAPE_FUSION environment variable, read once through
-/// core::checked_env_bool (on|off|1|0|true|false; anything else warns and
-/// keeps fusion on), or on when unset. Turning fusion off takes effect at
-/// each tape's next begin_step(), which unfuses any active chains in
-/// place; trajectories are bit-identical either way -- this is a
-/// memory/throughput knob.
-void set_tape_fusion(bool on);
-bool tape_fusion_enabled();
 
 /// RAII installation of a tape as the thread's active tape. A null tape
 /// is a no-op (whatever was active stays active), so a loop that runs

@@ -27,15 +27,11 @@ Variable::Variable(tensor::Tensor value, bool requires_grad) : node_(std::make_s
 
 const tensor::Tensor& Variable::value() const {
   if (!node_) throw std::logic_error("Variable::value: undefined variable");
-  // A bufferless fused-chain interior only exists in sweep registers;
-  // observing it dissolves the chain (DESIGN.md §13).
-  if (node_->fuse_skip && node_->tape != nullptr) node_->tape->materialize_interior(node_.get());
   return node_->value;
 }
 
 tensor::Tensor& Variable::value() {
   if (!node_) throw std::logic_error("Variable::value: undefined variable");
-  if (node_->fuse_skip && node_->tape != nullptr) node_->tape->materialize_interior(node_.get());
   return node_->value;
 }
 

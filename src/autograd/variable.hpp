@@ -11,8 +11,10 @@
 //    pool and are *reused* across steps when the recorded op structure
 //    matches, with values/grads backed by a core::Workspace. After a
 //    one-step warm-up a training step performs no heap allocation in
-//    forward or backward. Tape handles are non-owning: they stay valid
-//    until the tape truncates that node (structure change) or dies.
+//    forward or backward. Every tape node keeps its own value buffer,
+//    so reading a handle's value is a plain read. Tape handles are
+//    non-owning: they stay valid until the tape truncates that node
+//    (structure change) or dies.
 //    Every training loop -- train::train, async::AsyncTrainer,
 //    async::run_workers, dist::run_channel_workers -- records on a tape
 //    it owns;
@@ -43,7 +45,6 @@ namespace yf::autograd {
 struct Node;
 using NodePtr = std::shared_ptr<Node>;
 class GraphTape;
-struct FusedChain;  // compiled fused-sweep program (autograd/tape.cpp)
 
 /// A node in the dynamically-built computation graph.
 struct Node {
@@ -58,23 +59,11 @@ struct Node {
 
   // -- Tape bookkeeping (null/empty on heap nodes). -------------------------
   GraphTape* tape = nullptr;        ///< owning tape, if pool-allocated
-  std::int64_t tape_index = -1;     ///< recording position within the tape
   core::Workspace::Marker ws_mark;  ///< workspace position before this node
   std::vector<double> attrs;        ///< immutable op attributes, replay-matched
   std::vector<std::int64_t> ints;   ///< per-step integer payload (labels, indices)
   std::vector<tensor::Tensor> scratch;  ///< op scratch reused across steps
   std::uint64_t visit_epoch = 0;    ///< DFS stamp for the cached backward order
-
-  // -- Tape fusion bookkeeping (DESIGN.md §13). Interior nodes of a fused
-  // -- chain carry no value/grad buffers at all: `fuse_skip` marks them,
-  // -- `fuse_dims` preserves the output shape for replay matching, and the
-  // -- chain tail owns the compiled sweep via `fused`.
-  std::uint8_t fuse_kind = 0;    ///< 1 + core::detail::FusedOpKind, or 0 (not fusible)
-  bool fuse_skip = false;        ///< bufferless chain interior; replay skips compute
-  std::int32_t fuse_chain = -1;  ///< chain slot within the owning tape
-  std::int32_t fuse_step = -1;   ///< step index within the chain program
-  FusedChain* fused = nullptr;   ///< set on the chain *tail* only (tape-owned)
-  std::vector<std::int64_t> fuse_dims;  ///< output dims while the value buffer is dropped
 
   /// Ensure `grad` is allocated (zero-filled) and return it.
   tensor::Tensor& ensure_grad();

@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <string_view>
 
 namespace yf::core {
 
@@ -31,17 +30,6 @@ std::optional<std::int64_t> env_int_value(const char* name) {
 std::int64_t checked_env_int(const char* name, std::int64_t fallback) {
   const auto v = env_int_value(name);
   return v.has_value() ? *v : fallback;
-}
-
-bool checked_env_bool(const char* name, bool fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  const std::string_view v(env);
-  if (v == "on" || v == "1" || v == "true") return true;
-  if (v == "off" || v == "0" || v == "false") return false;
-  std::fprintf(stderr, "yf: ignoring %s=\"%s\": not on|off|1|0|true|false, using the default\n",
-               name, env);
-  return fallback;
 }
 
 std::string env_str(const char* name, const char* fallback) {

@@ -2,11 +2,9 @@
 //
 // std::strtol / std::atoi silently map a typo'd value ("fast", "4x") to 0,
 // and 0 is a *meaningful* setting for some knobs (YF_DIST_TIMEOUT_MS=0
-// disables socket deadlines). A hand-rolled boolean test has the mirror
-// problem: comparing against "off" alone reads "OFF" or "no" as on. Every
-// int and boolean knob routes through these helpers so a malformed value
-// falls back to the documented default with a one-line warning instead of
-// silently flipping semantics.
+// disables socket deadlines). Every int knob routes through these helpers
+// so a malformed value falls back to the documented default with a
+// one-line warning instead of silently flipping semantics.
 #pragma once
 
 #include <cstdint>
@@ -25,12 +23,6 @@ std::optional<std::int64_t> env_int_value(const char* name);
 /// env_int_value with an inline default: unset or malformed -> `fallback`
 /// (malformed still warns).
 std::int64_t checked_env_int(const char* name, std::int64_t fallback);
-
-/// Strict boolean env var: "on", "1" and "true" read as true; "off", "0"
-/// and "false" as false. Unset or empty -> `fallback`; any other value
-/// (including other spellings such as "OFF" or "no") warns on stderr and
-/// returns `fallback`.
-bool checked_env_bool(const char* name, bool fallback);
 
 /// String env var with an inline default: unset or empty -> `fallback`.
 /// The string knobs (YF_ENGINE, YF_KERNEL_BACKEND, ...) validate their own

@@ -1,8 +1,7 @@
 // Internal kernel dispatch table shared by the scalar and AVX2 backends
 // (DESIGN.md §4). Not installed with the public headers: only
-// core/kernels.cpp (the span front-end), the backend translation units,
-// and the tape-fusion layer (autograd/tape.cpp builds FusedStep programs,
-// autograd/ops.cpp tags fusible nodes; DESIGN.md §13) include this.
+// core/kernels.cpp (the span front-end), core/gemm.cpp and the backend
+// translation units include this.
 //
 // Every entry operates on raw contiguous ranges *below* the
 // parallel_for partitioning layer: the front-end validates spans, picks
@@ -22,7 +21,6 @@
 //    (because reductions stay on one thread) worker counts.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 
 namespace yf::core::detail {
@@ -42,53 +40,6 @@ inline double combine_lanes(const double* acc) {
   return (l0 + l2) + (l1 + l3);
 }
 
-// -- Fused elementwise sweeps (autograd tape fusion, DESIGN.md §13). ---------
-//
-// A fused chain is a straight-line program of pointwise steps compiled by
-// the tape's fusion pass from a producer→consumer run of elementwise
-// autograd nodes. Each step reads one or two operands -- an external
-// chain input or the result of an earlier step -- and writes one virtual
-// register. The sweep kernels interpret the program once per element
-// (scalar backend) or once per 4-element vector (AVX2 backend), so a
-// whole chain costs a single pass over memory with no intermediate
-// tensors.
-//
-// Determinism contract, same as every elementwise entry above: each
-// element's arithmetic is the exact operation sequence of the unfused
-// ops (tensor/ops.cpp forward lambdas, autograd/ops.cpp pullbacks) --
-// same association order, no FMA, transcendentals through the same libm
-// calls -- so fused and unfused trajectories are bit-identical, and the
-// AVX2 sweep rounds each element exactly like the scalar sweep.
-
-/// Pointwise step opcodes. Binary ops read operands a and b; scalar and
-/// unary ops read a (and the immediate s for the *_scalar forms).
-enum class FusedOpKind : std::uint8_t {
-  kAdd,        // a + b
-  kSub,        // a - b
-  kMul,        // a * b
-  kAddScalar,  // a + s
-  kMulScalar,  // a * s
-  kRelu,       // a > 0 ? a : 0
-  kTanh,       // std::tanh(a)
-  kSigmoid,    // 1 / (1 + std::exp(-a))
-  kExp,        // std::exp(a)
-  kLog,        // std::log(a)
-  kSquare,     // a * a
-};
-
-/// Operand encoding: >= 0 names the register written by that step index;
-/// < 0 names external input ~idx (i.e. -1 -> input 0, -2 -> input 1...).
-struct FusedStep {
-  FusedOpKind op;
-  std::int32_t a = 0;
-  std::int32_t b = 0;
-  double s = 0.0;
-};
-
-/// Longest chain a single sweep executes (sizes the per-element register
-/// file in both backends). The pass splits longer runs.
-inline constexpr std::int32_t kMaxFusedSteps = 16;
-
 struct KernelTable {
   // -- Elementwise chunk kernels. -------------------------------------------
   void (*fill)(double* x, std::int64_t n, double v);
@@ -107,26 +58,6 @@ struct KernelTable {
                   double eps);
   void (*rmsprop)(double* x, double* sq, const double* g, std::int64_t n, double lr, double decay,
                   double eps);
-
-  // -- Fused elementwise sweeps (tape fusion; see FusedStep above). ---------
-  //
-  // fused_forward writes the chain tail's value: out[i] = program(inputs
-  // at i), with every intermediate kept in registers.
-  //
-  // fused_backward runs the chain rule tail-to-head per element. Only the
-  // leading fused_recompute_limit() forward steps are replayed to rebuild
-  // the register values the walk actually reads; the tail's own value
-  // (needed by output-expressed derivatives like tanh') comes from `out`,
-  // the buffer the forward sweep of this step already filled -- so the
-  // common affine-into-transcendental chain replays nothing. grads[k]
-  // (nullptr when input k takes no gradient) receives exactly the
-  // accumulations the unfused pullbacks would make, in the same order:
-  // steps in reverse, operand a before operand b within a step.
-  void (*fused_forward)(double* out, const double* const* inputs, const FusedStep* steps,
-                        std::int32_t nsteps, std::int64_t n);
-  void (*fused_backward)(const double* out, const double* out_grad, const double* const* inputs,
-                         double* const* grads, const FusedStep* steps, std::int32_t nsteps,
-                         std::int64_t n);
 
   // -- Packed GEMM microkernel + small-matrix fast paths (gemm.cpp). --------
   void (*gemm_micro)(double* c, std::int64_t ldc, const double* ap, const double* bp,
@@ -207,213 +138,6 @@ inline void gemm_micro_ref(double* c, std::int64_t ldc, const double* ap, const 
       for (std::int64_t j = 0; j < cols; ++j) crow[j] = acc[r][j];
     } else {
       for (std::int64_t j = 0; j < cols; ++j) crow[j] += acc[r][j];
-    }
-  }
-}
-
-// -- Fused-sweep blocked reference interpreter (both backends). --------------
-// The chain program runs block-by-block: one op dispatch per step per
-// kFusedBlock-element block, with tight per-op map loops over the block.
-// Both backend TUs compile this exact code -- the scalar TU as written,
-// the AVX2 TU auto-vectorized under -mavx2 -- and with -ffp-contract=off
-// every lane rounds exactly like the scalar walk, so the per-element
-// arithmetic is defined in exactly one place and the backends stay
-// bit-identical. Blocking is a dispatch-cost choice, never a results
-// one: each element's value and gradient see the same operation sequence
-// a per-element interpreter would produce.
-
-/// Elements per dispatch block. Chain scratch is kMaxFusedSteps rows of
-/// this many doubles (16 KB), L1-resident alongside the operand slices.
-inline constexpr std::int64_t kFusedBlock = 128;
-
-/// One forward step over one block: reads operands from earlier scratch
-/// rows or external input slices, writes `r` (the caller picks the
-/// step's scratch row, or the output buffer for the chain tail).
-inline void fused_step_block(const FusedStep& st, const double* const* inputs,
-                             const double (*scratch)[kFusedBlock], std::int64_t base,
-                             std::int64_t len, double* r) {
-  const double* a = st.a >= 0 ? scratch[st.a] : inputs[~st.a] + base;
-  switch (st.op) {
-    case FusedOpKind::kAdd: {
-      const double* b = st.b >= 0 ? scratch[st.b] : inputs[~st.b] + base;
-      for (std::int64_t i = 0; i < len; ++i) r[i] = a[i] + b[i];
-      break;
-    }
-    case FusedOpKind::kSub: {
-      const double* b = st.b >= 0 ? scratch[st.b] : inputs[~st.b] + base;
-      for (std::int64_t i = 0; i < len; ++i) r[i] = a[i] - b[i];
-      break;
-    }
-    case FusedOpKind::kMul: {
-      const double* b = st.b >= 0 ? scratch[st.b] : inputs[~st.b] + base;
-      for (std::int64_t i = 0; i < len; ++i) r[i] = a[i] * b[i];
-      break;
-    }
-    case FusedOpKind::kAddScalar:
-      for (std::int64_t i = 0; i < len; ++i) r[i] = a[i] + st.s;
-      break;
-    case FusedOpKind::kMulScalar:
-      for (std::int64_t i = 0; i < len; ++i) r[i] = a[i] * st.s;
-      break;
-    case FusedOpKind::kRelu:
-      for (std::int64_t i = 0; i < len; ++i) r[i] = a[i] > 0.0 ? a[i] : 0.0;
-      break;
-    case FusedOpKind::kTanh:
-      for (std::int64_t i = 0; i < len; ++i) r[i] = std::tanh(a[i]);
-      break;
-    case FusedOpKind::kSigmoid:
-      for (std::int64_t i = 0; i < len; ++i) r[i] = 1.0 / (1.0 + std::exp(-a[i]));
-      break;
-    case FusedOpKind::kExp:
-      for (std::int64_t i = 0; i < len; ++i) r[i] = std::exp(a[i]);
-      break;
-    case FusedOpKind::kLog:
-      for (std::int64_t i = 0; i < len; ++i) r[i] = std::log(a[i]);
-      break;
-    case FusedOpKind::kSquare:
-      for (std::int64_t i = 0; i < len; ++i) r[i] = a[i] * a[i];
-      break;
-  }
-}
-
-/// Forward sweep: every intermediate stays in block scratch; the tail
-/// step writes straight into `out`.
-inline void fused_forward_blocked(double* out, const double* const* inputs,
-                                  const FusedStep* steps, std::int32_t nsteps, std::int64_t n) {
-  double scratch[kMaxFusedSteps][kFusedBlock];
-  for (std::int64_t base = 0; base < n; base += kFusedBlock) {
-    const std::int64_t len = std::min<std::int64_t>(kFusedBlock, n - base);
-    for (std::int32_t t = 0; t < nsteps; ++t) {
-      fused_step_block(steps[t], inputs, scratch, base, len,
-                       t == nsteps - 1 ? out + base : scratch[t]);
-    }
-  }
-}
-
-/// Registers the backward walk reads: the count of leading forward steps
-/// whose outputs must be live in scratch before the backward walk runs.
-/// Value-free derivatives (add, sub, scalar affine) read nothing; mul /
-/// relu / log / square read operand values; tanh / sigmoid / exp read
-/// their own output -- which for the tail step is the stored `out`
-/// buffer, not a register, so a chain ending in a transcendental with a
-/// value-free body needs no forward replay at all.
-inline std::int32_t fused_recompute_limit(const FusedStep* steps, std::int32_t nsteps) {
-  std::int32_t need = 0;
-  for (std::int32_t t = 0; t < nsteps; ++t) {
-    const FusedStep& st = steps[t];
-    switch (st.op) {
-      case FusedOpKind::kMul:
-        if (st.a >= 0 && st.a + 1 > need) need = st.a + 1;
-        if (st.b >= 0 && st.b + 1 > need) need = st.b + 1;
-        break;
-      case FusedOpKind::kRelu:
-      case FusedOpKind::kLog:
-      case FusedOpKind::kSquare:
-        if (st.a >= 0 && st.a + 1 > need) need = st.a + 1;
-        break;
-      case FusedOpKind::kTanh:
-      case FusedOpKind::kSigmoid:
-      case FusedOpKind::kExp:
-        if (t < nsteps - 1 && t + 1 > need) need = t + 1;
-        break;
-      default:
-        break;  // kAdd/kSub/kAddScalar/kMulScalar: value-free pullbacks
-    }
-  }
-  return need;
-}
-
-/// Backward sweep. Replays only the leading fused_recompute_limit()
-/// forward steps into block scratch (the limit never includes the tail,
-/// whose value comes from `out` -- bit-identical to a full replay by
-/// determinism of the forward sweep that produced it), then walks steps
-/// tail-to-head. Per element the accumulation sequence is exactly the
-/// unfused pullbacks': steps in reverse, operand a before operand b
-/// within a step -- blocking reorders accumulations only across distinct
-/// elements, never within one gradient slot. grads[k] is nullptr when
-/// input k takes no gradient.
-inline void fused_backward_blocked(const double* out, const double* out_grad,
-                                   const double* const* inputs, double* const* grads,
-                                   const FusedStep* steps, std::int32_t nsteps, std::int64_t n) {
-  double scratch[kMaxFusedSteps][kFusedBlock];
-  double gscr[kMaxFusedSteps][kFusedBlock];
-  const std::int32_t lim = fused_recompute_limit(steps, nsteps);
-  for (std::int64_t base = 0; base < n; base += kFusedBlock) {
-    const std::int64_t len = std::min<std::int64_t>(kFusedBlock, n - base);
-    for (std::int32_t t = 0; t < lim; ++t) {
-      fused_step_block(steps[t], inputs, scratch, base, len, scratch[t]);
-    }
-    for (std::int32_t t = 0; t + 1 < nsteps; ++t) {
-      for (std::int64_t i = 0; i < len; ++i) gscr[t][i] = 0.0;
-    }
-    for (std::int32_t t = nsteps - 1; t >= 0; --t) {
-      const FusedStep& st = steps[t];
-      const double* g = t == nsteps - 1 ? out_grad + base : gscr[t];
-      // Own-output reads (tanh'/sigmoid'/exp'): the tail's value lives
-      // in the stored output buffer, interior values in the replayed
-      // prefix.
-      const double* own = t == nsteps - 1 ? out + base : scratch[t];
-      const auto val = [&](std::int32_t o) {
-        return o >= 0 ? static_cast<const double*>(scratch[o]) : inputs[~o] + base;
-      };
-      const auto acc = [&](std::int32_t o, auto expr) {
-        if (o >= 0) {
-          double* dst = gscr[o];
-          for (std::int64_t i = 0; i < len; ++i) dst[i] += expr(i);
-        } else if (double* gp = grads[~o]) {
-          gp += base;
-          for (std::int64_t i = 0; i < len; ++i) gp[i] += expr(i);
-        }
-      };
-      switch (st.op) {
-        case FusedOpKind::kAdd:
-          acc(st.a, [&](std::int64_t i) { return g[i]; });
-          acc(st.b, [&](std::int64_t i) { return g[i]; });
-          break;
-        case FusedOpKind::kSub:
-          // The unfused pullback subtracts via add_(grad, -1.0), i.e. an
-          // explicit multiply by -1.0 per element.
-          acc(st.a, [&](std::int64_t i) { return g[i]; });
-          acc(st.b, [&](std::int64_t i) { return -1.0 * g[i]; });
-          break;
-        case FusedOpKind::kMul: {
-          const double* vb = val(st.b);
-          acc(st.a, [&](std::int64_t i) { return g[i] * vb[i]; });
-          const double* va = val(st.a);
-          acc(st.b, [&](std::int64_t i) { return g[i] * va[i]; });
-          break;
-        }
-        case FusedOpKind::kAddScalar:
-          acc(st.a, [&](std::int64_t i) { return g[i]; });
-          break;
-        case FusedOpKind::kMulScalar:
-          acc(st.a, [&](std::int64_t i) { return st.s * g[i]; });
-          break;
-        case FusedOpKind::kRelu: {
-          const double* va = val(st.a);
-          acc(st.a, [&](std::int64_t i) { return g[i] * (va[i] > 0.0 ? 1.0 : 0.0); });
-          break;
-        }
-        case FusedOpKind::kTanh:
-          acc(st.a, [&](std::int64_t i) { return g[i] * (1.0 - own[i] * own[i]); });
-          break;
-        case FusedOpKind::kSigmoid:
-          acc(st.a, [&](std::int64_t i) { return g[i] * (own[i] * (1.0 - own[i])); });
-          break;
-        case FusedOpKind::kExp:
-          acc(st.a, [&](std::int64_t i) { return g[i] * own[i]; });
-          break;
-        case FusedOpKind::kLog: {
-          const double* va = val(st.a);
-          acc(st.a, [&](std::int64_t i) { return g[i] * (1.0 / va[i]); });
-          break;
-        }
-        case FusedOpKind::kSquare: {
-          const double* va = val(st.a);
-          acc(st.a, [&](std::int64_t i) { return g[i] * (2.0 * va[i]); });
-          break;
-        }
-      }
     }
   }
 }

@@ -230,23 +230,6 @@ void rmsprop_avx2(double* x, double* sq, const double* g, std::int64_t n, double
   }
 }
 
-// -- Fused elementwise sweeps. ------------------------------------------------
-// The shared blocked interpreter (kernel_table.hpp) defines the
-// per-element arithmetic; this TU compiles it under -mavx2 (with
-// -ffp-contract=off), so the per-op map loops auto-vectorize while every
-// lane rounds exactly like the scalar reference.
-
-void fused_forward_avx2(double* out, const double* const* inputs, const FusedStep* steps,
-                        std::int32_t nsteps, std::int64_t n) {
-  fused_forward_blocked(out, inputs, steps, nsteps, n);
-}
-
-void fused_backward_avx2(const double* out, const double* out_grad, const double* const* inputs,
-                         double* const* grads, const FusedStep* steps, std::int32_t nsteps,
-                         std::int64_t n) {
-  fused_backward_blocked(out, out_grad, inputs, grads, steps, nsteps, n);
-}
-
 // -- Packed GEMM microkernel + small-matrix fast paths. ----------------------
 
 /// 4x8 register tile over packed panels: 8 ymm accumulators (4 rows x
@@ -532,8 +515,6 @@ const KernelTable kAvx2Kernels = {
     .adam = adam_avx2,
     .adagrad = adagrad_avx2,
     .rmsprop = rmsprop_avx2,
-    .fused_forward = fused_forward_avx2,
-    .fused_backward = fused_backward_avx2,
     .gemm_micro = gemm_micro_avx2,
     .gemm_small_nn = gemm_small_nn_avx2,
     .gemm_small_nt = gemm_small_nt_avx2,

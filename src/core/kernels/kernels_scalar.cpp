@@ -107,22 +107,6 @@ void rmsprop_scalar(double* x, double* sq, const double* g, std::int64_t n, doub
   }
 }
 
-// -- Fused elementwise sweeps. ------------------------------------------------
-// One pass over the operands per chain: the shared blocked interpreter
-// (kernel_table.hpp) defines the per-element arithmetic; this TU
-// compiles it without -mavx2, making it the scalar reference.
-
-void fused_forward_scalar(double* out, const double* const* inputs, const FusedStep* steps,
-                          std::int32_t nsteps, std::int64_t n) {
-  fused_forward_blocked(out, inputs, steps, nsteps, n);
-}
-
-void fused_backward_scalar(const double* out, const double* out_grad,
-                           const double* const* inputs, double* const* grads,
-                           const FusedStep* steps, std::int32_t nsteps, std::int64_t n) {
-  fused_backward_blocked(out, out_grad, inputs, grads, steps, nsteps, n);
-}
-
 // -- Packed GEMM microkernel + small-matrix fast paths. ----------------------
 // The scalar backend runs the shared reference implementations from
 // kernel_table.hpp directly: they ARE the canonical accumulation order
@@ -272,8 +256,6 @@ const KernelTable kScalarKernels = {
     .adam = adam_scalar,
     .adagrad = adagrad_scalar,
     .rmsprop = rmsprop_scalar,
-    .fused_forward = fused_forward_scalar,
-    .fused_backward = fused_backward_scalar,
     .gemm_micro = gemm_micro_scalar,
     .gemm_small_nn = gemm_small_nn_scalar,
     .gemm_small_nt = gemm_small_nt_scalar,

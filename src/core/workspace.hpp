@@ -72,9 +72,6 @@ class Workspace {
   /// will be handed out to later acquisitions.
   void rollback(const Marker& m);
 
-  /// Rollback to empty.
-  void reset() { rollback(Marker{}); }
-
   /// Total doubles across all blocks (monotone non-decreasing).
   std::int64_t capacity() const { return capacity_; }
   /// Largest number of doubles ever held simultaneously.
@@ -84,11 +81,6 @@ class Workspace {
   std::int64_t high_water_bytes() const {
     return high_ * static_cast<std::int64_t>(sizeof(double));
   }
-  /// Restart peak tracking from the *current* held count. The tape's
-  /// fusion rebuild resets the mark after rolling the arena back so the
-  /// re-recorded (fused) graph's peak is measured on its own, not hidden
-  /// under the warm-up graph's larger footprint. Capacity is unaffected.
-  void reset_high_water() { high_ = held_; }
   /// Doubles currently held (between the base and the bump pointer).
   std::int64_t held() const { return held_; }
   std::size_t block_count() const { return blocks_.size(); }

@@ -7,17 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <deque>
 #include <memory>
-#include <string>
-#include <tuple>
 #include <utility>
 
 #include "async/async_simulator.hpp"
 #include "autograd/gradcheck.hpp"
 #include "autograd/ops.hpp"
-#include "core/env.hpp"
 #include "data/copy_translate.hpp"
 #include "data/markov_text.hpp"
 #include "data/synth_cifar.hpp"
@@ -41,14 +37,22 @@ ag::Variable leaf(std::vector<double> v, bool rg = true) {
   return ag::Variable(t::Tensor({n}, std::move(v)), rg);
 }
 
-/// Forces the process-wide tape-fusion toggle for one scope and restores
-/// it on exit, so tests stay order-independent and the YF_TAPE_FUSION
-/// ctest variants (`*_fused_off`) keep their environment meaning.
-struct FusionGuard {
-  bool prev;
-  explicit FusionGuard(bool on) : prev(ag::tape_fusion_enabled()) { ag::set_tape_fusion(on); }
-  ~FusionGuard() { ag::set_tape_fusion(prev); }
-};
+/// Fresh-node counts per step from a schedule run: a step records new
+/// nodes exactly when its key (graph variant, scalar attribute) differs
+/// from the previous step's, and replays every node otherwise.
+template <typename Key>
+void expect_rerecords_exactly_at_switches(const std::vector<Key>& keys,
+                                          const std::vector<std::int64_t>& fresh_per_step) {
+  ASSERT_EQ(keys.size(), fresh_per_step.size());
+  EXPECT_GT(fresh_per_step[0], 0);
+  for (std::size_t s = 1; s < keys.size(); ++s) {
+    if (keys[s] != keys[s - 1]) {
+      EXPECT_GT(fresh_per_step[s], 0) << "step " << s << " switched but replayed";
+    } else {
+      EXPECT_EQ(fresh_per_step[s], 0) << "step " << s << " repeated but re-recorded";
+    }
+  }
+}
 
 }  // namespace
 
@@ -143,6 +147,79 @@ TEST(GraphTape, StructureChangeTruncatesAndRecovers) {
     }
   }
   EXPECT_EQ(tape.workspace().capacity(), cap);
+}
+
+TEST(GraphTape, StructureChangeScheduleMatchesHeapPath) {
+  // Variant schedule: stable on A, one B step that diverges after a shared
+  // mul_scalar -> tanh prefix (square -> relu), back to A, then stable on
+  // B. Each switch truncates the tail and re-records it; the whole trace
+  // must match the per-step heap path bit for bit.
+  const std::vector<int> schedule = {0, 0, 0, 0, 1, 0, 1, 1, 1, 1, 1};
+
+  std::vector<std::int64_t> fresh_per_step;
+  auto run = [&](ag::GraphTape* tape) {
+    ag::TapeScope scope(tape);
+    auto x = leaf({2.0, -3.0, 0.25});
+    std::vector<double> trace;
+    for (const int variant : schedule) {
+      const std::int64_t fresh_before = tape ? tape->fresh_nodes() : 0;
+      if (tape) tape->begin_step();
+      x.zero_grad();
+      auto h = ag::tanh(ag::mul_scalar(x, 0.5));
+      auto loss = variant == 0 ? ag::sum(ag::mul_scalar(ag::square(h), 2.0))
+                               : ag::sum(ag::mul_scalar(ag::relu(h), 2.0));
+      loss.backward();
+      trace.push_back(loss.value().item());
+      const auto g = x.grad().data();
+      trace.insert(trace.end(), g.begin(), g.end());
+      if (tape) fresh_per_step.push_back(tape->fresh_nodes() - fresh_before);
+    }
+    return trace;
+  };
+
+  const auto heap = run(nullptr);
+  ag::GraphTape tape;
+  const auto taped = run(&tape);
+  ASSERT_EQ(heap.size(), taped.size());
+  for (std::size_t i = 0; i < heap.size(); ++i) {
+    EXPECT_EQ(heap[i], taped[i]) << "trace " << i;
+  }
+  expect_rerecords_exactly_at_switches(schedule, fresh_per_step);
+}
+
+TEST(GraphTape, AttrChangeReRecordsWithNewScalar) {
+  // The graph's first op is a mul_scalar whose attribute changes mid-run:
+  // the replay mismatch truncates there (the whole graph), and the
+  // re-recorded node must compute with the *new* scalar, not the stale one.
+  const std::vector<double> scales = {1.5, 1.5, 1.5, 1.5, -0.75, -0.75, -0.75, -0.75, -0.75};
+
+  std::vector<std::int64_t> fresh_per_step;
+  auto run = [&](ag::GraphTape* tape) {
+    ag::TapeScope scope(tape);
+    auto x = leaf({0.5, -1.25, 2.0});
+    std::vector<double> trace;
+    for (const double s : scales) {
+      const std::int64_t fresh_before = tape ? tape->fresh_nodes() : 0;
+      if (tape) tape->begin_step();
+      x.zero_grad();
+      auto loss = ag::sum(ag::square(ag::tanh(ag::mul_scalar(x, s))));
+      loss.backward();
+      trace.push_back(loss.value().item());
+      const auto g = x.grad().data();
+      trace.insert(trace.end(), g.begin(), g.end());
+      if (tape) fresh_per_step.push_back(tape->fresh_nodes() - fresh_before);
+    }
+    return trace;
+  };
+
+  const auto heap = run(nullptr);
+  ag::GraphTape tape;
+  const auto taped = run(&tape);
+  ASSERT_EQ(heap.size(), taped.size());
+  for (std::size_t i = 0; i < heap.size(); ++i) {
+    EXPECT_EQ(heap[i], taped[i]) << "trace " << i;
+  }
+  expect_rerecords_exactly_at_switches(scales, fresh_per_step);
 }
 
 TEST(GraphTape, ZerosConstantStaysZeroAcrossSteps) {
@@ -366,322 +443,6 @@ TEST(GraphTapeModels, ResNetTrainingTrajectoryIsBitIdenticalToHeapPath) {
   for (std::int64_t i = 0; i < heap.second.size(); ++i) {
     EXPECT_EQ(heap.second[i], taped.second[i]) << "parameter " << i;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Tape fusion (DESIGN.md §13): elementwise chains collapse into single
-// fused sweeps at the end of warm-up. The contract under test is
-// threefold: trajectories are EXPECT_EQ-bit-identical fused vs unfused
-// (both model families -- the ctest backend matrix re-runs this file per
-// kernel table), intermediates genuinely
-// leave the workspace, and instability (structure/attr changes, interior
-// reads) degrades to the unfused path instead of to wrong gradients.
-// ---------------------------------------------------------------------------
-
-TEST(GraphTapeFusion, ElementwiseChainCollapsesAndDropsIntermediates) {
-  auto run = [](bool fused) {
-    FusionGuard guard(fused);
-    ag::GraphTape tape;
-    ag::TapeScope scope(&tape);
-    auto x = leaf({0.5, -1.25, 2.0, 0.75});
-    std::vector<double> trace;
-    for (int step = 0; step < 8; ++step) {
-      tape.begin_step();
-      x.zero_grad();
-      auto y = ag::sum(ag::square(ag::tanh(ag::mul_scalar(x, 1.5))));
-      y.backward();
-      trace.push_back(y.value().item());
-      const auto g = x.grad().data();
-      trace.insert(trace.end(), g.begin(), g.end());
-    }
-    return std::tuple{trace, tape.fused_nodes(), tape.fusion_chains(),
-                      tape.eliminated_intermediate_bytes(),
-                      tape.workspace().high_water_bytes()};
-  };
-
-  const auto off = run(false);
-  const auto on = run(true);
-  ASSERT_EQ(std::get<0>(off).size(), std::get<0>(on).size());
-  for (std::size_t i = 0; i < std::get<0>(off).size(); ++i) {
-    EXPECT_EQ(std::get<0>(off)[i], std::get<0>(on)[i]) << "trace " << i;
-  }
-  // mul_scalar -> tanh is one 2-member chain (tanh is a transcendental,
-  // so it may only ever be a chain *tail* -- square stays unfused after
-  // it); the interior mul_scalar value+grad buffers leave the workspace.
-  EXPECT_EQ(std::get<1>(off), 0);
-  EXPECT_EQ(std::get<1>(on), 2);
-  EXPECT_EQ(std::get<2>(on), 1);
-  EXPECT_EQ(std::get<3>(on), 2 * 4 * static_cast<std::int64_t>(sizeof(double)));
-  EXPECT_LT(std::get<4>(on), std::get<4>(off))
-      << "fused workspace peak must shrink by the eliminated intermediates";
-}
-
-TEST(GraphTapeFusion, LmYellowFinTrajectoryMatchesUnfused) {
-  const std::int64_t batch = 4, seq_plus1 = 7, steps = 6;
-  yf::data::MarkovTextConfig dcfg;
-  dcfg.vocab = 12;
-  dcfg.branching = 2;
-  yf::data::MarkovText dataset(dcfg);
-  t::Rng data_rng(11);
-  std::vector<std::vector<std::int64_t>> batches;
-  for (std::int64_t s = 0; s < steps; ++s) {
-    batches.push_back(dataset.sample_batch(batch, seq_plus1, data_rng));
-  }
-
-  auto run = [&](bool fused, std::int64_t* fused_nodes_out) {
-    FusionGuard guard(fused);
-    nn::LanguageModelConfig cfg;
-    cfg.vocab = 12;
-    cfg.embed_dim = 6;
-    cfg.hidden = 8;
-    cfg.layers = 2;
-    t::Rng model_rng(1);
-    nn::LSTMLanguageModel model(cfg, model_rng);
-    yf::tuner::YellowFin opt(model.parameters());
-    ag::GraphTape tape;
-    ag::TapeScope scope(&tape);
-    std::vector<double> losses;
-    for (std::int64_t s = 0; s < steps; ++s) {
-      tape.begin_step();
-      opt.zero_grad();
-      auto loss = model.loss(batches[static_cast<std::size_t>(s)], batch, seq_plus1);
-      loss.backward();
-      opt.step();
-      losses.push_back(loss.value().item());
-    }
-    if (fused_nodes_out != nullptr) *fused_nodes_out = tape.fused_nodes();
-    return std::pair{losses, yf::nn::flatten_values(opt.params())};
-  };
-
-  const auto unfused = run(false, nullptr);
-  std::int64_t fused_nodes = 0;
-  const auto fused = run(true, &fused_nodes);
-  // The LSTM cell is elementwise-dense (gate activations, cell update):
-  // fusion must actually engage, or this test proves nothing.
-  EXPECT_GT(fused_nodes, 0) << "fusion never fired";
-  for (std::int64_t s = 0; s < steps; ++s) {
-    EXPECT_EQ(unfused.first[static_cast<std::size_t>(s)],
-              fused.first[static_cast<std::size_t>(s)])
-        << "loss diverged at step " << s;
-  }
-  ASSERT_EQ(unfused.second.size(), fused.second.size());
-  for (std::int64_t i = 0; i < unfused.second.size(); ++i) {
-    EXPECT_EQ(unfused.second[i], fused.second[i]) << "parameter " << i;
-  }
-}
-
-TEST(GraphTapeFusion, ResNetBatchNormTrajectoryMatchesUnfused) {
-  const std::int64_t steps = 3;
-  yf::data::SynthCifarConfig dcfg;
-  dcfg.classes = 3;
-  dcfg.height = 8;
-  dcfg.width = 8;
-  yf::data::SynthCifar dataset(dcfg);
-  t::Rng data_rng(21);
-  std::vector<yf::data::ImageBatch> batches;
-  for (std::int64_t s = 0; s < steps; ++s) batches.push_back(dataset.sample(4, data_rng));
-
-  auto run = [&](bool fused) {
-    FusionGuard guard(fused);
-    nn::MiniResNetConfig cfg;
-    cfg.base_channels = 4;
-    cfg.blocks_per_stage = 1;
-    cfg.num_classes = 3;
-    cfg.with_batchnorm = true;
-    t::Rng model_rng(2);
-    nn::MiniResNet model(cfg, model_rng);
-    yf::optim::MomentumSGD opt(model.parameters(), 0.05, 0.9);
-    ag::GraphTape tape;
-    ag::TapeScope scope(&tape);
-    ag::Variable images(batches[0].images.clone());
-    std::vector<double> losses;
-    for (std::int64_t s = 0; s < steps; ++s) {
-      tape.begin_step();
-      const auto& b = batches[static_cast<std::size_t>(s)];
-      t::copy_into(images.value(), b.images);
-      opt.zero_grad();
-      auto loss = ag::softmax_cross_entropy(model.forward(images), b.labels);
-      loss.backward();
-      opt.step();
-      losses.push_back(loss.value().item());
-    }
-    return std::pair{losses, yf::nn::flatten_values(opt.params())};
-  };
-
-  const auto unfused = run(false);
-  const auto fused = run(true);
-  for (std::int64_t s = 0; s < steps; ++s) {
-    EXPECT_EQ(unfused.first[static_cast<std::size_t>(s)],
-              fused.first[static_cast<std::size_t>(s)])
-        << "loss diverged at step " << s;
-  }
-  ASSERT_EQ(unfused.second.size(), fused.second.size());
-  for (std::int64_t i = 0; i < unfused.second.size(); ++i) {
-    EXPECT_EQ(unfused.second[i], fused.second[i]) << "parameter " << i;
-  }
-}
-
-TEST(GraphTapeFusion, StructureChangeTruncatesFusedPlanAndRefusesAfterWarmup) {
-  FusionGuard guard(true);
-  // Variant schedule: stable on A long enough to fuse, one B step that
-  // diverges *inside* a fused chain (square -> relu at the head of the
-  // second chain), then stable on B long enough to re-fuse. The whole
-  // trace must match the per-step heap path bit for bit.
-  const std::vector<int> schedule = {0, 0, 0, 0, 1, 0, 1, 1, 1, 1, 1};
-
-  auto run = [&](ag::GraphTape* tape) {
-    ag::TapeScope scope(tape);
-    auto x = leaf({2.0, -3.0, 0.25});
-    std::vector<double> trace;
-    for (const int variant : schedule) {
-      if (tape) tape->begin_step();
-      x.zero_grad();
-      auto h = ag::tanh(ag::mul_scalar(x, 0.5));
-      auto loss = variant == 0 ? ag::sum(ag::mul_scalar(ag::square(h), 2.0))
-                               : ag::sum(ag::mul_scalar(ag::relu(h), 2.0));
-      loss.backward();
-      trace.push_back(loss.value().item());
-      const auto g = x.grad().data();
-      trace.insert(trace.end(), g.begin(), g.end());
-    }
-    return trace;
-  };
-
-  const auto heap = run(nullptr);
-  ag::GraphTape tape;
-  const auto taped = run(&tape);
-  ASSERT_EQ(heap.size(), taped.size());
-  for (std::size_t i = 0; i < heap.size(); ++i) {
-    EXPECT_EQ(heap[i], taped[i]) << "trace " << i;
-  }
-  // The pass fired at least twice: once on the initial A recording and
-  // again after the final B run stabilized (counters stay consistent
-  // through the truncations in between).
-  EXPECT_GE(tape.fusion_rebuilds(), 2);
-  EXPECT_GT(tape.fused_nodes(), 0);
-  EXPECT_GT(tape.fusion_chains(), 0);
-  EXPECT_GT(tape.eliminated_intermediate_bytes(), 0);
-}
-
-TEST(GraphTapeFusion, AttrChangeInsideChainRefusesWithNewScalar) {
-  FusionGuard guard(true);
-  // The chain *head* is a mul_scalar whose attr changes mid-run: the
-  // replay mismatch truncates at the head (the whole chain), and the
-  // re-fused program must bake in the *new* scalar, not the stale one.
-  const std::vector<double> scales = {1.5, 1.5, 1.5, 1.5, -0.75, -0.75, -0.75, -0.75, -0.75};
-
-  auto run = [&](ag::GraphTape* tape) {
-    ag::TapeScope scope(tape);
-    auto x = leaf({0.5, -1.25, 2.0});
-    std::vector<double> trace;
-    for (const double s : scales) {
-      if (tape) tape->begin_step();
-      x.zero_grad();
-      auto loss = ag::sum(ag::square(ag::tanh(ag::mul_scalar(x, s))));
-      loss.backward();
-      trace.push_back(loss.value().item());
-      const auto g = x.grad().data();
-      trace.insert(trace.end(), g.begin(), g.end());
-    }
-    return trace;
-  };
-
-  const auto heap = run(nullptr);
-  ag::GraphTape tape;
-  const auto taped = run(&tape);
-  ASSERT_EQ(heap.size(), taped.size());
-  for (std::size_t i = 0; i < heap.size(); ++i) {
-    EXPECT_EQ(heap[i], taped[i]) << "trace " << i;
-  }
-  EXPECT_GE(tape.fusion_rebuilds(), 2);
-  EXPECT_EQ(tape.fused_nodes(), 2);
-}
-
-TEST(GraphTapeFusion, InteriorValueReadMaterializesAndDissolvesChain) {
-  FusionGuard guard(true);
-  ag::GraphTape tape;
-  ag::TapeScope scope(&tape);
-  auto x = leaf({0.5, -0.25, 1.5});
-  ag::Variable m;
-  auto step = [&] {
-    tape.begin_step();
-    x.zero_grad();
-    m = ag::mul_scalar(x, 2.0);
-    auto loss = ag::sum(ag::square(ag::tanh(m)));
-    loss.backward();
-    return std::pair{loss.value().item(), x.grad().clone()};
-  };
-  for (int i = 0; i < 4; ++i) step();
-  ASSERT_EQ(tape.fused_nodes(), 2);  // mul_scalar -> tanh
-
-  // Reading the chain-interior handle materializes its buffer with the
-  // exact per-element value the unfused op would have produced, and
-  // dissolves the chain (a foreign observer exists now).
-  const auto& mv = m.value();
-  for (std::int64_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(mv[i], 2.0 * x.value()[i]) << "element " << i;
-  }
-  EXPECT_EQ(tape.fused_nodes(), 0);
-
-  // Later steps replay unfused and stay numerically on the same
-  // trajectory as a fusion-off tape.
-  const auto after = step();
-  FusionGuard off(false);
-  ag::GraphTape ref_tape;
-  ag::TapeScope ref_scope(&ref_tape);
-  auto xr = leaf({0.5, -0.25, 1.5});
-  double ref_loss = 0.0;
-  t::Tensor ref_grad;
-  for (int i = 0; i < 5; ++i) {
-    ref_tape.begin_step();
-    xr.zero_grad();
-    auto loss = ag::sum(ag::square(ag::tanh(ag::mul_scalar(xr, 2.0))));
-    loss.backward();
-    ref_loss = loss.value().item();
-    ref_grad = xr.grad().clone();
-  }
-  EXPECT_EQ(after.first, ref_loss);
-  for (std::int64_t i = 0; i < 3; ++i) EXPECT_EQ(after.second[i], ref_grad[i]);
-}
-
-TEST(GraphTapeFusion, FusionKnobAcceptsOnlyBooleanSpellings) {
-  // YF_TAPE_FUSION goes through the strict boolean parse: a typo warns and
-  // keeps the default instead of silently reading as "on".
-  const char* saved = ::getenv("YF_TAPE_FUSION");
-  const std::string saved_copy = saved ? saved : "";
-  for (const char* on : {"on", "1", "true"}) {
-    ::setenv("YF_TAPE_FUSION", on, 1);
-    EXPECT_TRUE(yf::core::checked_env_bool("YF_TAPE_FUSION", false)) << on;
-  }
-  for (const char* off : {"off", "0", "false"}) {
-    ::setenv("YF_TAPE_FUSION", off, 1);
-    EXPECT_FALSE(yf::core::checked_env_bool("YF_TAPE_FUSION", true)) << off;
-  }
-  for (const char* typo : {"OFF", "no", "bogus"}) {  // warn, keep the default
-    ::setenv("YF_TAPE_FUSION", typo, 1);
-    EXPECT_TRUE(yf::core::checked_env_bool("YF_TAPE_FUSION", true)) << typo;
-    EXPECT_FALSE(yf::core::checked_env_bool("YF_TAPE_FUSION", false)) << typo;
-  }
-  ::unsetenv("YF_TAPE_FUSION");
-  EXPECT_TRUE(yf::core::checked_env_bool("YF_TAPE_FUSION", true));
-  EXPECT_FALSE(yf::core::checked_env_bool("YF_TAPE_FUSION", false));
-  if (saved) ::setenv("YF_TAPE_FUSION", saved_copy.c_str(), 1);
-}
-
-TEST(GraphTapeGradcheck, ElementwiseChainWithFusionForcedOn) {
-  // Same battery as ElementwiseChain, but pinned fused even under the
-  // YF_TAPE_FUSION=off ctest variants: gradcheck's probe replays run
-  // against the fused sweeps once the tape stabilizes mid-battery.
-  FusionGuard guard(true);
-  auto x = leaf({0.3, -0.7, 1.1, 0.0});
-  auto y = leaf({0.9, 0.2, -0.4, 0.6});
-  auto result = tape_gradcheck(
-      [](const std::vector<ag::Variable>& in) {
-        auto h = ag::sigmoid(ag::mul(in[0], in[1]));
-        return ag::mean(ag::square(ag::sub(h, in[1])));
-      },
-      {x, y});
-  EXPECT_TRUE(result.ok) << result.detail;
 }
 
 // ---------------------------------------------------------------------------
