@@ -508,8 +508,10 @@ inline std::shared_ptr<yf::optim::Optimizer> make_optimizer(
 
 /// Train through the sharded parameter server: the master optimizer owns
 /// one task's parameters; each worker gets its own replica task (same
-/// fixed dataset, per-worker minibatch stream) and pushes gradients. The
-/// loss curve is in server apply order, padded to `iterations` entries.
+/// fixed dataset, per-worker minibatch stream) and pushes gradients.
+/// Worker 0 draws run_one's synchronous stream, so one worker reproduces
+/// the train() losses exactly. The loss curve is in server apply order,
+/// padded to `iterations` entries.
 inline std::vector<double> run_one_server(
     const std::function<ModelTask(std::uint64_t)>& make_task, const std::string& opt_name,
     double lr, std::int64_t iterations, std::uint64_t seed) {
@@ -524,7 +526,7 @@ inline std::vector<double> run_one_server(
   std::vector<yf::async::ServerWorker> worker_tasks;
   worker_tasks.reserve(static_cast<std::size_t>(workers));
   for (std::int64_t w = 0; w < workers; ++w) {
-    auto task = make_task(seed + 100000 * static_cast<std::uint64_t>(w + 1));
+    auto task = make_task(seed + 100000 * static_cast<std::uint64_t>(w));
     worker_tasks.push_back({std::move(task.params), std::move(task.grad_fn)});
   }
   yf::async::ServerRunOptions ropts;

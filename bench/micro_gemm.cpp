@@ -99,16 +99,21 @@ void BM_GemmNn_args(benchmark::internal::Benchmark* b) {
   b->Args({8, 96, 24})      // LSTM 4-gate: x[8,24] @ Wx[24,96]
       ->Args({136, 96, 24})  // BPTT-batched gates (B*T rows)
       ->Args({8, 512, 512})  // skinny headline shape (matmul baseline)
+      ->Args({6, 64, 16})    // train_lm (TS-sub LSTM) gates: h[6,16] @ Wh[16,64]
+      ->Args({6, 33, 16})    // train_lm decoder logits h[6,16] @ Wd[16,33]
       ->Args({256, 256, 256});
 }
 void BM_GemmNt_args(benchmark::internal::Benchmark* b) {
   b->Args({136, 32, 24})    // tied decode [B*T,H] @ E[V,H]^T
       ->Args({512, 8, 36})   // conv im2col forward: col @ W^T
+      ->Args({6, 16, 64})    // train_lm gate pullback dH = dGates[6,64] @ Wh^T
+      ->Args({6, 16, 33})    // train_lm decoder pullback dH = dLogits[6,33] @ Wd^T
       ->Args({256, 256, 256});
 }
 void BM_GemmTn_args(benchmark::internal::Benchmark* b) {
   b->Args({24, 96, 136})    // dWx = x^T @ dGates
       ->Args({8, 36, 512})   // conv dW = dOut^T @ col
+      ->Args({16, 64, 6})    // train_lm dWh = h^T @ dGates
       ->Args({256, 256, 256});
 }
 

@@ -56,9 +56,11 @@ inline constexpr std::int64_t kGemmSmallWork = 48 * 48 * 48;
 /// skinny products (the 8-row LM training matmuls, 1-row decode) the
 /// direct path -- the same MR x NR register tile reading B in place --
 /// streams B fewer times than packing costs. Pinned with
-/// bench/micro_gemm.cpp (BM_Gemm{Packed,Small}Forced). NT is excluded:
-/// its small path is scalar (column-strided op(B)), so only the flops
-/// threshold applies.
+/// bench/micro_gemm.cpp (BM_Gemm{Packed,Small}Forced). NT is excluded
+/// because the rule must hold on both backends: the AVX2 NT small kernel
+/// beats packing at every m <= 16 shape tried, but the scalar backend's
+/// NT small path is the unblocked reference, which loses to packing
+/// above the flops threshold (8x512x512: about 1.9 ms against 1.1 ms).
 inline constexpr std::int64_t kGemmSmallRows = 16;
 
 /// Test/bench hooks: force one path regardless of size. Both produce

@@ -299,9 +299,7 @@ void gemm_micro_avx2(double* c, std::int64_t ldc, const double* ap, const double
 /// microkernel without the packing: B is streamed ceil(m/MR) times
 /// instead of being written and re-read through a packed copy, which is
 /// what makes this path the right one for skinny-m products (LM decode,
-/// the m <= 16 training matmuls). The NT small path has column-strided
-/// op(B) reads (a gather per kk), so it runs the shared scalar
-/// reference on both backends.
+/// the m <= 16 training matmuls).
 template <typename LoadARow>
 void gemm_small_rowmajor_b_avx2(double* c, const double* b, std::int64_t m, std::int64_t n,
                                 std::int64_t k, LoadARow la) {
@@ -406,11 +404,94 @@ void gemm_small_nn_avx2(double* c, const double* a, const double* b, std::int64_
       c, b, m, n, k, [a, k](std::int64_t i, std::int64_t kk) { return a[i * k + kk]; });
 }
 
+/// NT tile: R rows x 4 columns of C, one C element per accumulator lane
+/// as in the NN/TN path. op(B) columns are rows of B, so four B rows are
+/// loaded four kk at a time and each 4x4 block is transposed in
+/// registers; btq then holds op(B)[kk+q][j..j+3] and every lane still
+/// sees its kk in ascending order. The k % 4 tail gathers its column
+/// vector element by element.
+template <int R>
+void nt_tile(double* c, const double* a, const double* b, std::int64_t n, std::int64_t k,
+             std::int64_t i, std::int64_t j, std::int64_t pc, std::int64_t ke, bool beta0) {
+  const double* b0 = b + j * k;
+  const double* b1 = b0 + k;
+  const double* b2 = b1 + k;
+  const double* b3 = b2 + k;
+  __m256d acc[R];
+  for (int r = 0; r < R; ++r) acc[r] = _mm256_setzero_pd();
+  std::int64_t kk = pc;
+  for (; kk + kVec <= ke; kk += kVec) {
+    const __m256d r0 = _mm256_loadu_pd(b0 + kk);
+    const __m256d r1 = _mm256_loadu_pd(b1 + kk);
+    const __m256d r2 = _mm256_loadu_pd(b2 + kk);
+    const __m256d r3 = _mm256_loadu_pd(b3 + kk);
+    const __m256d t0 = _mm256_unpacklo_pd(r0, r1);             // r0[0] r1[0] r0[2] r1[2]
+    const __m256d t1 = _mm256_unpackhi_pd(r0, r1);             // r0[1] r1[1] r0[3] r1[3]
+    const __m256d t2 = _mm256_unpacklo_pd(r2, r3);             // r2[0] r3[0] r2[2] r3[2]
+    const __m256d t3 = _mm256_unpackhi_pd(r2, r3);             // r2[1] r3[1] r2[3] r3[3]
+    const __m256d bt0 = _mm256_permute2f128_pd(t0, t2, 0x20);  // r0[0] r1[0] r2[0] r3[0]
+    const __m256d bt1 = _mm256_permute2f128_pd(t1, t3, 0x20);  // r0[1] r1[1] r2[1] r3[1]
+    const __m256d bt2 = _mm256_permute2f128_pd(t0, t2, 0x31);  // r0[2] r1[2] r2[2] r3[2]
+    const __m256d bt3 = _mm256_permute2f128_pd(t1, t3, 0x31);  // r0[3] r1[3] r2[3] r3[3]
+    for (int r = 0; r < R; ++r) {
+      const double* arow = a + (i + r) * k + kk;
+      acc[r] = _mm256_add_pd(acc[r], _mm256_mul_pd(_mm256_set1_pd(arow[0]), bt0));
+      acc[r] = _mm256_add_pd(acc[r], _mm256_mul_pd(_mm256_set1_pd(arow[1]), bt1));
+      acc[r] = _mm256_add_pd(acc[r], _mm256_mul_pd(_mm256_set1_pd(arow[2]), bt2));
+      acc[r] = _mm256_add_pd(acc[r], _mm256_mul_pd(_mm256_set1_pd(arow[3]), bt3));
+    }
+  }
+  for (; kk < ke; ++kk) {
+    const __m256d bt = _mm256_set_pd(b3[kk], b2[kk], b1[kk], b0[kk]);
+    for (int r = 0; r < R; ++r) {
+      acc[r] = _mm256_add_pd(acc[r], _mm256_mul_pd(_mm256_set1_pd(a[(i + r) * k + kk]), bt));
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    double* crow = c + (i + r) * n + j;
+    _mm256_storeu_pd(crow, beta0 ? acc[r] : _mm256_add_pd(_mm256_loadu_pd(crow), acc[r]));
+  }
+}
+
+/// Small NT path (autograd dA = dZ * W^T, tied-embedding decode): 4-wide
+/// column groups outermost, so the four B rows a group transposes stay
+/// L1-resident across its row tiles. Rows run in MR-row tiles plus one
+/// joint 1-3-row remainder tile (the tile's accumulators stay in
+/// registers because R is a template constant); scalar columns for
+/// n % 4, in the same per-element order.
 void gemm_small_nt_avx2(double* c, const double* a, const double* b, std::int64_t m,
                         std::int64_t n, std::int64_t k) {
-  gemm_small_ref(
-      c, m, n, k, [a, k](std::int64_t i, std::int64_t kk) { return a[i * k + kk]; },
-      [b, k](std::int64_t kk, std::int64_t j) { return b[j * k + kk]; });
+  static_assert(kGemmMR == 4, "the remainder switch covers 1..3 rows");
+  for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
+    const std::int64_t ke = std::min(k, pc + kGemmKC);
+    const bool beta0 = pc == 0;
+    std::int64_t j = 0;
+    for (; j + kVec <= n; j += kVec) {
+      std::int64_t i = 0;
+      for (; i + kGemmMR <= m; i += kGemmMR) nt_tile<kGemmMR>(c, a, b, n, k, i, j, pc, ke, beta0);
+      switch (m - i) {
+        case 1:
+          nt_tile<1>(c, a, b, n, k, i, j, pc, ke, beta0);
+          break;
+        case 2:
+          nt_tile<2>(c, a, b, n, k, i, j, pc, ke, beta0);
+          break;
+        case 3:
+          nt_tile<3>(c, a, b, n, k, i, j, pc, ke, beta0);
+          break;
+        default:
+          break;
+      }
+    }
+    for (; j < n; ++j) {
+      for (std::int64_t i = 0; i < m; ++i) {
+        double acc = 0.0;
+        for (std::int64_t kk = pc; kk < ke; ++kk) acc += a[i * k + kk] * b[j * k + kk];
+        double& cij = c[i * n + j];
+        cij = beta0 ? acc : cij + acc;
+      }
+    }
+  }
 }
 
 void gemm_small_tn_avx2(double* c, const double* a, const double* b, std::int64_t m,

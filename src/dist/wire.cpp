@@ -26,6 +26,33 @@ std::uint64_t get_le(std::span<const std::byte> in, std::size_t offset, int byte
   return v;
 }
 
+// Value spans (f64/i64 arrays, the bulk of every pull and push): on a
+// little-endian host the in-memory bytes already are the wire bytes, so
+// one memcpy replaces the per-byte shifts; other hosts keep the loop.
+
+template <typename T>
+void put_span(std::vector<std::byte>& out, std::span<const T> v) {
+  static_assert(sizeof(T) == 8);
+  if constexpr (std::endian::native == std::endian::little) {
+    const std::size_t at = out.size();
+    out.resize(at + v.size_bytes());
+    if (!v.empty()) std::memcpy(out.data() + at, v.data(), v.size_bytes());
+  } else {
+    out.reserve(out.size() + v.size_bytes());
+    for (const T x : v) put_le(out, std::bit_cast<std::uint64_t>(x), 8);
+  }
+}
+
+template <typename T>
+void get_span(std::span<const std::byte> in, std::span<T> dst) {
+  static_assert(sizeof(T) == 8);
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!dst.empty()) std::memcpy(dst.data(), in.data(), dst.size_bytes());
+  } else {
+    for (std::size_t i = 0; i < dst.size(); ++i) dst[i] = std::bit_cast<T>(get_le(in, i * 8, 8));
+  }
+}
+
 }  // namespace
 
 bool op_known(std::uint16_t op) {
@@ -147,15 +174,8 @@ void PayloadWriter::u64(std::uint64_t v) { put_le(*out_, v, 8); }
 void PayloadWriter::i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 void PayloadWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
-void PayloadWriter::f64_span(std::span<const double> v) {
-  out_->reserve(out_->size() + v.size() * 8);
-  for (const double d : v) f64(d);
-}
-
-void PayloadWriter::i64_span(std::span<const std::int64_t> v) {
-  out_->reserve(out_->size() + v.size() * 8);
-  for (const std::int64_t x : v) i64(x);
-}
+void PayloadWriter::f64_span(std::span<const double> v) { put_span(*out_, v); }
+void PayloadWriter::i64_span(std::span<const std::int64_t> v) { put_span(*out_, v); }
 
 void PayloadWriter::str(std::string_view s) {
   u32(static_cast<std::uint32_t>(s.size()));
@@ -183,17 +203,11 @@ std::int64_t PayloadReader::i64() { return static_cast<std::int64_t>(u64()); }
 double PayloadReader::f64() { return std::bit_cast<double>(u64()); }
 
 void PayloadReader::f64_span(std::span<double> dst) {
-  const auto bytes = take(dst.size() * 8, "f64 span");
-  for (std::size_t i = 0; i < dst.size(); ++i) {
-    dst[i] = std::bit_cast<double>(get_le(bytes, i * 8, 8));
-  }
+  get_span(take(dst.size_bytes(), "f64 span"), dst);
 }
 
 void PayloadReader::i64_span(std::span<std::int64_t> dst) {
-  const auto bytes = take(dst.size() * 8, "i64 span");
-  for (std::size_t i = 0; i < dst.size(); ++i) {
-    dst[i] = static_cast<std::int64_t>(get_le(bytes, i * 8, 8));
-  }
+  get_span(take(dst.size_bytes(), "i64 span"), dst);
 }
 
 std::string PayloadReader::str(std::size_t max_len) {

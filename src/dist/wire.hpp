@@ -15,7 +15,8 @@
 //   36     4    reserved       must be 0
 //
 // All multi-byte fields are little-endian, written explicitly byte by
-// byte so the encoding is identical on any host. Doubles travel as their
+// byte so the encoding is identical on any host (value spans are one
+// memcpy on little-endian hosts: the same bytes). Doubles travel as their
 // IEEE-754 bit pattern (std::bit_cast through uint64), so a value
 // round-trips EXACTLY -- the one-worker socket trajectory is specified to
 // be bit-identical to the in-process engine, which a textual or lossy

@@ -287,6 +287,46 @@ TEST(DistWire, IntegerAndStringPrimitivesRoundTrip) {
   in.expect_end();
 }
 
+TEST(DistWire, ValueSpansEncodeAsLittleEndianBitPatterns) {
+  // Value spans are copied in bulk on little-endian hosts; the bytes must
+  // stay what the byte-by-byte encoding writes: each value's IEEE-754 or
+  // two's-complement bits, least significant byte first. The doubles
+  // include the smallest subnormal and a quiet NaN carrying a payload.
+  const double subnormal = std::bit_cast<double>(std::uint64_t{1});
+  const double nan = std::bit_cast<double>(std::uint64_t{0x7FF80000DEADBEEF});
+  const double doubles[] = {1.0, -0.0, subnormal, nan};
+  const std::int64_t ints[] = {std::numeric_limits<std::int64_t>::min(), -1};
+  std::vector<std::byte> f64_bytes;
+  dist::PayloadWriter(f64_bytes).f64_span(doubles);
+  std::vector<std::byte> i64_bytes;
+  dist::PayloadWriter(i64_bytes).i64_span(ints);
+  ASSERT_EQ(f64_bytes.size(), 32u);
+  ASSERT_EQ(i64_bytes.size(), 16u);
+  const auto slot = [](const std::vector<std::byte>& bytes, std::size_t i) {
+    const auto first = bytes.begin() + static_cast<std::ptrdiff_t>(8 * i);
+    return std::vector<std::byte>(first, first + 8);
+  };
+  EXPECT_EQ(slot(f64_bytes, 0), bytes_of({0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F}));
+  EXPECT_EQ(slot(f64_bytes, 1), bytes_of({0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80}));
+  EXPECT_EQ(slot(f64_bytes, 2), bytes_of({0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00}));
+  EXPECT_EQ(slot(f64_bytes, 3), bytes_of({0xEF, 0xBE, 0xAD, 0xDE, 0x00, 0x00, 0xF8, 0x7F}));
+  EXPECT_EQ(slot(i64_bytes, 0), bytes_of({0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80}));
+  EXPECT_EQ(slot(i64_bytes, 1), bytes_of({0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}));
+
+  double f64_back[std::size(doubles)];
+  dist::PayloadReader f64_in(f64_bytes);
+  f64_in.f64_span(f64_back);
+  f64_in.expect_end();
+  for (std::size_t i = 0; i < std::size(doubles); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(f64_back[i]), std::bit_cast<std::uint64_t>(doubles[i]));
+  }
+  std::int64_t i64_back[std::size(ints)];
+  dist::PayloadReader i64_in(i64_bytes);
+  i64_in.i64_span(i64_back);
+  i64_in.expect_end();
+  for (std::size_t i = 0; i < std::size(ints); ++i) EXPECT_EQ(i64_back[i], ints[i]);
+}
+
 TEST(DistWire, ReaderUnderrunAndTrailingGarbageThrow) {
   std::vector<std::byte> buf;
   dist::PayloadWriter out(buf);

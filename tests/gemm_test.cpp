@@ -92,11 +92,16 @@ struct Shape {
 
 /// Shapes straddling every tail case: n mod NR (8), k mod KC (256),
 /// 1 x N row products, M x 1 column products, k == 0, plus shapes on
-/// both sides of the small-path thresholds (flops and row count).
+/// both sides of the small-path thresholds (flops and row count). The
+/// m = 6 shapes are train_lm's own products: they reach the NT kernel's
+/// two-row remainder tile and the k = 6 and 33 tails of its 4-deep
+/// blocks; {6, 20, 258} crosses a KC panel with a two-deep k tail.
 const Shape kShapes[] = {
     {1, 1, 1},    {3, 5, 7},     {1, 300, 40}, {40, 1, 33},   {8, 64, 512},
     {5, 9, 300},  {17, 96, 256}, {33, 70, 71}, {96, 100, 257}, {97, 103, 300},
-    {64, 64, 64}, {2, 8, 0},
+    {64, 64, 64}, {2, 8, 0},     {6, 64, 12},  {6, 64, 16},   {6, 33, 16},
+    {6, 12, 64},  {6, 16, 64},   {6, 16, 33},  {12, 64, 6},   {16, 64, 6},
+    {6, 20, 258},
 };
 
 std::int64_t a_len(core::GemmVariant v, const Shape& s) {

@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "async/param_server.hpp"
 #include "autograd/ops.hpp"
 #include "data/markov_text.hpp"
 #include "data/synth_cifar.hpp"
@@ -202,4 +203,34 @@ TEST(Integration, ClipNormAppliedByTrainer) {
   train::train(opt, task.grad_fn(), opts);
   const auto after = nn::flatten_values(task.model->parameters());
   EXPECT_LT(t::max_abs_diff(before, after), 1e-6);
+}
+
+TEST(Integration, OneWorkerServerEngineReproducesTrain) {
+  // The YF_ENGINE=server bench path with one worker: a replica of the
+  // same seeded task pushing through a 4-shard server (no measurement)
+  // must retrace the synchronous train() losses bit for bit.
+  constexpr std::int64_t kSteps = 40;
+  LmTask sync_task;
+  yf::tuner::YellowFin sync_opt(sync_task.model->parameters());
+  train::TrainOptions topts;
+  topts.iterations = kSteps;
+  const auto sync = train::train(sync_opt, sync_task.grad_fn(), topts);
+
+  LmTask master;
+  LmTask replica;
+  auto opt = std::make_shared<yf::tuner::YellowFin>(master.model->parameters());
+  yf::async::ParamServerOptions sopts;
+  sopts.shards = 4;
+  sopts.measure = false;
+  yf::async::ShardedParamServer server(opt, sopts);
+  const std::vector<yf::async::ServerWorker> workers = {
+      {replica.model->parameters(), replica.grad_fn()}};
+  yf::async::ServerRunOptions ropts;
+  ropts.steps_per_worker = kSteps;
+  const auto served = train::train_server(server, workers, ropts);
+
+  ASSERT_EQ(served.losses.size(), sync.losses.size());
+  for (std::size_t i = 0; i < sync.losses.size(); ++i) {
+    EXPECT_EQ(served.losses[i], sync.losses[i]) << "step " << i;
+  }
 }
