@@ -509,9 +509,9 @@ inline std::shared_ptr<yf::optim::Optimizer> make_optimizer(
 /// Train through the sharded parameter server: the master optimizer owns
 /// one task's parameters; each worker gets its own replica task (same
 /// fixed dataset, per-worker minibatch stream) and pushes gradients.
-/// Worker 0 draws run_one's synchronous stream, so one worker reproduces
-/// the train() losses exactly. The loss curve is in server apply order,
-/// padded to `iterations` entries.
+/// train_server seeds worker 0 with run_one's seed, so one worker
+/// reproduces the train() losses exactly. The loss curve is in server
+/// apply order, padded to `iterations` entries.
 inline std::vector<double> run_one_server(
     const std::function<ModelTask(std::uint64_t)>& make_task, const std::string& opt_name,
     double lr, std::int64_t iterations, std::uint64_t seed) {
@@ -523,15 +523,13 @@ inline std::vector<double> run_one_server(
   yf::async::ShardedParamServer server(opt, sopts);
 
   const std::int64_t workers = server_workers();
-  std::vector<yf::async::ServerWorker> worker_tasks;
-  worker_tasks.reserve(static_cast<std::size_t>(workers));
-  for (std::int64_t w = 0; w < workers; ++w) {
-    auto task = make_task(seed + 100000 * static_cast<std::uint64_t>(w));
-    worker_tasks.push_back({std::move(task.params), std::move(task.grad_fn)});
-  }
+  const auto make_replica = [&make_task](std::uint64_t replica_seed) {
+    auto task = make_task(replica_seed);
+    return yf::async::ServerWorker{std::move(task.params), std::move(task.grad_fn)};
+  };
   yf::async::ServerRunOptions ropts;
   ropts.steps_per_worker = std::max<std::int64_t>(1, iterations / workers);
-  const auto result = yf::train::train_server(server, worker_tasks, ropts, 1e4);
+  const auto result = yf::train::train_server(server, make_replica, workers, seed, ropts, 1e4);
   auto losses = result.losses;
   while (static_cast<std::int64_t>(losses.size()) < iterations) {
     losses.push_back(losses.empty() ? 1e4 : losses.back());

@@ -32,7 +32,6 @@ constexpr std::int64_t kPushesPerWorker = 8;  // rounds per measured iteration
 
 void run_rounds(async::ShardedParamServer& server, std::int64_t workers) {
   auto& pool = yf::core::ThreadPool::instance();
-  pool.ensure_workers(static_cast<std::size_t>(workers));
   std::vector<std::future<void>> futures;
   futures.reserve(static_cast<std::size_t>(workers));
   for (std::int64_t w = 0; w < workers; ++w) {

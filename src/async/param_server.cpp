@@ -1,19 +1,13 @@
 #include "async/param_server.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <exception>
-#include <future>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "async/total_momentum.hpp"
-#include "autograd/tape.hpp"
 #include "core/kernels.hpp"
-#include "core/parallel.hpp"
 
 namespace yf::async {
 
@@ -132,9 +126,9 @@ ApplyStats ShardedParamServer::push(std::span<double> grad, const PullTicket& ti
     throw std::invalid_argument("ShardedParamServer::push: ticket does not match shards");
   }
   // Eq. 37 ratio scratch, one ratio per coordinate at most. Thread-local
-  // with retained capacity: pool workers and master service threads are
-  // long-lived, so after a thread's first push the steady state performs
-  // no heap allocation.
+  // with retained capacity: a worker thread lives for its whole run and a
+  // master service thread for its connection, so after a thread's first
+  // push the steady state performs no heap allocation.
   static thread_local std::vector<double> ratios;
   ratios.clear();
   ratios.reserve(static_cast<std::size_t>(size_));
@@ -278,92 +272,6 @@ void ShardedParamServer::load_state(core::StateReader& r) {
     controller_ = tuner::ClosedLoopController(opts_.gamma, applied);
   }
   optimizer_->load_state(r);
-}
-
-ServerRunResult run_workers(ShardedParamServer& server,
-                            const std::vector<ServerWorker>& workers,
-                            const ServerRunOptions& opts) {
-  if (workers.empty()) throw std::invalid_argument("run_workers: no workers");
-  if (opts.steps_per_worker < 0) {
-    throw std::invalid_argument("run_workers: steps_per_worker must be >= 0");
-  }
-  struct PerWorker {
-    std::vector<ApplyStats> stats;
-    std::vector<double> losses;
-  };
-  std::vector<PerWorker> collected(workers.size());
-
-  // Like the hogwild trainer before it: one pool thread per worker, since
-  // workers rendezvous on the shard locks and must progress concurrently.
-  auto& pool = core::ThreadPool::instance();
-  pool.ensure_workers(workers.size());
-  const auto& master_values = server.optimizer().arena().values_tensor();
-  std::vector<std::future<void>> futures;
-  futures.reserve(workers.size());
-  for (std::size_t w = 0; w < workers.size(); ++w) {
-    futures.push_back(pool.submit([&server, &workers, &collected, &opts, &master_values, w] {
-      core::ParamArena replica(workers[w].params);
-      if (replica.size() != server.size()) {
-        throw std::invalid_argument("run_workers: replica size != master size");
-      }
-      if (replica.values_tensor().shares_storage_with(master_values)) {
-        throw std::invalid_argument("run_workers: worker params alias the master arena");
-      }
-      // Per-replica tape for this worker's whole run: every grad_fn builds
-      // (then replays) its graph out of worker-local workspace memory
-      // instead of the global allocator.
-      autograd::GraphTape tape;
-      autograd::TapeScope tape_scope(&tape);
-      collected[w].stats.reserve(static_cast<std::size_t>(opts.steps_per_worker));
-      collected[w].losses.reserve(static_cast<std::size_t>(opts.steps_per_worker));
-      PullTicket ticket;
-      for (std::int64_t s = 0; s < opts.steps_per_worker; ++s) {
-        server.pull(replica.values(), ticket);
-        replica.zero_grads();
-        tape.begin_step();
-        const double loss = workers[w].grad_fn();
-        if (opts.compute_delay_us > 0) {
-          std::this_thread::sleep_for(std::chrono::microseconds(opts.compute_delay_us));
-        }
-        collected[w].stats.push_back(server.push(replica.grads(), ticket));
-        collected[w].losses.push_back(loss);
-      }
-    }));
-  }
-  // Drain every future before letting an exception unwind: an abandoned
-  // std::future does not block in its destructor, so rethrowing from the
-  // middle of the loop would destroy `collected` (and the caller's
-  // server/workers references) while pool tasks still write to them.
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-
-  std::vector<std::pair<ApplyStats, double>> merged;
-  merged.reserve(workers.size() * static_cast<std::size_t>(opts.steps_per_worker));
-  for (const auto& per : collected) {
-    for (std::size_t i = 0; i < per.stats.size(); ++i) {
-      merged.emplace_back(per.stats[i], per.losses[i]);
-    }
-  }
-  std::sort(merged.begin(), merged.end(), [](const auto& a, const auto& b) {
-    return a.first.update_index < b.first.update_index;
-  });
-
-  ServerRunResult result;
-  result.stats.reserve(merged.size());
-  result.losses.reserve(merged.size());
-  for (auto& [stats, loss] : merged) {
-    result.stats.push_back(stats);
-    result.losses.push_back(loss);
-  }
-  result.total_updates = server.updates();
-  return result;
 }
 
 }  // namespace yf::async

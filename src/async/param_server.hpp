@@ -4,7 +4,7 @@
 // Partitions an optimizer's core::ParamArena into K contiguous shards.
 // Each shard owns a lock, a version counter (number of gradient
 // applications it has absorbed), and a short iterate history. Workers run
-// on the shared core::parallel pool against their own model replicas:
+// on their own threads against their own model replicas:
 //
 //   ticket = pull(replica values)    per-shard locked copy of the master
 //                                    values; records each shard's version
@@ -166,14 +166,14 @@ class ShardedParamServer {
 };
 
 // ---------------------------------------------------------------------------
-// Worker harness: run replicas against a server on the shared thread pool.
+// Worker harness: run replicas against an in-process server.
 // ---------------------------------------------------------------------------
 
 /// A worker's model replica: parameters with the same total size as the
 /// master (they are flattened into a worker-local arena) plus a gradient
 /// closure that computes a minibatch loss and leaves gradients on them.
-/// run_workers gives each worker body its own autograd::GraphTape on its
-/// pool thread and begins a tape step before every grad_fn call, so each
+/// The worker loop gives each worker body its own autograd::GraphTape on
+/// its thread and begins a tape step before every grad_fn call, so each
 /// replica replays its cached graph out of its own workspace instead of
 /// contending on the global allocator.
 struct ServerWorker {
@@ -181,6 +181,7 @@ struct ServerWorker {
   std::function<double()> grad_fn;
 };
 
+/// Options of the one worker loop (dist::ChannelRunOptions is this type).
 struct ServerRunOptions {
   std::int64_t steps_per_worker = 100;
   /// Microseconds of simulated gradient latency between pull and push; on
@@ -192,11 +193,16 @@ struct ServerRunOptions {
 struct ServerRunResult {
   std::vector<ApplyStats> stats;  ///< sorted by update_index (1-based)
   std::vector<double> losses;     ///< losses[i]: loss of stats[i]'s gradient
+  /// Largest update_index the run saw: server.updates() after the run
+  /// whenever the run is the server's only pusher.
   std::int64_t total_updates = 0;
 };
 
-/// Run every worker for `steps_per_worker` (>= 0) pull/compute/push rounds
-/// on the shared pool. Worker parameters must not alias the master arena.
+/// Run every worker for `steps_per_worker` (>= 0) pull/compute/push rounds,
+/// one thread per worker. Worker parameters must not alias the master
+/// arena. This adapts the workers onto one dist::InprocChannel each and
+/// calls dist::run_channel_workers, the one worker loop; it is defined in
+/// dist/channel.cpp beside that loop.
 ServerRunResult run_workers(ShardedParamServer& server,
                             const std::vector<ServerWorker>& workers,
                             const ServerRunOptions& opts = {});

@@ -576,8 +576,7 @@ Variable embedding(const Variable& weight, const std::vector<std::int64_t>& indi
 }
 
 // Conv value-path math (ConvDims/im2col/col2im/bias-transpose) lives in
-// core/conv_math.hpp, shared verbatim with the tape-free serving engine
-// so served activations are bit-identical to this forward.
+// core/conv_math.hpp.
 using core::Conv2dDims;
 using core::col2im_add;
 using core::im2col_into;
@@ -689,8 +688,8 @@ Variable batch_norm2d(const Variable& input, const Variable& gamma, const Variab
   t::Tensor& inv_std = f.node->scratch[1];
   t::Tensor& xhat = f.node->scratch[2];
 
-  // Channel statistics and normalized activations (cached for backward);
-  // shared with the serving engine via core/conv_math.
+  // Channel statistics and normalized activations (cached for backward),
+  // from core/conv_math.
   core::batchnorm2d_stats_into(mean, inv_std, x, n, c, h, w, eps);
   core::batchnorm2d_normalize_into(f.node->value, xhat, x, gamma.value(), beta.value(), mean,
                                    inv_std, n, c, h, w);

@@ -29,9 +29,9 @@
 // Contracts:
 //  * one tape per thread of graph construction; a tape is not
 //    thread-safe. The training loops own theirs (DESIGN.md §8):
-//    train::train records on one per call, run_workers and
-//    run_channel_workers on one per worker body, AsyncTrainer on a
-//    member;
+//    train::train records on one per call, the worker loop
+//    (dist::run_channel_workers, and async::run_workers through it) on
+//    one per worker body, AsyncTrainer on a member;
 //  * Variables handed out during a step stay valid until the node they
 //    reference is truncated or the tape dies; across `begin_step()` a
 //    stale handle observes the *new* step's value (same buffer);

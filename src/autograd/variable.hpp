@@ -15,9 +15,9 @@
 //    so reading a handle's value is a plain read. Tape handles are
 //    non-owning: they stay valid until the tape truncates that node
 //    (structure change) or dies.
-//    Every training loop -- train::train, async::AsyncTrainer,
-//    async::run_workers, dist::run_channel_workers -- records on a tape
-//    it owns;
+//    Every training loop -- train::train, async::AsyncTrainer, and the
+//    worker loop dist::run_channel_workers (which async::run_workers
+//    runs through) -- records on a tape it owns;
 //  * the eager heap path, for ops built with no tape installed (hand
 //    loops outside those, gradcheck, inference probes): every op makes
 //    a fresh `shared_ptr<Node>`, freed when the last Variable handle

@@ -1,10 +1,7 @@
-// Shared conv/BN/pool forward math (NCHW, im2col-based).
+// Conv/BN/pool forward math (NCHW, im2col-based).
 //
-// Single home for the value-path loops of conv2d / batch_norm2d /
-// global_avg_pool: the autograd ops (autograd/ops.cpp) and the tape-free
-// serving engine (src/serve/) both call these, so served activations are
-// bit-identical to the training forward by construction — there is no
-// second implementation to drift.
+// Home of the value-path loops of conv2d / batch_norm2d / global_avg_pool,
+// which the autograd ops (autograd/ops.cpp) call.
 #pragma once
 
 #include <cstdint>

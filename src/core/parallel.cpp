@@ -14,7 +14,8 @@
 namespace yf::core {
 
 namespace {
-thread_local bool t_on_worker = false;
+/// Set on pool workers and on threads marked by detail::mark_thread_inline.
+thread_local bool t_runs_inline = false;
 }  // namespace
 
 struct ThreadPool::Impl {
@@ -26,7 +27,7 @@ struct ThreadPool::Impl {
   bool stopping = false;
 
   void worker_loop() {
-    t_on_worker = true;
+    t_runs_inline = true;
     for (;;) {
       std::packaged_task<void()> task;
       {
@@ -78,11 +79,6 @@ std::size_t ThreadPool::size() const {
   return impl_->workers.size();
 }
 
-void ThreadPool::ensure_workers(std::size_t n) {
-  std::scoped_lock lock(impl_->mu);
-  impl_->spawn_locked(n);
-}
-
 std::size_t ThreadPool::fanout() const {
   std::scoped_lock lock(impl_->mu);
   return impl_->fanout;
@@ -105,9 +101,11 @@ std::future<void> ThreadPool::submit(std::function<void()> fn) {
   return fut;
 }
 
-bool ThreadPool::on_worker_thread() { return t_on_worker; }
+bool ThreadPool::on_worker_thread() { return t_runs_inline; }
 
 namespace detail {
+
+void mark_thread_inline() { t_runs_inline = true; }
 
 void parallel_for_dispatch(std::int64_t n, std::int64_t grain, const BodyRef& body) {
   auto& pool = ThreadPool::instance();

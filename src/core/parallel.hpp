@@ -1,15 +1,16 @@
 // Shared thread pool and grain-size-aware parallel_for (DESIGN.md §4).
 //
-// One process-wide pool serves every layer that wants concurrency: the
-// span kernels (core/kernels.hpp) partition large elementwise sweeps over
-// it, tensor::matmul parallelises over output rows, and the hogwild
-// trainer (async/threaded_trainer) runs its workers on it instead of
-// spawning fresh OS threads per call.
+// One process-wide pool runs the data-parallel chunks: the span kernels
+// (core/kernels.hpp) partition large elementwise sweeps over it and
+// tensor::matmul parallelises over output rows. Training workers do not
+// run on it: dist::run_channel_workers (and async::run_workers through
+// it) gives each worker its own thread, marked inline.
 //
 // Determinism contract: parallel_for only ever partitions *independent*
 // index ranges; callers that need a deterministic reduction order keep the
 // reduction sequential (see kernels.hpp). Nested calls from inside a pool
-// worker run inline, so the pool never deadlocks on itself.
+// worker, or from a thread marked inline, run inline, so the pool never
+// deadlocks on itself.
 #pragma once
 
 #include <algorithm>
@@ -43,18 +44,9 @@ class ThreadPool {
 
   std::size_t size() const;
 
-  /// Grow the pool to at least `n` workers (never shrinks; idle workers
-  /// block on a condition variable). Callers that submit
-  /// mutually-blocking task sets (e.g. hogwild workers that rendezvous on
-  /// a lock) must ensure one worker per task first. Growing the pool this
-  /// way does NOT raise the elementwise fan-out cap -- blocking task sets
-  /// need threads, not data-parallel chunks, and fanning 64 hogwild
-  /// threads' worth of chunks onto 4 cores would oversubscribe them.
-  void ensure_workers(std::size_t n);
-
   /// Number of chunks parallel_for may dispatch (excluding the calling
   /// thread). Defaults to the initial worker count (YF_THREADS or
-  /// hardware_concurrency) and is unaffected by ensure_workers.
+  /// hardware_concurrency).
   std::size_t fanout() const;
 
   /// Raise the fan-out cap (grows the pool to match). For tests and
@@ -65,14 +57,14 @@ class ThreadPool {
   /// Enqueue a task; the future rethrows any exception it raised.
   ///
   /// COLD PATH: constructing the std::function and the promise/future
-  /// pair heap-allocates per task. The callers are parallel_for's chunk
-  /// dispatch, which only runs above the grain, and run_workers' one
-  /// task per worker per run. Nothing a zero-allocation step runs may
-  /// submit here.
+  /// pair heap-allocates per task. The library's one caller is
+  /// parallel_for's chunk dispatch, which only runs above the grain.
+  /// Nothing a zero-allocation step runs may submit here. Tasks must not
+  /// wait on each other: nothing grows the pool to fit a blocking task set.
   std::future<void> submit(std::function<void()> fn);
 
-  /// True when called from inside a pool worker (used to run nested
-  /// parallel constructs inline).
+  /// True when called from inside a pool worker or from a thread marked
+  /// by detail::mark_thread_inline (parallel_for runs inline there).
   static bool on_worker_thread();
 
  private:
@@ -97,13 +89,20 @@ struct BodyRef {
 /// Pool-dispatching slow path; `body` must stay alive for the call.
 void parallel_for_dispatch(std::int64_t n, std::int64_t grain, const BodyRef& body);
 
+/// Make parallel_for run inline on the calling thread for the rest of its
+/// life, as on a pool worker. Training worker bodies call this first
+/// (dist::run_channel_workers): each worker already owns a thread, so
+/// fanning its kernels out onto the pool would only oversubscribe it.
+void mark_thread_inline();
+
 }  // namespace detail
 
 /// Run `body(lo, hi)` over a partition of [0, n). Ranges are disjoint,
 /// cover [0, n) exactly, and are at least `grain` long (except possibly
 /// the last), so per-element work is identical to a sequential sweep.
 /// Runs inline when n <= grain, the pool is unavailable, or the caller is
-/// itself a pool worker. The inline path performs no heap allocation.
+/// itself a pool worker or a thread marked inline. The inline path
+/// performs no heap allocation.
 template <typename Body>
 void parallel_for(std::int64_t n, std::int64_t grain, const Body& body) {
   if (n <= 0) return;

@@ -11,6 +11,7 @@
 #include "autograd/tape.hpp"
 #include "core/arena.hpp"
 #include "core/env.hpp"
+#include "core/parallel.hpp"
 
 namespace yf::dist {
 
@@ -48,13 +49,15 @@ async::ServerRunResult run_channel_workers(const std::vector<ChannelWorker>& wor
   };
   std::vector<PerWorker> collected(workers.size());
 
-  // Plain threads, not the compute pool: a socket worker parks in
-  // blocking reads for most of a round trip, and parking pool workers
-  // would starve the elementwise kernels the gradient computation needs.
+  // Plain threads, not the compute pool: workers park in socket reads
+  // and on shard locks, and parked pool workers would starve the kernels
+  // the pool runs -- or deadlock a caller that is itself a pool task. A
+  // worker already owns a thread, so its kernels run inline on it.
   std::vector<std::thread> threads;
   threads.reserve(workers.size());
   for (std::size_t w = 0; w < workers.size(); ++w) {
     threads.emplace_back([&workers, &collected, &opts, w] {
+      core::detail::mark_thread_inline();
       PerWorker& out = collected[w];
       try {
         const ChannelWorker& worker = workers[w];
@@ -113,3 +116,30 @@ async::ServerRunResult run_channel_workers(const std::vector<ChannelWorker>& wor
 }
 
 }  // namespace yf::dist
+
+namespace yf::async {
+
+// Declared in async/param_server.hpp; defined here, beside the loop it
+// delegates to, so src/async includes nothing from src/dist.
+ServerRunResult run_workers(ShardedParamServer& server, const std::vector<ServerWorker>& workers,
+                            const ServerRunOptions& opts) {
+  const tensor::Tensor& master_values = server.optimizer().arena().values_tensor();
+  std::vector<dist::InprocChannel> channels;
+  channels.reserve(workers.size());  // stable addresses for the workers below
+  std::vector<dist::ChannelWorker> channel_workers;
+  channel_workers.reserve(workers.size());
+  for (const ServerWorker& worker : workers) {
+    // A worker training on the master's own parameters would bypass every
+    // shard lock.
+    for (const autograd::Variable& p : worker.params) {
+      if (p.defined() && p.value().shares_storage_with(master_values)) {
+        throw std::invalid_argument("run_workers: worker params alias the master arena");
+      }
+    }
+    channels.emplace_back(server);
+    channel_workers.push_back({&channels.back(), worker.params, worker.grad_fn});
+  }
+  return dist::run_channel_workers(channel_workers, opts);
+}
+
+}  // namespace yf::async

@@ -83,10 +83,11 @@ Engine channel_engine_from_env();
 const char* engine_name(Engine engine);
 
 // ---------------------------------------------------------------------------
-// Worker harness over channels: the run_workers loop (async/param_server)
-// generalized to any ParamChannel, so the same scenario drives in-process
-// shards or a remote master. One thread per worker (workers block on
-// channel I/O); each worker needs its OWN channel.
+// Worker harness over channels: the one worker loop. async::run_workers is
+// this loop over one InprocChannel per worker, so the same scenario drives
+// in-process shards or a remote master. One thread per worker (workers
+// block on channel I/O and on shard locks); each worker needs its OWN
+// channel.
 // ---------------------------------------------------------------------------
 
 /// Like async::ServerWorker, each worker body records onto its own
@@ -98,16 +99,14 @@ struct ChannelWorker {
   std::function<double()> grad_fn;
 };
 
-struct ChannelRunOptions {
-  std::int64_t steps_per_worker = 100;
-  std::int64_t compute_delay_us = 0;  ///< simulated gradient latency
-};
+using ChannelRunOptions = async::ServerRunOptions;
 
-/// Run every worker for steps_per_worker (>= 0) pull/compute/push rounds.
-/// Results merge in update_index order like async::run_workers; the
-/// single-worker sequence (pull, zero, grad, push) is statement-for-
-/// statement the run_workers loop, which is what makes channel and
-/// in-process trajectories comparable bit for bit.
+/// Run every worker for steps_per_worker (>= 0) pull/compute/push rounds:
+/// pull, zero the grads, begin a tape step, grad_fn, the optional delay,
+/// push. Results merge in update_index order. Kernels inside a worker body
+/// run inline (core::detail::mark_thread_inline). With one worker the
+/// rounds are sequential, which is what makes channel and in-process
+/// trajectories comparable bit for bit.
 async::ServerRunResult run_channel_workers(const std::vector<ChannelWorker>& workers,
                                            const ChannelRunOptions& opts = {});
 

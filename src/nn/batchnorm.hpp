@@ -20,8 +20,6 @@ class BatchNorm2d : public Module {
   autograd::Variable gamma;  ///< scale, initialized to 1
   autograd::Variable beta;   ///< shift, initialized to 0
 
-  double eps() const { return eps_; }
-
  private:
   double eps_;
 };

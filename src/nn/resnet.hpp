@@ -28,16 +28,6 @@ class ResidualBlock : public Module {
 
   autograd::Variable forward(const autograd::Variable& x) const;
 
-  // Structural accessors for the tape-free serving engine (src/serve/),
-  // which mirrors forward() over snapshot-backed weights. BN handles and
-  // the projection are null when absent.
-  const Conv2d& conv1() const { return *conv1_; }
-  const Conv2d& conv2() const { return *conv2_; }
-  const Conv2d* proj() const { return proj_.get(); }
-  const BatchNorm2d* bn1() const { return bn1_.get(); }
-  const BatchNorm2d* bn2() const { return bn2_.get(); }
-  double residual_scale() const { return residual_scale_; }
-
  private:
   std::shared_ptr<Conv2d> conv1_, conv2_, proj_;
   std::shared_ptr<BatchNorm2d> bn1_, bn2_;
@@ -60,12 +50,6 @@ class MiniResNet : public Module {
 
   /// images [N, C, H, W] -> logits [N, num_classes].
   autograd::Variable forward(const autograd::Variable& images) const;
-
-  // Structural accessors for the tape-free serving engine (src/serve/).
-  const Conv2d& stem() const { return *stem_; }
-  const BatchNorm2d* stem_bn() const { return stem_bn_.get(); }
-  const std::vector<std::shared_ptr<ResidualBlock>>& blocks() const { return blocks_; }
-  const Linear& head() const { return *head_; }
 
  private:
   std::shared_ptr<Conv2d> stem_;

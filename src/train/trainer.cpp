@@ -50,10 +50,16 @@ TrainResult train(optim::Optimizer& optimizer, const GradFn& grad_fn, const Trai
   return result;
 }
 
-TrainResult train_server(async::ShardedParamServer& server,
-                         const std::vector<async::ServerWorker>& workers,
+TrainResult train_server(async::ShardedParamServer& server, const ReplicaFactory& make_replica,
+                         std::int64_t workers, std::uint64_t seed,
                          const async::ServerRunOptions& run_opts, double divergence_bound) {
-  const auto run = async::run_workers(server, workers, run_opts);
+  if (workers < 1) throw std::invalid_argument("train_server: workers must be >= 1");
+  std::vector<async::ServerWorker> replicas;
+  replicas.reserve(static_cast<std::size_t>(workers));
+  for (std::int64_t w = 0; w < workers; ++w) {
+    replicas.push_back(make_replica(seed + 100000 * static_cast<std::uint64_t>(w)));
+  }
+  const auto run = async::run_workers(server, replicas, run_opts);
   TrainResult result;
   result.losses.reserve(run.losses.size());
   for (double loss : run.losses) {

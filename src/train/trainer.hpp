@@ -1,8 +1,10 @@
 // Synchronous training loop shared by tests, examples and benches.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
+#include <vector>
 
 #include "async/async_simulator.hpp"  // for GradFn
 #include "async/param_server.hpp"
@@ -47,13 +49,18 @@ struct TrainResult {
 /// are tape handles: do not keep them past the call.
 TrainResult train(optim::Optimizer& optimizer, const GradFn& grad_fn, const TrainOptions& opts);
 
-/// Asynchronous counterpart of train(): drive `server` with the given
-/// worker replicas on the shared pool and shape the per-push losses (in
-/// server apply order) into a TrainResult. Unlike train(), workers run to
-/// completion; divergent losses are clamped to `divergence_bound` and
-/// flagged rather than aborting the run.
-TrainResult train_server(async::ShardedParamServer& server,
-                         const std::vector<async::ServerWorker>& workers,
+/// Builds one worker replica (parameters and gradient closure) from a seed.
+using ReplicaFactory = std::function<async::ServerWorker(std::uint64_t seed)>;
+
+/// Asynchronous counterpart of train(): build `workers` (>= 1) replicas,
+/// seeding worker w with `seed + 100000 * w`, drive `server` with them
+/// through async::run_workers, and shape the per-push losses (in server
+/// apply order) into a TrainResult. Worker 0 draws `seed` itself, so one
+/// worker retraces train() on a task built from `seed`. Unlike train(),
+/// workers run to completion; divergent losses are clamped to
+/// `divergence_bound` and flagged rather than aborting the run.
+TrainResult train_server(async::ShardedParamServer& server, const ReplicaFactory& make_replica,
+                         std::int64_t workers, std::uint64_t seed,
                          const async::ServerRunOptions& run_opts,
                          double divergence_bound = 1e9);
 

@@ -51,7 +51,7 @@ void* counted_aligned_alloc(std::size_t size, std::size_t align) {
   return p;
 }
 
-void counted_free(void* p) {
+[[gnu::noinline]] void counted_free(void* p) {
   if (p == nullptr) return;
   yf::core::detail::note_free();
   std::free(p);

@@ -51,7 +51,7 @@ void* counted_aligned_alloc(std::size_t size, std::size_t align) {
   return p;
 }
 
-void counted_free(void* p) {
+[[gnu::noinline]] void counted_free(void* p) {
   if (p == nullptr) return;
   yf::core::detail::note_free();
   std::free(p);
@@ -174,8 +174,14 @@ std::uint64_t allocations_during(F&& f) {
 TEST(PushLedger, StateRoundTripIsLossless) {
   dist::PushLedger a;
   a.next_worker_id = 7;
-  a.entries[1] = {12, {.update_index = 40, .applied_momentum = 0.5, .target_momentum = 0.6}};
-  a.entries[3] = {99, {.update_index = 44, .applied_momentum = 0.25, .target_momentum = 0.3}};
+  a.entries[1] = {12, {.update_index = 40,
+                       .mu_hat_total = std::nullopt,
+                       .applied_momentum = 0.5,
+                       .target_momentum = 0.6}};
+  a.entries[3] = {99, {.update_index = 44,
+                       .mu_hat_total = std::nullopt,
+                       .applied_momentum = 0.25,
+                       .target_momentum = 0.3}};
   a.entries[3].reply.mu_hat_total = 0.125;
 
   std::vector<std::byte> bytes;
@@ -206,7 +212,10 @@ TEST(Checkpoint, DiskRoundTripContinuesBitIdentically) {
   Rig a;
   dist::PushLedger ledger_a;
   ledger_a.next_worker_id = 3;
-  ledger_a.entries[2] = {17, {.update_index = 9, .applied_momentum = 0.4, .target_momentum = 0.5}};
+  ledger_a.entries[2] = {17, {.update_index = 9,
+                              .mu_hat_total = std::nullopt,
+                              .applied_momentum = 0.4,
+                              .target_momentum = 0.5}};
 
   t::Rng rng_a(5);
   std::vector<double> buf(static_cast<std::size_t>(a.server->size()));
@@ -245,7 +254,9 @@ TEST(Checkpoint, DiskRoundTripContinuesBitIdentically) {
     EXPECT_EQ(sa.applied_momentum, sb.applied_momentum);
     EXPECT_EQ(sa.target_momentum, sb.target_momentum);
     EXPECT_EQ(sa.mu_hat_total.has_value(), sb.mu_hat_total.has_value());
-    if (sa.mu_hat_total && sb.mu_hat_total) EXPECT_EQ(*sa.mu_hat_total, *sb.mu_hat_total);
+    if (sa.mu_hat_total && sb.mu_hat_total) {
+      EXPECT_EQ(*sa.mu_hat_total, *sb.mu_hat_total);
+    }
   }
   const auto fa = flat_values(a.params);
   const auto fb = flat_values(b.params);
@@ -371,7 +382,10 @@ TEST(Checkpoint, SteadyStateWriteIsAllocationFree) {
 
   Rig a;
   dist::PushLedger ledger;
-  ledger.entries[1] = {4, {.update_index = 2, .applied_momentum = 0.5, .target_momentum = 0.5}};
+  ledger.entries[1] = {4, {.update_index = 2,
+                           .mu_hat_total = std::nullopt,
+                           .applied_momentum = 0.5,
+                           .target_momentum = 0.5}};
   t::Rng rng(5);
   std::vector<double> buf(static_cast<std::size_t>(a.server->size()));
   async::PullTicket ticket;

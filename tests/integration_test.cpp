@@ -5,13 +5,19 @@
 
 #include "tensor/ops.hpp"
 
+#include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "async/param_server.hpp"
 #include "autograd/ops.hpp"
+#include "core/parallel.hpp"
 #include "data/markov_text.hpp"
 #include "data/synth_cifar.hpp"
 #include "nn/language_model.hpp"
@@ -68,14 +74,15 @@ struct LmTask {
   std::shared_ptr<nn::LSTMLanguageModel> model;
   t::Rng rng;
 
-  LmTask()
+  /// `seed` drives the minibatch stream; the model init is fixed.
+  explicit LmTask(std::uint64_t seed = 200)
       : dataset([] {
           yf::data::MarkovTextConfig cfg;
           cfg.vocab = 16;
           cfg.branching = 2;
           return cfg;
         }()),
-        rng(200) {
+        rng(seed) {
     nn::LanguageModelConfig lc;
     lc.vocab = 16;
     lc.embed_dim = 8;
@@ -206,31 +213,79 @@ TEST(Integration, ClipNormAppliedByTrainer) {
 }
 
 TEST(Integration, OneWorkerServerEngineReproducesTrain) {
-  // The YF_ENGINE=server bench path with one worker: a replica of the
-  // same seeded task pushing through a 4-shard server (no measurement)
-  // must retrace the synchronous train() losses bit for bit.
+  // The YF_ENGINE=server bench path with one worker: train_server seeds
+  // its replica from the same seed as the synchronous task, and the
+  // replica pushing through a 4-shard server (no measurement) must
+  // retrace the synchronous train() losses bit for bit.
   constexpr std::int64_t kSteps = 40;
-  LmTask sync_task;
+  constexpr std::uint64_t kSeed = 200;
+  LmTask sync_task(kSeed);
   yf::tuner::YellowFin sync_opt(sync_task.model->parameters());
   train::TrainOptions topts;
   topts.iterations = kSteps;
   const auto sync = train::train(sync_opt, sync_task.grad_fn(), topts);
 
-  LmTask master;
-  LmTask replica;
+  LmTask master(kSeed);
   auto opt = std::make_shared<yf::tuner::YellowFin>(master.model->parameters());
   yf::async::ParamServerOptions sopts;
   sopts.shards = 4;
   sopts.measure = false;
   yf::async::ShardedParamServer server(opt, sopts);
-  const std::vector<yf::async::ServerWorker> workers = {
-      {replica.model->parameters(), replica.grad_fn()}};
+  const train::ReplicaFactory make_replica = [](std::uint64_t seed) {
+    auto replica = std::make_shared<LmTask>(seed);
+    return yf::async::ServerWorker{replica->model->parameters(),
+                                   [replica, step = replica->grad_fn()] { return step(); }};
+  };
   yf::async::ServerRunOptions ropts;
   ropts.steps_per_worker = kSteps;
-  const auto served = train::train_server(server, workers, ropts);
+  const auto served = train::train_server(server, make_replica, 1, kSeed, ropts);
 
   ASSERT_EQ(served.losses.size(), sync.losses.size());
   for (std::size_t i = 0; i < sync.losses.size(); ++i) {
     EXPECT_EQ(served.losses[i], sync.losses[i]) << "step " << i;
+  }
+}
+
+TEST(Integration, RunWorkersFromInsidePoolTasks) {
+  // One pool task per pool thread, each running a one-worker run_workers
+  // on its own server. Worker loops own their threads, so these nested
+  // runs need no free pool thread and must finish.
+  constexpr std::int64_t kSteps = 20;
+  constexpr std::int64_t kDim = 8;
+  auto& pool = yf::core::ThreadPool::instance();
+  const std::size_t tasks = pool.size();
+  std::vector<std::int64_t> updates(tasks, -1);
+  std::vector<std::future<void>> futures;
+  for (std::size_t i = 0; i < tasks; ++i) {
+    futures.push_back(pool.submit([&updates, i] {
+      ag::Variable master(t::Tensor::full({kDim}, 1.0), true);
+      auto opt = std::make_shared<yf::optim::MomentumSGD>(std::vector<ag::Variable>{master},
+                                                          0.1, 0.5);
+      yf::async::ShardedParamServer server(opt, {});
+      ag::Variable replica(t::Tensor::zeros({kDim}), true);
+      const std::vector<yf::async::ServerWorker> workers = {{{replica}, [replica] {
+        const auto v = replica.value().data();
+        auto g = replica.node()->ensure_grad().data();
+        double loss = 0.0;
+        for (std::size_t j = 0; j < v.size(); ++j) {
+          g[j] = v[j];
+          loss += 0.5 * v[j] * v[j];
+        }
+        return loss;
+      }}};
+      yf::async::ServerRunOptions ropts;
+      ropts.steps_per_worker = kSteps;
+      updates[i] = yf::async::run_workers(server, workers, ropts).total_updates;
+    }));
+  }
+  for (std::size_t i = 0; i < tasks; ++i) {
+    if (futures[i].wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
+      // The blocked tasks reference this frame: exit instead of unwinding.
+      std::fprintf(stderr, "RunWorkersFromInsidePoolTasks: pool task %zu of %zu still running "
+                           "after 30 s (nested run_workers deadlocked)\n", i, tasks);
+      std::_Exit(1);
+    }
+    futures[i].get();
+    EXPECT_EQ(updates[i], kSteps) << "task " << i;
   }
 }

@@ -11,15 +11,12 @@
 
 #include "core/arena.hpp"
 #include "nn/language_model.hpp"
-#include "nn/resnet.hpp"
 #include "optim/momentum_sgd.hpp"
 #include "serve/engine.hpp"
 #include "serve/lm_forward.hpp"
-#include "serve/resnet_forward.hpp"
 #include "serve/snapshot.hpp"
 #include "tensor/random.hpp"
 
-namespace ag = yf::autograd;
 namespace nn = yf::nn;
 namespace t = yf::tensor;
 namespace serve = yf::serve;
@@ -157,35 +154,6 @@ TEST(Serve, LMForwardValidatesRequests) {
   toks[1] = cfg.vocab;  // out of range
   EXPECT_THROW(fwd.forward(toks, 1, 0), std::out_of_range);
   EXPECT_THROW(fwd.forward(toks, 3, 0), std::invalid_argument);  // batch > max
-}
-
-TEST(Serve, ResNetForwardIsBitIdenticalToTrainingForward) {
-  for (const bool with_bn : {true, false}) {
-    nn::MiniResNetConfig cfg;
-    cfg.base_channels = 4;
-    cfg.blocks_per_stage = 1;
-    cfg.num_classes = 5;
-    cfg.with_batchnorm = with_bn;
-    t::Rng rng(9);
-    nn::MiniResNet model(cfg, rng);
-    yf::core::ParamArena arena(model.parameters());
-    serve::SnapshotStore store(arena.size());
-    store.publish(arena.values());
-
-    const std::int64_t batch = 2, h = 8, w = 8;
-    t::Rng data_rng(11);
-    const auto images = data_rng.normal_tensor({batch, cfg.in_channels, h, w});
-
-    serve::ResNetForward fwd(model, arena, store, batch, h, w);
-    const auto pin = store.acquire();
-    const auto& served = fwd.forward(images, pin.slot());
-    const auto expected = model.forward(ag::Variable(images)).value();
-
-    ASSERT_EQ(served.size(), expected.size());
-    for (std::int64_t i = 0; i < served.size(); ++i) {
-      EXPECT_EQ(served[i], expected[i]) << "with_bn=" << with_bn << " logit " << i;
-    }
-  }
 }
 
 TEST(Serve, ServerSingleRequestMatchesModelLogits) {
