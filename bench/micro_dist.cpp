@@ -4,7 +4,7 @@
 // Each measured iteration is one full worker round: pull the parameters,
 // push a gradient, get the ApplyStats reply. The in-process channel
 // prices the ShardedParamServer arithmetic alone; the socket channel adds
-// two localhost frame round trips (serialize, FNV-1a checksum both ways,
+// two localhost frame round trips (serialize, XXH64 checksum both ways,
 // TCP_NODELAY loopback), so the delta IS the transport overhead the
 // distributed engine pays per update. Bytes/s counts the payload doubles
 // moved both directions, which is the number to watch when sizing a

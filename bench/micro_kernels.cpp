@@ -15,6 +15,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "common.hpp"
@@ -240,6 +241,68 @@ BENCHMARK_CAPTURE(BM_FusedYellowFinStep, scalar, core::KernelBackend::kScalar)
 BENCHMARK_CAPTURE(BM_FusedYellowFinStep, simd, core::KernelBackend::kSimd)
     ->Args({256, 64})
     ->Args({1, 100000});
+
+// -- Transcendentals: old libm map lambdas vs the kernel-table entries. ------
+// Arg is n: 96 is one LSTM gate tensor ([6,16]), 100000 a long sweep.
+// Inputs are N(0, 3^2), the scale of gate pre-activations. The
+// BM_LibmUnary* replicas run the core::map lambdas tensor::exp_into,
+// sigmoid_into and tanh_into used before the table entries existed.
+
+std::vector<double> unary_inputs(std::int64_t n) {
+  t::Rng rng(11);
+  std::vector<double> x(static_cast<std::size_t>(n));
+  for (auto& v : x) v = 3.0 * rng.normal();
+  return x;
+}
+
+template <typename F>
+void run_unary(benchmark::State& state, F f) {
+  const auto x = unary_inputs(state.range(0));
+  std::vector<double> y(x.size());
+  for (auto _ : state) {
+    f(y, x);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
+void BM_LibmUnaryExp(benchmark::State& state) {
+  run_unary(state, [](std::span<double> y, std::span<const double> x) {
+    core::map(y, x, [](double v) { return std::exp(v); });
+  });
+}
+void BM_LibmUnarySigmoid(benchmark::State& state) {
+  run_unary(state, [](std::span<double> y, std::span<const double> x) {
+    core::map(y, x, [](double v) { return 1.0 / (1.0 + std::exp(-v)); });
+  });
+}
+void BM_LibmUnaryTanh(benchmark::State& state) {
+  run_unary(state, [](std::span<double> y, std::span<const double> x) {
+    core::map(y, x, [](double v) { return std::tanh(v); });
+  });
+}
+BENCHMARK(BM_LibmUnaryExp)->Arg(96)->Arg(100000);
+BENCHMARK(BM_LibmUnarySigmoid)->Arg(96)->Arg(100000);
+BENCHMARK(BM_LibmUnaryTanh)->Arg(96)->Arg(100000);
+
+void BM_UnaryExp(benchmark::State& state, core::KernelBackend backend) {
+  BackendScope scope(state, backend);
+  if (scope) run_unary(state, core::exp);
+}
+void BM_UnarySigmoid(benchmark::State& state, core::KernelBackend backend) {
+  BackendScope scope(state, backend);
+  if (scope) run_unary(state, core::sigmoid);
+}
+void BM_UnaryTanh(benchmark::State& state, core::KernelBackend backend) {
+  BackendScope scope(state, backend);
+  if (scope) run_unary(state, core::tanh);
+}
+BENCHMARK_CAPTURE(BM_UnaryExp, scalar, core::KernelBackend::kScalar)->Arg(96)->Arg(100000);
+BENCHMARK_CAPTURE(BM_UnaryExp, simd, core::KernelBackend::kSimd)->Arg(96)->Arg(100000);
+BENCHMARK_CAPTURE(BM_UnarySigmoid, scalar, core::KernelBackend::kScalar)->Arg(96)->Arg(100000);
+BENCHMARK_CAPTURE(BM_UnarySigmoid, simd, core::KernelBackend::kSimd)->Arg(96)->Arg(100000);
+BENCHMARK_CAPTURE(BM_UnaryTanh, scalar, core::KernelBackend::kScalar)->Arg(96)->Arg(100000);
+BENCHMARK_CAPTURE(BM_UnaryTanh, simd, core::KernelBackend::kSimd)->Arg(96)->Arg(100000);
 
 // -- Blocked matmul through the kernel backends. -----------------------------
 

@@ -455,6 +455,17 @@ Variable add_row_broadcast(const Variable& a, const Variable& bias) {
   return Variable(std::move(f.handle));
 }
 
+namespace {
+
+/// Max of row i of the row-major [*, c] tensor v (the softmax shift).
+double row_max(const t::Tensor& v, std::int64_t i, std::int64_t c) {
+  double mx = -1e300;
+  for (std::int64_t j = 0; j < c; ++j) mx = std::max(mx, v[i * c + j]);
+  return mx;
+}
+
+}  // namespace
+
 Variable softmax(const Variable& logits) {
   const auto& v = logits.value();
   if (v.ndim() != 2) throw std::invalid_argument("softmax: expected 2-D logits");
@@ -463,12 +474,16 @@ Variable softmax(const Variable& logits) {
   const NodePtr parents[] = {an};
   auto f = make_frame("softmax", parents, dims_of(v));
   auto& probs = f.node->value;
+  // Max-shifted rows, exp'd in place, each divided by its j-ascending sum.
   for (std::int64_t i = 0; i < m; ++i) {
-    double mx = -1e300;
-    for (std::int64_t j = 0; j < c; ++j) mx = std::max(mx, v[i * c + j]);
+    const double mx = row_max(v, i, c);
+    for (std::int64_t j = 0; j < c; ++j) probs[i * c + j] = v[i * c + j] - mx;
+  }
+  core::exp(probs.data(), probs.data());
+  for (std::int64_t i = 0; i < m; ++i) {
     double z = 0.0;
-    for (std::int64_t j = 0; j < c; ++j) z += std::exp(v[i * c + j] - mx);
-    for (std::int64_t j = 0; j < c; ++j) probs[i * c + j] = std::exp(v[i * c + j] - mx) / z;
+    for (std::int64_t j = 0; j < c; ++j) z += probs[i * c + j];
+    for (std::int64_t j = 0; j < c; ++j) probs[i * c + j] /= z;
   }
   if (f.fresh && f.node->requires_grad) {
     f.node->backward_fn = [an, m, c](Node& n) {
@@ -510,18 +525,24 @@ Variable softmax_cross_entropy(const Variable& logits, const std::vector<std::in
 
   // Forward: mean_i [ logsumexp(x_i) - x_i[y_i] ]. Cache probabilities for
   // the pullback: d/dx = (softmax(x) - onehot(y)) / m.
+  // The probs scratch first holds the max-shifted rows, exp'd in place to
+  // sum each row; then x - logsumexp(x), exp'd in place again.
   t::Tensor& probs = f.node->scratch[0];
+  for (std::int64_t i = 0; i < m; ++i) {
+    const double mx = row_max(v, i, c);
+    for (std::int64_t j = 0; j < c; ++j) probs[i * c + j] = v[i * c + j] - mx;
+  }
+  core::exp(probs.data(), probs.data());
   double loss = 0.0;
   for (std::int64_t i = 0; i < m; ++i) {
     const auto y = labels[static_cast<std::size_t>(i)];
-    double mx = -1e300;
-    for (std::int64_t j = 0; j < c; ++j) mx = std::max(mx, v[i * c + j]);
     double z = 0.0;
-    for (std::int64_t j = 0; j < c; ++j) z += std::exp(v[i * c + j] - mx);
-    const double logz = std::log(z) + mx;
+    for (std::int64_t j = 0; j < c; ++j) z += probs[i * c + j];
+    const double logz = std::log(z) + row_max(v, i, c);
     loss += logz - v[i * c + y];
-    for (std::int64_t j = 0; j < c; ++j) probs[i * c + j] = std::exp(v[i * c + j] - logz);
+    for (std::int64_t j = 0; j < c; ++j) probs[i * c + j] = v[i * c + j] - logz;
   }
+  core::exp(probs.data(), probs.data());
   loss /= static_cast<double>(m);
   f.node->value[0] = loss;
   if (f.fresh && f.node->requires_grad) {

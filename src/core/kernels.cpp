@@ -31,6 +31,16 @@ std::int64_t elementwise_grain() {
   return active_kernel_backend() == KernelBackend::kSimd ? kSimdGrain : kDefaultGrain;
 }
 
+/// dst = f(src) through one transcendental table entry.
+void unary_sweep(std::span<double> dst, std::span<const double> src,
+                 void (*kernel)(double*, const double*, std::int64_t), const char* op) {
+  check_same_size(dst, src, op);
+  double* d = dst.data();
+  const double* s = src.data();
+  parallel_for(static_cast<std::int64_t>(dst.size()), elementwise_grain(),
+               [&](std::int64_t lo, std::int64_t hi) { kernel(d + lo, s + lo, hi - lo); });
+}
+
 }  // namespace
 
 void fill(std::span<double> x, double v) {
@@ -63,6 +73,18 @@ void axpy(std::span<double> y, std::span<const double> x, double a) {
   const double* px = x.data();
   parallel_for(static_cast<std::int64_t>(y.size()), elementwise_grain(),
                [&](std::int64_t lo, std::int64_t hi) { table.axpy(py + lo, px + lo, hi - lo, a); });
+}
+
+void exp(std::span<double> dst, std::span<const double> src) {
+  unary_sweep(dst, src, detail::active_table().exp, "exp");
+}
+
+void sigmoid(std::span<double> dst, std::span<const double> src) {
+  unary_sweep(dst, src, detail::active_table().sigmoid, "sigmoid");
+}
+
+void tanh(std::span<double> dst, std::span<const double> src) {
+  unary_sweep(dst, src, detail::active_table().tanh, "tanh");
 }
 
 double sum(std::span<const double> x) {

@@ -11,7 +11,9 @@
 //  * elementwise kernels may be partitioned over the thread pool and
 //    vectorized across elements -- each element's arithmetic sequence is
 //    fixed (and FMA-free), so neither partitioning nor lane width can
-//    change rounding;
+//    change rounding. That includes exp, sigmoid and tanh, whose
+//    sequences are the scalar references in kernel_table.hpp rather
+//    than libm calls;
 //  * reductions (sum, dot, squared_norm, ...) run on one thread in a
 //    fixed 8-lane blocked accumulation order (kernel_table.hpp) that
 //    every backend reproduces exactly;
@@ -37,6 +39,13 @@ void fill(std::span<double> x, double v);
 void copy(std::span<double> dst, std::span<const double> src);
 void scale(std::span<double> x, double a);                          ///< x *= a
 void axpy(std::span<double> y, std::span<const double> x, double a);  ///< y += a*x
+
+// -- Transcendentals (dst may alias src exactly). ----------------------------
+// Defined bit for bit by exp_ref / sigmoid_ref / tanh_ref in
+// kernel_table.hpp, not by the host's libm.
+void exp(std::span<double> dst, std::span<const double> src);      ///< dst = e^src
+void sigmoid(std::span<double> dst, std::span<const double> src);  ///< dst = 1/(1+e^-src)
+void tanh(std::span<double> dst, std::span<const double> src);
 
 // -- Reductions (sequential, lane-blocked, deterministic). ------------------
 double sum(std::span<const double> x);

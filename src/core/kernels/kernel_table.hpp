@@ -13,6 +13,9 @@
 //    reorder *across* elements but never change the arithmetic of one
 //    element, and they must not use fused-multiply-add (an FMA rounds
 //    once where mul+add rounds twice, which would fork the trajectory).
+//    The transcendentals (exp, sigmoid, tanh) are defined by the scalar
+//    references at the bottom of this file: IEEE mul/add/sub/div, exact
+//    bit operations and compares, no libm.
 //  * Reductions accumulate in the fixed lane-blocked order below --
 //    kReduceLanes independent accumulators filled round-robin in index
 //    order, combined by combine_lanes. The order is a property of the
@@ -21,7 +24,10 @@
 //    (because reductions stay on one thread) worker counts.
 #pragma once
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 
 namespace yf::core::detail {
 
@@ -48,6 +54,11 @@ struct KernelTable {
   void (*axpy)(double* y, const double* x, std::int64_t n, double a);
   void (*ewma)(double* avg, const double* x, std::int64_t n, double beta);
   void (*ewma_moments)(double* m1, double* m2, const double* x, std::int64_t n, double beta);
+
+  // -- Elementwise transcendentals: y[i] = f(x[i]); y may alias x exactly. --
+  void (*exp)(double* y, const double* x, std::int64_t n);
+  void (*sigmoid)(double* y, const double* x, std::int64_t n);
+  void (*tanh)(double* y, const double* x, std::int64_t n);
 
   // -- Fused optimizer sweeps (chunk-level). --------------------------------
   void (*momentum)(double* x, double* v, const double* g, std::int64_t n, double lr, double mu,
@@ -159,6 +170,108 @@ inline void gemm_small_ref(double* c, std::int64_t m, std::int64_t n, std::int64
       }
     }
   }
+}
+
+// -- Transcendentals: exp, sigmoid, tanh. ------------------------------------
+// Each scalar reference below IS the function: the scalar backend loops
+// it, and the AVX2 backend runs its fast path operation for operation on
+// 8-element blocks (two independent 4-lane chains). A block holding a NaN
+// or an argument outside the fast range goes through the reference
+// instead, like GEMM's edge tiles. Only IEEE mul/add/sub/div, exact bit
+// operations and compares appear, with no FMA and no libm, so results are
+// identical across backends and hosts. Accuracy against glibc (pinned by
+// core_kernels_test): exp within 1 ulp, sigmoid and tanh within 2 ulp.
+
+/// exp's fast range: for |x| <= 708, k = round(x*log2e) lies in
+/// [-1021, 1021], so 2^k is a normal double built from exponent bits.
+inline constexpr double kExpFastLimit = 708.0;
+/// Largest x with a finite exp(x) (the double nearest ln(DBL_MAX)).
+inline constexpr double kExpOverflow = 0x1.62e42fefa39efp+9;
+/// Below this exp(x) < 2^-1076, which rounds to +0.
+inline constexpr double kExpUnderflow = -746.0;
+/// tanh(x) rounds to +-1 for |x| > 19.1; 22 leaves margin.
+inline constexpr double kTanhOneLimit = 22.0;
+/// tanh's rational branch covers |x| < 0.625 (Cephes tanh.c).
+inline constexpr double kTanhRationalLimit = 0.625;
+
+inline constexpr double kLog2e = 0x1.71547652b82fep+0;
+/// Adding 1.5*2^52 rounds to an integer and leaves it in the low mantissa bits.
+inline constexpr double kExpShifter = 0x1.8p52;
+/// ln2 split so k*kLn2Hi is exact for |k| < 2^20 (fdlibm's split).
+inline constexpr double kLn2Hi = 0x1.62e42fee00000p-1;
+inline constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
+/// Taylor coefficients 1/13!, 1/12!, ..., 1/1!, 1/0! in Horner order:
+/// |r| <= ln2/2 makes the truncation error below 2^-57.
+inline constexpr double kExpTaylor[14] = {
+    1.0 / 6227020800.0, 1.0 / 479001600.0, 1.0 / 39916800.0, 1.0 / 3628800.0,
+    1.0 / 362880.0,     1.0 / 40320.0,     1.0 / 5040.0,     1.0 / 720.0,
+    1.0 / 120.0,        1.0 / 24.0,        1.0 / 6.0,        0.5,
+    1.0,                1.0};
+/// Cephes tanh: tanh(x) = x + x*z*P(z)/Q(z), z = x^2, with Q monic.
+inline constexpr double kTanhP[3] = {-9.64399179425052238628e-1, -9.92877231001918586564e1,
+                                     -1.61468768441708447952e3};
+inline constexpr double kTanhQ[3] = {1.12811678491632931402e2, 2.23548839060100448583e3,
+                                     4.84406305325125486048e3};
+inline constexpr std::uint64_t kSignBit = 0x8000000000000000ull;
+inline constexpr std::uint64_t kExponentBias = 1023;
+/// Outside the fast range exp applies 2^k as 2^(k -+ 64) * 2^(+-64).
+inline constexpr std::uint64_t kExpScaleShift = 64;
+
+/// exp's reduction and polynomial: x = k*ln2 + r with k = round(x*log2e),
+/// then e^r. Returns e^r; `kbits` receives the bits of k + 1.5*2^52, whose
+/// low 12 bits hold k in two's complement.
+inline double exp_reduce(double x, std::uint64_t& kbits) {
+  const double t = x * kLog2e + kExpShifter;
+  const double k = t - kExpShifter;
+  const double r = (x - k * kLn2Hi) - k * kLn2Lo;
+  double p = kExpTaylor[0];
+  for (int i = 1; i < 14; ++i) p = p * r + kExpTaylor[i];
+  kbits = std::bit_cast<std::uint64_t>(t);
+  return p;
+}
+
+/// 2^(k + bias - 1023) from exp_reduce's kbits: the unsigned shift keeps
+/// only the low 12 bits of k + bias, which become the exponent field.
+inline double exp_pow2(std::uint64_t kbits, std::uint64_t bias) {
+  return std::bit_cast<double>((kbits + bias) << 52);
+}
+
+inline double exp_ref(double x) {
+  std::uint64_t kbits = 0;
+  if (std::abs(x) <= kExpFastLimit) {
+    const double p = exp_reduce(x, kbits);
+    return p * exp_pow2(kbits, kExponentBias);
+  }
+  if (x != x) return x + x;  // NaN
+  if (x > kExpOverflow) return std::numeric_limits<double>::infinity();
+  if (x < kExpUnderflow) return 0.0;
+  // 2^k leaves the normal range: scale by 2^(k -+ 64) exactly, then round
+  // once into the subnormals (or to infinity) with the final 2^(+-64).
+  const double p = exp_reduce(x, kbits);
+  if (x > 0.0) return (p * exp_pow2(kbits, kExponentBias - kExpScaleShift)) * 0x1p64;
+  return (p * exp_pow2(kbits, kExponentBias + kExpScaleShift)) * 0x1p-64;
+}
+
+inline double sigmoid_ref(double x) { return 1.0 / (1.0 + exp_ref(-x)); }
+
+/// tanh on |x| with the sign bit of x OR-ed back, so tanh(-x) == -tanh(x)
+/// bitwise and tanh(-0) == -0.
+inline double tanh_ref(double x) {
+  if (x != x) return x + x;  // NaN
+  const std::uint64_t sign = std::bit_cast<std::uint64_t>(x) & kSignBit;
+  const double a = std::abs(x);
+  double t = 1.0;  // |x| > kTanhOneLimit
+  if (a < kTanhRationalLimit) {
+    const double z = a * a;
+    const double pz = (kTanhP[0] * z + kTanhP[1]) * z + kTanhP[2];
+    const double qz = ((z + kTanhQ[0]) * z + kTanhQ[1]) * z + kTanhQ[2];
+    t = a + (a * z) * (pz / qz);
+  } else if (a <= kTanhOneLimit) {
+    std::uint64_t kbits = 0;
+    const double p = exp_reduce(a + a, kbits);
+    t = 1.0 - 2.0 / (p * exp_pow2(kbits, kExponentBias) + 1.0);
+  }
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(t) | sign);
 }
 
 }  // namespace yf::core::detail

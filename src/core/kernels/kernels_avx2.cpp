@@ -9,8 +9,10 @@
 //  * elementwise kernels vectorize across elements but keep each
 //    element's mul/add/sub/div/sqrt sequence exactly as the scalar
 //    backend evaluates it -- all of these are IEEE correctly-rounded,
-//    so 4 lanes round like 4 scalars. _mm256_fmadd_pd is deliberately
-//    never used: an FMA rounds once where the scalar path rounds twice.
+//    so 4 lanes round like 4 scalars, and the bit operations, compares
+//    and blends of exp/sigmoid/tanh are exact. _mm256_fmadd_pd is
+//    deliberately never used: an FMA rounds once where the scalar path
+//    rounds twice.
 //  * reductions run two 4-wide accumulators (8 lanes) over full blocks,
 //    spill to a lane array, fold the tail into lanes 0..tail-1, and
 //    finish with the shared combine_lanes order -- operation-for-
@@ -106,6 +108,101 @@ void ewma_moments_avx2(double* m1, double* m2, const double* x, std::int64_t n, 
     b += om * (g * g);
     m2[i] = b;
   }
+}
+
+// -- Transcendentals. --------------------------------------------------------
+// The fast paths of exp_ref / sigmoid_ref / tanh_ref (kernel_table.hpp),
+// operation for operation on 4 lanes. A block with a lane outside the
+// fast range -- or a NaN, which fails every ordered compare -- runs the
+// scalar reference instead, as does the n % 8 tail.
+
+__m256d exp_fast_avx2(__m256d x) {
+  const __m256d shifter = _mm256_set1_pd(kExpShifter);
+  const __m256d t = _mm256_add_pd(_mm256_mul_pd(x, _mm256_set1_pd(kLog2e)), shifter);
+  const __m256d k = _mm256_sub_pd(t, shifter);
+  const __m256d r = _mm256_sub_pd(_mm256_sub_pd(x, _mm256_mul_pd(k, _mm256_set1_pd(kLn2Hi))),
+                                  _mm256_mul_pd(k, _mm256_set1_pd(kLn2Lo)));
+  __m256d p = _mm256_set1_pd(kExpTaylor[0]);
+  for (int i = 1; i < 14; ++i) {
+    p = _mm256_add_pd(_mm256_mul_pd(p, r), _mm256_set1_pd(kExpTaylor[i]));
+  }
+  const __m256i biased = _mm256_add_epi64(
+      _mm256_castpd_si256(t), _mm256_set1_epi64x(static_cast<long long>(kExponentBias)));
+  return _mm256_mul_pd(p, _mm256_castsi256_pd(_mm256_slli_epi64(biased, 52)));
+}
+
+__m256d sigmoid_fast_avx2(__m256d x) {
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d e = exp_fast_avx2(_mm256_xor_pd(x, _mm256_set1_pd(-0.0)));
+  return _mm256_div_pd(one, _mm256_add_pd(one, e));
+}
+
+__m256d tanh_rational_avx2(__m256d a) {
+  const __m256d z = _mm256_mul_pd(a, a);
+  __m256d pz =
+      _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(kTanhP[0]), z), _mm256_set1_pd(kTanhP[1]));
+  pz = _mm256_add_pd(_mm256_mul_pd(pz, z), _mm256_set1_pd(kTanhP[2]));
+  __m256d qz = _mm256_add_pd(z, _mm256_set1_pd(kTanhQ[0]));
+  qz = _mm256_add_pd(_mm256_mul_pd(qz, z), _mm256_set1_pd(kTanhQ[1]));
+  qz = _mm256_add_pd(_mm256_mul_pd(qz, z), _mm256_set1_pd(kTanhQ[2]));
+  return _mm256_add_pd(a, _mm256_mul_pd(_mm256_mul_pd(a, z), _mm256_div_pd(pz, qz)));
+}
+
+__m256d tanh_exp_avx2(__m256d a) {
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d e = exp_fast_avx2(_mm256_add_pd(a, a));
+  return _mm256_sub_pd(one, _mm256_div_pd(_mm256_set1_pd(2.0), _mm256_add_pd(e, one)));
+}
+
+__m256d tanh_fast_avx2(__m256d x) {
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d a = _mm256_andnot_pd(sign, x);
+  const __m256d small = _mm256_cmp_pd(a, _mm256_set1_pd(kTanhRationalLimit), _CMP_LT_OQ);
+  // Both branches are exact per lane, so the blend picks tanh_ref's result.
+  const __m256d t = _mm256_blendv_pd(tanh_exp_avx2(a), tanh_rational_avx2(a), small);
+  return _mm256_or_pd(t, _mm256_and_pd(x, sign));
+}
+
+/// y = fast(x) on each 8-element block whose lanes all satisfy
+/// |x| <= limit, as two independent 4-lane chains, and y = ref(x)
+/// element by element everywhere else. Both vectors are loaded before
+/// either is stored, so y may alias x.
+template <typename Fast, typename Ref>
+void transcendental_avx2(double* y, const double* x, std::int64_t n, double limit, Fast fast,
+                         Ref ref) {
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d lim = _mm256_set1_pd(limit);
+  std::int64_t i = 0;
+  for (; i + 2 * kVec <= n; i += 2 * kVec) {
+    const __m256d x0 = _mm256_loadu_pd(x + i);
+    const __m256d x1 = _mm256_loadu_pd(x + i + kVec);
+    const __m256d in0 = _mm256_cmp_pd(_mm256_andnot_pd(sign, x0), lim, _CMP_LE_OQ);
+    const __m256d in1 = _mm256_cmp_pd(_mm256_andnot_pd(sign, x1), lim, _CMP_LE_OQ);
+    if (_mm256_movemask_pd(_mm256_and_pd(in0, in1)) != 0xF) {
+      for (std::int64_t j = i; j < i + 2 * kVec; ++j) y[j] = ref(x[j]);
+      continue;
+    }
+    const __m256d y0 = fast(x0);
+    const __m256d y1 = fast(x1);
+    _mm256_storeu_pd(y + i, y0);
+    _mm256_storeu_pd(y + i + kVec, y1);
+  }
+  for (; i < n; ++i) y[i] = ref(x[i]);
+}
+
+void exp_avx2(double* y, const double* x, std::int64_t n) {
+  transcendental_avx2(
+      y, x, n, kExpFastLimit, [](__m256d v) { return exp_fast_avx2(v); }, exp_ref);
+}
+
+void sigmoid_avx2(double* y, const double* x, std::int64_t n) {
+  transcendental_avx2(
+      y, x, n, kExpFastLimit, [](__m256d v) { return sigmoid_fast_avx2(v); }, sigmoid_ref);
+}
+
+void tanh_avx2(double* y, const double* x, std::int64_t n) {
+  transcendental_avx2(
+      y, x, n, kTanhOneLimit, [](__m256d v) { return tanh_fast_avx2(v); }, tanh_ref);
 }
 
 // -- Fused optimizer sweeps. -------------------------------------------------
@@ -592,6 +689,9 @@ const KernelTable kAvx2Kernels = {
     .axpy = axpy_avx2,
     .ewma = ewma_avx2,
     .ewma_moments = ewma_moments_avx2,
+    .exp = exp_avx2,
+    .sigmoid = sigmoid_avx2,
+    .tanh = tanh_avx2,
     .momentum = momentum_avx2,
     .adam = adam_avx2,
     .adagrad = adagrad_avx2,

@@ -55,6 +55,20 @@ void ewma_moments_scalar(double* m1, double* m2, const double* x, std::int64_t n
   }
 }
 
+// -- Transcendentals: loops over the kernel_table.hpp references. ------------
+
+void exp_scalar(double* y, const double* x, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) y[i] = exp_ref(x[i]);
+}
+
+void sigmoid_scalar(double* y, const double* x, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) y[i] = sigmoid_ref(x[i]);
+}
+
+void tanh_scalar(double* y, const double* x, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) y[i] = tanh_ref(x[i]);
+}
+
 // -- Fused optimizer sweeps. -------------------------------------------------
 
 void momentum_scalar(double* x, double* v, const double* g, std::int64_t n, double lr, double mu,
@@ -252,6 +266,9 @@ const KernelTable kScalarKernels = {
     .axpy = axpy_scalar,
     .ewma = ewma_scalar,
     .ewma_moments = ewma_moments_scalar,
+    .exp = exp_scalar,
+    .sigmoid = sigmoid_scalar,
+    .tanh = tanh_scalar,
     .momentum = momentum_scalar,
     .adam = adam_scalar,
     .adagrad = adagrad_scalar,

@@ -156,7 +156,7 @@ void Checkpointer::write(const async::ShardedParamServer& server, const PushLedg
   core::StateWriter h(file_);
   h.u32(kCheckpointVersion);
   h.u64(payload_.size());
-  h.u64(fnv1a64(payload_));
+  h.u64(xxh64(payload_));
   file_.insert(file_.end(), payload_.begin(), payload_.end());
 
   place_file_atomic(dir_, static_cast<long long>(index), file_);
@@ -232,7 +232,7 @@ std::int64_t load_checkpoint(const std::string& path, async::ShardedParamServer&
   if (payload_len != payload.size()) {
     throw CheckpointError("checkpoint " + path + ": truncated payload");
   }
-  if (fnv1a64(payload) != checksum) {
+  if (xxh64(payload) != checksum) {
     throw CheckpointError("checkpoint " + path + ": payload checksum mismatch");
   }
 

@@ -6,9 +6,9 @@
 //
 //   offset size field
 //   0      4    magic        "YFCK" (0x59 0x46 0x43 0x4b)
-//   4      4    version      checkpoint format version, currently 1
+//   4      4    version      checkpoint format version, currently 2
 //   8      8    payload_len  bytes following the header
-//   16     8    checksum     FNV-1a 64 over the payload bytes
+//   16     8    checksum     XXH64 (seed 0) over the payload bytes
 //   24     ..   payload      u64 update index,
 //                            ShardedParamServer::save_state (values,
 //                            shard versions + histories, tuner/optimizer
@@ -49,7 +49,7 @@ class CheckpointError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 inline constexpr std::size_t kCheckpointHeaderBytes = 24;
 
 /// Exactly-once bookkeeping for the push protocol: per worker, the last

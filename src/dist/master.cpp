@@ -70,7 +70,7 @@ void MasterServer::serve_connection(TcpStream& stream) {
       PayloadReader in(payload);
       reply.clear();
       PayloadWriter out(reply);
-      // v1 protocol rule: kHello opens every conversation, so both sides
+      // Protocol rule: kHello opens every conversation, so both sides
       // agree on the arena geometry before any parameters move.
       if (!greeted && header.op != Op::kHello) {
         throw std::runtime_error(std::string(op_name(header.op)) + " before hello");

@@ -53,6 +53,37 @@ void get_span(std::span<const std::byte> in, std::span<T> dst) {
   }
 }
 
+// XXH64 (seed 0), the frame and checkpoint checksum.
+
+constexpr std::uint64_t kXxPrime1 = 0x9E3779B185EBCA87ull;
+constexpr std::uint64_t kXxPrime2 = 0xC2B2AE3D27D4EB4Full;
+constexpr std::uint64_t kXxPrime3 = 0x165667B19E3779F9ull;
+constexpr std::uint64_t kXxPrime4 = 0x85EBCA77C2B2AE63ull;
+constexpr std::uint64_t kXxPrime5 = 0x27D4EB2F165667C5ull;
+
+/// The `bytes`-byte little-endian word at `offset`: one memcpy on a
+/// little-endian host (as in put_span), get_le's byte loop elsewhere, so
+/// the checksum of a byte string does not depend on the host.
+std::uint64_t load_le(std::span<const std::byte> in, std::size_t offset, int bytes) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, in.data() + offset, static_cast<std::size_t>(bytes));
+    return v;
+  } else {
+    return get_le(in, offset, bytes);
+  }
+}
+
+std::uint64_t xx_round(std::uint64_t acc, std::uint64_t input) {
+  acc += input * kXxPrime2;
+  return std::rotl(acc, 31) * kXxPrime1;
+}
+
+std::uint64_t xx_merge(std::uint64_t h, std::uint64_t acc) {
+  h ^= xx_round(0, acc);
+  return h * kXxPrime1 + kXxPrime4;
+}
+
 }  // namespace
 
 bool op_known(std::uint16_t op) {
@@ -74,12 +105,48 @@ const char* op_name(Op op) {
   return "unknown";
 }
 
-std::uint64_t fnv1a64(std::span<const std::byte> data) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const std::byte b : data) {
-    h ^= std::to_integer<std::uint64_t>(b);
-    h *= 0x100000001b3ull;
+std::uint64_t xxh64(std::span<const std::byte> data) {
+  const std::size_t n = data.size();
+  std::size_t i = 0;
+  std::uint64_t h = kXxPrime5;
+  if (n >= 32) {
+    // Four independent lanes over 32-byte stripes (seed 0).
+    std::uint64_t v1 = kXxPrime1 + kXxPrime2;
+    std::uint64_t v2 = kXxPrime2;
+    std::uint64_t v3 = 0;
+    std::uint64_t v4 = 0 - kXxPrime1;
+    for (; i + 32 <= n; i += 32) {
+      v1 = xx_round(v1, load_le(data, i, 8));
+      v2 = xx_round(v2, load_le(data, i + 8, 8));
+      v3 = xx_round(v3, load_le(data, i + 16, 8));
+      v4 = xx_round(v4, load_le(data, i + 24, 8));
+    }
+    h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) + std::rotl(v4, 18);
+    h = xx_merge(h, v1);
+    h = xx_merge(h, v2);
+    h = xx_merge(h, v3);
+    h = xx_merge(h, v4);
   }
+  h += static_cast<std::uint64_t>(n);
+  for (; i + 8 <= n; i += 8) {
+    h ^= xx_round(0, load_le(data, i, 8));
+    h = std::rotl(h, 27) * kXxPrime1 + kXxPrime4;
+  }
+  if (i + 4 <= n) {
+    h ^= load_le(data, i, 4) * kXxPrime1;
+    h = std::rotl(h, 23) * kXxPrime2 + kXxPrime3;
+    i += 4;
+  }
+  for (; i < n; ++i) {
+    h ^= std::to_integer<std::uint64_t>(data[i]) * kXxPrime5;
+    h = std::rotl(h, 11) * kXxPrime1;
+  }
+  // Final avalanche.
+  h ^= h >> 33;
+  h *= kXxPrime2;
+  h ^= h >> 29;
+  h *= kXxPrime3;
+  h ^= h >> 32;
   return h;
 }
 
@@ -101,10 +168,10 @@ void encode_frame(std::vector<std::byte>& out, Op op, std::span<const std::byte>
   for (const std::uint8_t m : kMagic) out.push_back(static_cast<std::byte>(m));
   put_le(out, kWireVersion, 2);
   put_le(out, static_cast<std::uint16_t>(op), 2);
-  put_le(out, 0, 4);  // shard (reserved in v1)
-  put_le(out, 0, 8);  // shard version (reserved in v1)
+  put_le(out, 0, 4);  // shard (reserved)
+  put_le(out, 0, 8);  // shard version (reserved)
   put_le(out, payload.size(), 8);
-  put_le(out, fnv1a64(payload), 8);
+  put_le(out, xxh64(payload), 8);
   put_le(out, 0, 4);  // reserved
   out.insert(out.end(), payload.begin(), payload.end());
 }
@@ -139,7 +206,7 @@ bool read_frame(ByteSource& src, FrameHeader& header, std::vector<std::byte>& pa
   header.shard = static_cast<std::uint32_t>(get_le(h, 8, 4));
   header.shard_version = get_le(h, 12, 8);
   if (header.shard != 0 || header.shard_version != 0) {
-    throw WireError("nonzero shard fields in a v1 frame (reserved)");
+    throw WireError("nonzero shard fields (reserved)");
   }
   header.payload_len = get_le(h, 20, 8);
   header.checksum = get_le(h, 28, 8);
@@ -156,7 +223,7 @@ bool read_frame(ByteSource& src, FrameHeader& header, std::vector<std::byte>& pa
   if (!payload.empty() && !read_exact(src, payload, "frame payload")) {
     throw WireError("torn frame: stream ended inside frame payload");
   }
-  const std::uint64_t sum = fnv1a64(payload);
+  const std::uint64_t sum = xxh64(payload);
   if (sum != header.checksum) {
     throw WireError("payload checksum mismatch (frame corrupted in transit)");
   }

@@ -6,13 +6,16 @@
 //
 //   offset size field
 //   0      4    magic          "YFWP" (0x59 0x46 0x57 0x50 on the wire)
-//   4      2    version        protocol version, currently 1
+//   4      2    version        protocol version, currently 2
 //   6      2    op             Op enum below
-//   8      4    shard          shard id (v1: must be 0, reserved for
+//   8      4    shard          shard id (must be 0, reserved for
 //   12     8    shard version   per-shard ops; receivers reject nonzero)
 //   20     8    payload_len    payload bytes following the header
-//   28     8    checksum       FNV-1a 64 over the payload bytes
+//   28     8    checksum       XXH64 (seed 0) over the payload bytes
 //   36     4    reserved       must be 0
+//
+// Version 1 was the same layout with an FNV-1a 64 checksum; version 2
+// peers reject it.
 //
 // All multi-byte fields are little-endian, written explicitly byte by
 // byte so the encoding is identical on any host (value spans are one
@@ -52,7 +55,7 @@ class WireError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-inline constexpr std::uint16_t kWireVersion = 1;
+inline constexpr std::uint16_t kWireVersion = 2;
 inline constexpr std::size_t kHeaderBytes = 40;
 /// Default payload-size bound: a frame carries at most one full arena of
 /// doubles plus per-shard bookkeeping; 64 MiB covers ~8M parameters.
@@ -82,15 +85,17 @@ const char* op_name(Op op);
 struct FrameHeader {
   std::uint16_t version = kWireVersion;
   Op op = Op::kError;
-  std::uint32_t shard = 0;         ///< v1: always 0 (reserved, validated)
-  std::uint64_t shard_version = 0; ///< v1: always 0 (reserved, validated)
+  std::uint32_t shard = 0;         ///< always 0 (reserved, validated)
+  std::uint64_t shard_version = 0; ///< always 0 (reserved, validated)
   std::uint64_t payload_len = 0;
-  std::uint64_t checksum = 0;      ///< FNV-1a 64 of the payload bytes
+  std::uint64_t checksum = 0;      ///< XXH64 of the payload bytes
 };
 
-/// FNV-1a 64-bit over `data` -- the payload checksum. Not cryptographic;
-/// it catches torn writes and framing bugs, not adversaries.
-std::uint64_t fnv1a64(std::span<const std::byte> data);
+/// XXH64 with seed 0 over `data` -- the frame and checkpoint checksum.
+/// Words are read little-endian, so the value depends only on the bytes.
+/// Not cryptographic; it catches torn writes and framing bugs, not
+/// adversaries.
+std::uint64_t xxh64(std::span<const std::byte> data);
 
 // ---------------------------------------------------------------------------
 // Blocking byte-stream interfaces. The framing layer is written against

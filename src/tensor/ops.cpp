@@ -74,7 +74,8 @@ void mul_scalar_into(Tensor& out, const Tensor& a, double s) {
   unary_into(out, a, "mul_scalar", [s](double x) { return x * s; });
 }
 void exp_into(Tensor& out, const Tensor& a) {
-  unary_into(out, a, "exp", [](double x) { return std::exp(x); });
+  check_out_shape(out, a.shape(), "exp");
+  core::exp(out.data(), a.data());
 }
 void log_into(Tensor& out, const Tensor& a) {
   unary_into(out, a, "log", [](double x) { return std::log(x); });
@@ -83,10 +84,12 @@ void square_into(Tensor& out, const Tensor& a) {
   unary_into(out, a, "square", [](double x) { return x * x; });
 }
 void tanh_into(Tensor& out, const Tensor& a) {
-  unary_into(out, a, "tanh", [](double x) { return std::tanh(x); });
+  check_out_shape(out, a.shape(), "tanh");
+  core::tanh(out.data(), a.data());
 }
 void sigmoid_into(Tensor& out, const Tensor& a) {
-  unary_into(out, a, "sigmoid", [](double x) { return 1.0 / (1.0 + std::exp(-x)); });
+  check_out_shape(out, a.shape(), "sigmoid");
+  core::sigmoid(out.data(), a.data());
 }
 void relu_into(Tensor& out, const Tensor& a) {
   unary_into(out, a, "relu", [](double x) { return x > 0.0 ? x : 0.0; });
@@ -119,7 +122,9 @@ Tensor abs(const Tensor& a) {
   return unary(a, [](double x) { return std::abs(x); });
 }
 Tensor exp(const Tensor& a) {
-  return unary(a, [](double x) { return std::exp(x); });
+  Tensor out(a.shape());
+  core::exp(out.data(), a.data());
+  return out;
 }
 Tensor log(const Tensor& a) {
   return unary(a, [](double x) { return std::log(x); });
@@ -131,10 +136,14 @@ Tensor square(const Tensor& a) {
   return unary(a, [](double x) { return x * x; });
 }
 Tensor tanh(const Tensor& a) {
-  return unary(a, [](double x) { return std::tanh(x); });
+  Tensor out(a.shape());
+  core::tanh(out.data(), a.data());
+  return out;
 }
 Tensor sigmoid(const Tensor& a) {
-  return unary(a, [](double x) { return 1.0 / (1.0 + std::exp(-x)); });
+  Tensor out(a.shape());
+  core::sigmoid(out.data(), a.data());
+  return out;
 }
 Tensor relu(const Tensor& a) {
   return unary(a, [](double x) { return x > 0.0 ? x : 0.0; });

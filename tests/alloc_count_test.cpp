@@ -431,16 +431,14 @@ TEST(AllocCount, ServerWorkersWithModelReplicasAndTapes) {
     ro.steps_per_worker = steps;
     return allocations_during([&] { (void)yf::async::run_workers(*cluster.server, workers, ro); });
   };
-  (void)run(12);  // warm-up: pool threads and their per-thread scratch
+  (void)run(12);  // warm-up
   const auto short_run = run(12);
   const auto long_run = run(48);
-  // Every run records each worker's tape afresh, a cost independent of
-  // the step count. Same slack rationale as above, plus headroom for
-  // one-time per-thread warm-up: run_workers places worker bodies on
-  // arbitrary pool threads, and the first body a given thread ever runs
-  // pays for its thread_local Eq. 37 ratio scratch
-  // (ShardedParamServer::push) -- an O(pool threads) cost that lands
-  // nondeterministically in either run. A real per-step leak would add
+  // Every run starts fresh plain threads (run_workers goes through
+  // run_channel_workers), records each worker's tape afresh, and pays
+  // for each new thread's thread_local Eq. 37 ratio scratch
+  // (ShardedParamServer::push): per-run costs independent of the step
+  // count. Same slack rationale as above. A real per-step leak would add
   // at least 72 counts (2 workers x 36 extra steps), far above this slack.
   EXPECT_LE(long_run, short_run + 24)
       << "model forward/backward on worker replicas must replay allocation-free";

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "core/kernels/backend.hpp"
@@ -54,6 +56,32 @@ double ref_lane_reduce(std::size_t n, Term term) {
   const double l0 = acc[0] + acc[4], l1 = acc[1] + acc[5];
   const double l2 = acc[2] + acc[6], l3 = acc[3] + acc[7];
   return (l0 + l2) + (l1 + l3);
+}
+
+/// Distance in representable doubles between a and b: 0 when both are
+/// NaN or bitwise equal, and for subnormals it counts subnormal ulps.
+std::int64_t ulp_distance(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) {
+    return std::isnan(a) && std::isnan(b) ? 0 : std::numeric_limits<std::int64_t>::max();
+  }
+  const auto ordered = [](double x) {
+    const auto bits = std::bit_cast<std::int64_t>(x);
+    return bits < 0 ? std::numeric_limits<std::int64_t>::min() - bits : bits;
+  };
+  const std::int64_t d = ordered(a) - ordered(b);
+  return d < 0 ? -d : d;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+using SpanUnary = void (*)(std::span<double>, std::span<const double>);
+
+/// f over x in one span call: 8-blocks take the vector path, the tail
+/// the scalar reference.
+std::vector<double> run_unary(SpanUnary f, const std::vector<double>& x) {
+  std::vector<double> y(x.size());
+  f(y, x);
+  return y;
 }
 
 }  // namespace
@@ -290,6 +318,77 @@ TEST(Kernels, SizeMismatchThrows) {
   EXPECT_THROW(core::ewma_update(a, b, 0.9), std::invalid_argument);
 }
 
+TEST(Kernels, TranscendentalsMatchLibmWithinUlps) {
+  // Dense sweeps of the active backend against glibc: exp within 1 ulp
+  // (counted in subnormal ulps below -708), sigmoid and tanh within 2.
+  constexpr int kPoints = 1 << 18;
+  const auto sweep = [](double lo, double hi) {
+    std::vector<double> x(kPoints);
+    for (int i = 0; i < kPoints; ++i) {
+      x[static_cast<std::size_t>(i)] = lo + (hi - lo) * (i + 0.5) / kPoints;
+    }
+    return x;
+  };
+  const auto expect_within = [](const char* what, SpanUnary f, double (*ref)(double),
+                                const std::vector<double>& x, std::int64_t max_ulps) {
+    const auto y = run_unary(f, x);
+    std::int64_t worst = 0;
+    double worst_x = 0.0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const std::int64_t d = ulp_distance(y[i], ref(x[i]));
+      if (d > worst) {
+        worst = d;
+        worst_x = x[i];
+      }
+    }
+    EXPECT_LE(worst, max_ulps) << what << " at x=" << worst_x;
+  };
+  const auto libm_exp = [](double v) { return std::exp(v); };
+  const auto libm_sigmoid = [](double v) { return 1.0 / (1.0 + std::exp(-v)); };
+  const auto libm_tanh = [](double v) { return std::tanh(v); };
+  expect_within("exp", core::exp, libm_exp, sweep(-708.0, 709.7), 1);
+  expect_within("exp subnormal", core::exp, libm_exp, sweep(-745.0, -708.0), 1);
+  expect_within("sigmoid", core::sigmoid, libm_sigmoid, sweep(-30.0, 30.0), 2);
+  const auto tx = sweep(-40.0, 40.0);
+  expect_within("tanh", core::tanh, libm_tanh, tx, 2);
+  // Odd symmetry holds bitwise: the kernel works on |x| and ORs the sign.
+  std::vector<double> neg(tx.size());
+  for (std::size_t i = 0; i < tx.size(); ++i) neg[i] = -tx[i];
+  const auto y = run_unary(core::tanh, tx);
+  const auto y_neg = run_unary(core::tanh, neg);
+  for (std::size_t i = 0; i < tx.size(); ++i) {
+    ASSERT_EQ(bits(y_neg[i]), bits(-y[i])) << "x=" << tx[i];
+  }
+}
+
+TEST(Kernels, TranscendentalSpecialValuesArePinned) {
+  // Each value runs as one full 8-block plus a one-element tail, and all
+  // nine results must carry the same bits.
+  const auto at = [](SpanUnary f, double x) {
+    const auto y = run_unary(f, std::vector<double>(9, x));
+    for (const double v : y) EXPECT_EQ(bits(v), bits(y[0])) << "x=" << x;
+    return y[0];
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(bits(at(core::exp, 0.0)), bits(1.0));
+  EXPECT_EQ(bits(at(core::exp, inf)), bits(inf));
+  EXPECT_EQ(bits(at(core::exp, -inf)), bits(0.0));
+  EXPECT_TRUE(std::isnan(at(core::exp, nan)));
+  EXPECT_EQ(bits(at(core::exp, 709.79)), bits(inf));
+  EXPECT_EQ(bits(at(core::exp, -746.0)), bits(0.0));
+  EXPECT_EQ(bits(at(core::sigmoid, 0.0)), bits(0.5));
+  EXPECT_EQ(bits(at(core::sigmoid, 800.0)), bits(1.0));
+  EXPECT_EQ(bits(at(core::sigmoid, -800.0)), bits(0.0));
+  EXPECT_EQ(bits(at(core::tanh, 0.0)), bits(0.0));
+  EXPECT_EQ(bits(at(core::tanh, -0.0)), bits(-0.0));
+  EXPECT_EQ(bits(at(core::tanh, 25.0)), bits(1.0));
+  EXPECT_EQ(bits(at(core::tanh, -25.0)), bits(-1.0));
+  EXPECT_EQ(bits(at(core::tanh, inf)), bits(1.0));
+  EXPECT_EQ(bits(at(core::tanh, -inf)), bits(-1.0));
+  EXPECT_TRUE(std::isnan(at(core::tanh, nan)));
+}
+
 // ---------------------------------------------------------------------------
 // Backend dispatch: scalar and SIMD must agree bit-for-bit on every
 // kernel (elementwise by per-element arithmetic identity, reductions by
@@ -386,6 +485,35 @@ TEST(KernelBackend, ElementwiseParityBitIdentical) {
     m1.insert(m1.end(), m2.begin(), m2.end());
     return m1;
   });
+  // Transcendentals: normal samples x3 (mostly the vector path), x300
+  // (mostly the out-of-range blocks), and x3 with special values mixed
+  // in. Compared as bit patterns: NaN != NaN under EXPECT_EQ.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {
+      0.0, -0.0, inf, -inf, std::numeric_limits<double>::quiet_NaN(),             // IEEE
+      708.0, -708.0, std::nextafter(708.0, inf), -708.5, 709.79, -745.0, -746.0,  // exp range
+      22.0, -22.0, std::nextafter(22.0, inf), 0.625, std::nextafter(0.625, 0.0),  // tanh branches
+      1e-300, 5e-324, -1e-10};
+  const auto parity = [&](const char* name, SpanUnary f, double scale, bool mix_specials) {
+    expect_backend_parity(name, [&](std::size_t n) {
+      auto x = random_vec(n, 130);
+      for (std::size_t i = 0; i < n; ++i) {
+        x[i] = mix_specials && i % 7 == 3 ? specials[(i / 7) % std::size(specials)] : scale * x[i];
+      }
+      std::vector<std::uint64_t> out;
+      for (const double y : run_unary(f, x)) out.push_back(bits(y));
+      return out;
+    });
+  };
+  const struct {
+    const char* name;
+    SpanUnary f;
+  } unaries[] = {{"exp", core::exp}, {"sigmoid", core::sigmoid}, {"tanh", core::tanh}};
+  for (const auto& u : unaries) {
+    parity(u.name, u.f, 3.0, false);
+    parity(u.name, u.f, 300.0, false);
+    parity(u.name, u.f, 3.0, true);
+  }
 }
 
 TEST(KernelBackend, FusedSweepParityBitIdentical) {

@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <span>
+#include <string_view>
 #include <vector>
 
 namespace dist = yf::dist;
@@ -73,8 +75,8 @@ TEST(DistWire, HeaderLayoutIsExactlyAsSpecified) {
   EXPECT_EQ(frame[1], std::byte{0x46});
   EXPECT_EQ(frame[2], std::byte{0x57});
   EXPECT_EQ(frame[3], std::byte{0x50});
-  // version 1, little-endian u16
-  EXPECT_EQ(frame[4], std::byte{1});
+  // version 2, little-endian u16
+  EXPECT_EQ(frame[4], std::byte{2});
   EXPECT_EQ(frame[5], std::byte{0});
   // op kPush = 5
   EXPECT_EQ(frame[6], std::byte{5});
@@ -157,6 +159,17 @@ TEST(DistWire, ChecksumMismatchThrows) {
   EXPECT_THROW(dist::read_frame(src, header, got), dist::WireError);
 }
 
+TEST(DistWire, Xxh64MatchesReferenceValues) {
+  // Seed-0 XXH64 reference values. The 39-byte string runs the 32-byte
+  // stripe loop, then one 4-byte word and three tail bytes.
+  const auto hash = [](std::string_view text) {
+    return dist::xxh64(std::as_bytes(std::span(text.data(), text.size())));
+  };
+  EXPECT_EQ(hash(""), 0xEF46DB3751D8E999ull);
+  EXPECT_EQ(hash("abc"), 0x44BC2CF5AD770999ull);
+  EXPECT_EQ(hash("Nobody inspects the spammish repetition"), 0xFBCEA83C8A378BF1ull);
+}
+
 TEST(DistWire, MalformedHeadersThrow) {
   dist::FrameHeader header;
   std::vector<std::byte> got;
@@ -167,7 +180,7 @@ TEST(DistWire, MalformedHeadersThrow) {
     unsigned value;
   };
   const Case cases[] = {
-      {"bad magic", 0, 0x5A},       {"unknown version", 4, 2},
+      {"bad magic", 0, 0x5A},       {"unknown version", 4, 1},
       {"unknown op", 6, 0x7F},      {"op zero", 6, 0},
       {"nonzero shard", 8, 1},      {"nonzero shard_version", 12, 1},
       {"nonzero reserved", 36, 1},
