@@ -16,8 +16,9 @@
 // into BENCH_micro_train_step.json next to ns/op.
 //
 // The Tape variants also report the workspace high-water mark
-// (workspace_peak_bytes), so the JSON shows the memory a replayed step
-// holds next to its time.
+// (workspace_peak_bytes) and the number of nodes a step records
+// (tape_nodes), so the JSON shows the memory and the graph size a
+// replayed step holds next to its time.
 //
 // Args: the LM runs {batch, seq_len_plus1}, the quadratic runs
 // {rows, dim}.
@@ -74,10 +75,11 @@ struct PhaseClock {
   }
 };
 
-/// Peak workspace footprint of a tape bench run.
+/// Peak workspace footprint and node count of a tape bench run.
 void report_tape_counters(benchmark::State& state, const ag::GraphTape& tape) {
   state.counters["workspace_peak_bytes"] =
       benchmark::Counter(static_cast<double>(tape.workspace().high_water_bytes()));
+  state.counters["tape_nodes"] = benchmark::Counter(static_cast<double>(tape.recorded_nodes()));
 }
 
 struct LmTask {

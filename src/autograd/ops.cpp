@@ -455,6 +455,119 @@ Variable add_row_broadcast(const Variable& a, const Variable& bias) {
   return Variable(std::move(f.handle));
 }
 
+// The three LSTM cell ops compute what the cell's chain of 15 general
+// elementwise nodes computes. Each pullback keeps that chain's
+// association: the chain adds every interior gradient once into a zeroed
+// buffer, and skipping a `0 +` changes no accumulated bit.
+
+Variable lstm_gates(const Variable& zx, const Variable& zh, const Variable& b) {
+  const auto h = t::check_lstm_gates(zx.value(), zh.value(), b.value());
+  const auto m = zx.value().dim(0);
+  auto xn = zx.node();
+  auto hn = zh.node();
+  auto bn = b.node();
+  const NodePtr parents[] = {xn, hn, bn};
+  auto f = make_frame("lstm_gates", parents, dims_of(zx.value()));
+  t::lstm_gates_into(f.node->value, zx.value(), zh.value(), b.value());
+  if (f.fresh && f.node->requires_grad) {
+    t::Tensor dz = make_scratch({m, 4 * h});
+    t::Tensor colsum;
+    if (bn->requires_grad) colsum = make_scratch({4 * h});
+    f.node->backward_fn = [xn, hn, bn, dz, colsum, m, h](Node& n) mutable {
+      // dz = dgates * act'(gates): y * (1 - y) on the sigmoid blocks i, f
+      // and o, 1 - y * y on the tanh block g.
+      const double* y = n.value.data().data();
+      const double* dy = n.grad.data().data();
+      double* d = dz.data().data();
+      for (std::int64_t k = 0; k < m * 4 * h; k += 4 * h) {
+        for (std::int64_t j = k; j < k + 2 * h; ++j) d[j] = dy[j] * (y[j] * (1.0 - y[j]));
+        for (std::int64_t j = k + 2 * h; j < k + 3 * h; ++j) d[j] = dy[j] * (1.0 - y[j] * y[j]);
+        for (std::int64_t j = k + 3 * h; j < k + 4 * h; ++j) d[j] = dy[j] * (y[j] * (1.0 - y[j]));
+      }
+      xn->accumulate_grad(dz);
+      hn->accumulate_grad(dz);
+      if (bn->requires_grad) {
+        t::sum_rows_into(colsum, dz);
+        bn->ensure_grad().add_(colsum);
+      }
+    };
+  }
+  return Variable(std::move(f.handle));
+}
+
+Variable lstm_cell_state(const Variable& gates, const Variable& c_prev) {
+  const auto h = t::check_lstm_state(gates.value(), c_prev.value(), "lstm_cell_state");
+  const auto m = c_prev.value().dim(0);
+  auto gn = gates.node();
+  auto cn = c_prev.node();
+  const NodePtr parents[] = {gn, cn};
+  auto f = make_frame("lstm_cell_state", parents, dims_of(c_prev.value()));
+  t::lstm_cell_into(f.node->value, gates.value(), c_prev.value());
+  if (f.fresh && f.node->requires_grad) {
+    f.node->backward_fn = [gn, cn, m, h](Node& n) {
+      const double* dc = n.grad.data().data();
+      const double* gv = gn->value.data().data();
+      if (gn->requires_grad) {
+        // di = dc * g, df = dc * c_prev, dg = dc * i.
+        double* dg = gn->ensure_grad().data().data();
+        const double* cp = cn->value.data().data();
+        for (std::int64_t r = 0; r < m; ++r) {
+          const auto i0 = r * 4 * h;
+          for (std::int64_t j = 0; j < h; ++j) {
+            const auto k = r * h + j;
+            dg[i0 + j] += dc[k] * gv[i0 + 2 * h + j];
+            dg[i0 + h + j] += dc[k] * cp[k];
+            dg[i0 + 2 * h + j] += dc[k] * gv[i0 + j];
+          }
+        }
+      }
+      if (cn->requires_grad) {
+        // dc_prev = dc * f.
+        double* dcp = cn->ensure_grad().data().data();
+        for (std::int64_t r = 0; r < m; ++r)
+          for (std::int64_t j = 0; j < h; ++j)
+            dcp[r * h + j] += dc[r * h + j] * gv[r * 4 * h + h + j];
+      }
+    };
+  }
+  return Variable(std::move(f.handle));
+}
+
+Variable lstm_hidden(const Variable& gates, const Variable& c) {
+  const auto h = t::check_lstm_state(gates.value(), c.value(), "lstm_hidden");
+  const auto m = c.value().dim(0);
+  auto gn = gates.node();
+  auto cn = c.node();
+  const NodePtr parents[] = {gn, cn};
+  auto f = make_frame("lstm_hidden", parents, dims_of(c.value()));
+  if (f.fresh) f.node->scratch.push_back(make_scratch({m, h}));  // tanh(c)
+  t::lstm_hidden_into(f.node->value, f.node->scratch[0], gates.value(), c.value());
+  if (f.fresh && f.node->requires_grad) {
+    f.node->backward_fn = [gn, cn, m, h](Node& n) {
+      const double* dh = n.grad.data().data();
+      const double* tc = n.scratch[0].data().data();
+      const double* gv = gn->value.data().data();
+      if (gn->requires_grad) {
+        // do = dh * tanh(c).
+        double* dg = gn->ensure_grad().data().data();
+        for (std::int64_t r = 0; r < m; ++r)
+          for (std::int64_t j = 0; j < h; ++j)
+            dg[r * 4 * h + 3 * h + j] += dh[r * h + j] * tc[r * h + j];
+      }
+      if (cn->requires_grad) {
+        // dc = (dh * o) * (1 - tanh(c)^2).
+        double* dc = cn->ensure_grad().data().data();
+        for (std::int64_t r = 0; r < m; ++r)
+          for (std::int64_t j = 0; j < h; ++j) {
+            const auto k = r * h + j;
+            dc[k] += (dh[k] * gv[r * 4 * h + 3 * h + j]) * (1.0 - tc[k] * tc[k]);
+          }
+      }
+    };
+  }
+  return Variable(std::move(f.handle));
+}
+
 namespace {
 
 /// Max of row i of the row-major [*, c] tensor v (the softmax shift).

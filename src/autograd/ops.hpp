@@ -75,6 +75,17 @@ Variable softmax_cross_entropy(const Variable& logits, const std::vector<std::in
 /// Row-wise softmax probabilities (forward only helper; differentiable).
 Variable softmax(const Variable& logits);
 
+/// The LSTM cell as three ops over the gate tensor (layout i | f | g | o,
+/// each H columns wide), computed by tensor::lstm_{gates,cell,hidden}_into.
+/// Values and gradients are bit-identical to the same cell built from
+/// add, add_row_broadcast, slice_cols, sigmoid, tanh and mul.
+/// gates [B, 4H] = act((zx + zh) + b): sigmoid on i, f, o and tanh on g.
+Variable lstm_gates(const Variable& zx, const Variable& zh, const Variable& b);
+/// c [B, H] = (f * c_prev) + (i * g).
+Variable lstm_cell_state(const Variable& gates, const Variable& c_prev);
+/// h [B, H] = o * tanh(c).
+Variable lstm_hidden(const Variable& gates, const Variable& c);
+
 /// Embedding lookup: weight [V, E], indices (size B) -> output [B, E].
 Variable embedding(const Variable& weight, const std::vector<std::int64_t>& indices);
 

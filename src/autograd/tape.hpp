@@ -47,9 +47,10 @@
 // children-before-parents and runs every node's own pullback. Pullbacks
 // at this repo's shapes cost a few microseconds, no more than a
 // cross-thread hand-off, so parallelism lives in the kernels and in the
-// parameter server's worker fan-out. Elementwise chains are not fused:
-// at these shapes their interior buffers are already L1-resident
-// (DESIGN.md §13).
+// parameter server's worker fan-out. The tape does not fuse elementwise
+// chains: at these shapes their interior buffers are already L1-resident,
+// and what a node costs is its bookkeeping. The one hot chain, the LSTM
+// cell, is three hand-written ops instead (DESIGN.md §13).
 #pragma once
 
 #include <cstdint>

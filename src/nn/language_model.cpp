@@ -38,9 +38,9 @@ autograd::Variable LSTMLanguageModel::logits(const std::vector<std::int64_t>& in
     steps_.push_back(embed_->forward(col_));
   }
   const auto& outputs = lstm_->forward(steps_, nullptr);
-  // Concatenate step outputs along rows: [B*T, H] with row = b*T + t.
-  // concat via rows: build one [B*T, H] by stacking; use per-step projection
-  // then concat of logits keeps memory the same, so project per step.
+  // Project each step's top-layer h [B, H] to logits [B, V] on its own.
+  // One projection of all steps stacked into [B*T, H] would sum each
+  // weight gradient in a different order and move every trajectory.
   step_logits_.clear();
   step_logits_.reserve(outputs.size());
   for (const auto& h : outputs) {

@@ -20,16 +20,11 @@ LSTMCell::LSTMCell(std::int64_t input_size, std::int64_t hidden_size, tensor::Rn
 }
 
 LSTMState LSTMCell::forward(const autograd::Variable& x, const LSTMState& prev) const {
-  // Fused pre-activation: z = x @ Wx + h @ Wh + b, split into 4 gates.
-  auto z = ag::add(ag::matmul(x, w_x), ag::matmul(prev.h, w_h));
-  z = ag::add_row_broadcast(z, b);
-  auto i = ag::sigmoid(ag::slice_cols(z, 0, hidden_));
-  auto f = ag::sigmoid(ag::slice_cols(z, hidden_, 2 * hidden_));
-  auto g = ag::tanh(ag::slice_cols(z, 2 * hidden_, 3 * hidden_));
-  auto o = ag::sigmoid(ag::slice_cols(z, 3 * hidden_, 4 * hidden_));
+  // Two gate projections, then the cell's three elementwise ops.
+  auto gates = ag::lstm_gates(ag::matmul(x, w_x), ag::matmul(prev.h, w_h), b);
   LSTMState next;
-  next.c = ag::add(ag::mul(f, prev.c), ag::mul(i, g));
-  next.h = ag::mul(o, ag::tanh(next.c));
+  next.c = ag::lstm_cell_state(gates, prev.c);
+  next.h = ag::lstm_hidden(gates, next.c);
   return next;
 }
 

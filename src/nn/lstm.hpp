@@ -1,8 +1,12 @@
 // LSTM cell and multi-layer unrolled LSTM (BPTT through autograd).
 //
-// Gate layout in the fused projection [B, 4H]: input | forget | cell | output
-// (i, f, g, o). Forget-gate bias is initialized to 1 per standard practice,
-// which the paper's LSTM experiments rely on for stable early training.
+// A cell step records five graph nodes: the gate projections x @ w_x and
+// h @ w_h, then the cell ops autograd::lstm_gates, lstm_cell_state and
+// lstm_hidden. Their forward math is tensor::lstm_{gates,cell,hidden}_into,
+// which serve::LMForward calls too (DESIGN.md §8, §11). Gate layout in the
+// [B, 4H] gate tensor: input | forget | cell | output (i, f, g, o).
+// Forget-gate bias is initialized to 1 per standard practice, which the
+// paper's LSTM experiments rely on for stable early training.
 #pragma once
 
 #include <vector>

@@ -24,10 +24,9 @@ t::Tensor snapshot_view(const SnapshotStore& store, int slot, const core::ParamA
 struct LMForward::Plan {
   std::int64_t batch = 0;
   t::Tensor emb;                            ///< [b, E] current step embedding
-  t::Tensor zx, zh, z, zb;                  ///< [b, 4H] gate projections
-  std::array<t::Tensor, 4> slice;           ///< [b, H] gate pre-activations (i|f|g|o)
-  std::array<t::Tensor, 4> act;             ///< [b, H] gate activations
-  t::Tensor fc, ig, tc;                     ///< [b, H] cell-update scratch
+  t::Tensor zx, zh;                         ///< [b, 4H] gate projections
+  t::Tensor gates;                          ///< [b, 4H] gate activations (i|f|g|o)
+  t::Tensor tc;                             ///< [b, H] tanh(c)
   std::vector<std::array<t::Tensor, 2>> h;  ///< [L][2] ping-pong hidden state
   std::vector<std::array<t::Tensor, 2>> c;  ///< [L][2] ping-pong cell state
   t::Tensor zero_state;                     ///< [b, H] all-zero initial h/c
@@ -88,12 +87,7 @@ LMForward::Plan& LMForward::plan(std::int64_t batch) {
   p->emb = ws_.acquire({b, embed_dim_});
   p->zx = ws_.acquire({b, 4 * hidden_});
   p->zh = ws_.acquire({b, 4 * hidden_});
-  p->z = ws_.acquire({b, 4 * hidden_});
-  p->zb = ws_.acquire({b, 4 * hidden_});
-  for (auto& s : p->slice) s = ws_.acquire({b, hidden_});
-  for (auto& a : p->act) a = ws_.acquire({b, hidden_});
-  p->fc = ws_.acquire({b, hidden_});
-  p->ig = ws_.acquire({b, hidden_});
+  p->gates = ws_.acquire({b, 4 * hidden_});
   p->tc = ws_.acquire({b, hidden_});
   p->h.resize(static_cast<std::size_t>(layers_));
   p->c.resize(static_cast<std::size_t>(layers_));
@@ -122,7 +116,7 @@ const t::Tensor& LMForward::forward(std::span<const std::int64_t> tokens, std::i
   }
   Plan& p = plan(batch);
   const SlotWeights& W = slots_[static_cast<std::size_t>(slot)];
-  const auto H = hidden_, E = embed_dim_, V = vocab_, T = seq_len_;
+  const auto E = embed_dim_, V = vocab_, T = seq_len_;
   const auto& embed = W.embed;
 
   for (std::int64_t tstep = 0; tstep < T; ++tstep) {
@@ -139,27 +133,13 @@ const t::Tensor& LMForward::forward(std::span<const std::int64_t> tokens, std::i
       const t::Tensor& c_prev = tstep == 0 ? p.zero_state : p.c[lu][(tstep - 1) & 1];
       t::Tensor& h_next = p.h[lu][tstep & 1];
       t::Tensor& c_next = p.c[lu][tstep & 1];
-      // z = x @ w_x + h_prev @ w_h + b  (LSTMCell::forward kernel order).
+      // LSTMCell::forward's kernels: the two gate projections, then the
+      // cell's gates, state and hidden output.
       t::matmul_into(p.zx, *x, lw.w_x);
       t::matmul_into(p.zh, h_prev, lw.w_h);
-      t::add_into(p.z, p.zx, p.zh);
-      t::add_row_broadcast_into(p.zb, p.z, lw.b);
-      // Gate slices (autograd::slice_cols loop) and activations, i|f|g|o.
-      for (int g = 0; g < 4; ++g) {
-        auto& sl = p.slice[static_cast<std::size_t>(g)];
-        for (std::int64_t i = 0; i < batch; ++i)
-          for (std::int64_t j = 0; j < H; ++j) sl[i * H + j] = p.zb[i * 4 * H + g * H + j];
-      }
-      t::sigmoid_into(p.act[0], p.slice[0]);  // i
-      t::sigmoid_into(p.act[1], p.slice[1]);  // f
-      t::tanh_into(p.act[2], p.slice[2]);     // g
-      t::sigmoid_into(p.act[3], p.slice[3]);  // o
-      // c = f*c_prev + i*g;  h = o * tanh(c).
-      t::mul_into(p.fc, p.act[1], c_prev);
-      t::mul_into(p.ig, p.act[0], p.act[2]);
-      t::add_into(c_next, p.fc, p.ig);
-      t::tanh_into(p.tc, c_next);
-      t::mul_into(h_next, p.act[3], p.tc);
+      t::lstm_gates_into(p.gates, p.zx, p.zh, lw.b);
+      t::lstm_cell_into(c_next, p.gates, c_prev);
+      t::lstm_hidden_into(h_next, p.tc, p.gates, c_next);
       x = &h_next;
     }
     // Output projection of the top-layer h, then scatter into the final

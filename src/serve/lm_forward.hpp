@@ -1,12 +1,13 @@
 // Tape-free LSTM-LM forward for serving (DESIGN.md §11).
 //
-// Mirrors LSTMLanguageModel::logits() kernel-for-kernel -- same `_into`
-// tensor calls, same loop bodies as the autograd ops' value paths -- over
-// weights read from a pinned SnapshotStore slot instead of the live
-// arena. Because both paths execute the identical kernel sequence on
-// identical inputs, served logits are bit-identical to the training
-// tape's forward for the same snapshot (pinned by EXPECT_EQ in
-// tests/serve_test.cpp).
+// Runs LSTMLanguageModel::logits()'s kernel sequence over weights read
+// from a pinned SnapshotStore slot instead of the live arena. Each cell
+// step calls the training cell's own kernels (two matmuls, then
+// tensor::lstm_{gates,cell,hidden}_into); the embedding gather, output
+// projection and row scatter repeat the autograd ops' value paths.
+// Because both paths execute the identical kernel sequence on identical
+// inputs, served logits are bit-identical to the training tape's forward
+// for the same snapshot (pinned by EXPECT_EQ in tests/serve_test.cpp).
 //
 // All buffers live in per-batch-size Plans acquired from an owned
 // Workspace; after warm_all() a forward performs zero heap allocations.

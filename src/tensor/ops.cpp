@@ -349,6 +349,79 @@ Tensor sum_rows(const Tensor& a) {
   return out;
 }
 
+std::int64_t check_lstm_gates(const Tensor& zx, const Tensor& zh, const Tensor& b) {
+  if (zx.ndim() != 2 || zx.dim(1) == 0 || zx.dim(1) % 4 != 0 || zh.shape() != zx.shape() ||
+      b.ndim() != 1 || b.dim(0) != zx.dim(1)) {
+    throw std::invalid_argument("lstm_gates: expected zx and zh [B, 4H] and b [4H], got " +
+                                to_string(zx.shape()) + ", " + to_string(zh.shape()) + " and " +
+                                to_string(b.shape()));
+  }
+  return zx.dim(1) / 4;
+}
+
+std::int64_t check_lstm_state(const Tensor& gates, const Tensor& state, const char* op) {
+  if (gates.ndim() != 2 || gates.dim(1) == 0 || gates.dim(1) % 4 != 0 || state.ndim() != 2 ||
+      state.dim(0) != gates.dim(0) || 4 * state.dim(1) != gates.dim(1)) {
+    throw std::invalid_argument(std::string(op) +
+                                ": expected gates [B, 4H] and state [B, H], got " +
+                                to_string(gates.shape()) + " and " + to_string(state.shape()));
+  }
+  return state.dim(1);
+}
+
+void lstm_gates_into(Tensor& gates, const Tensor& zx, const Tensor& zh, const Tensor& b) {
+  const auto h = check_lstm_gates(zx, zh, b);
+  check_out_shape(gates, zx.shape(), "lstm_gates");
+  const auto m = zx.dim(0), n = 4 * h;
+  const auto* px = zx.data().data();
+  const auto* ph = zh.data().data();
+  const auto* pb = b.data().data();
+  auto* pg = gates.data().data();
+  const auto width = static_cast<std::size_t>(h);
+  for (std::int64_t i = 0; i < m; ++i) {
+    double* row = pg + i * n;
+    for (std::int64_t j = 0; j < n; ++j) row[j] = (px[i * n + j] + ph[i * n + j]) + pb[j];
+    // The activations act per element, so row segments give the same bits
+    // as whole-tensor calls on the slices.
+    const std::span<double> ifg(row, 2 * width), g(row + 2 * h, width), o(row + 3 * h, width);
+    core::sigmoid(ifg, ifg);  // i | f
+    core::tanh(g, g);
+    core::sigmoid(o, o);
+  }
+}
+
+void lstm_cell_into(Tensor& c, const Tensor& gates, const Tensor& c_prev) {
+  const auto h = check_lstm_state(gates, c_prev, "lstm_cell");
+  check_out_shape(c, c_prev.shape(), "lstm_cell");
+  const auto m = c_prev.dim(0);
+  const auto* pg = gates.data().data();
+  const auto* pc = c_prev.data().data();
+  auto* po = c.data().data();
+  for (std::int64_t i = 0; i < m; ++i) {
+    const double* gi = pg + i * 4 * h;
+    const double* gf = gi + h;
+    const double* gg = gi + 2 * h;
+    for (std::int64_t j = 0; j < h; ++j) {
+      po[i * h + j] = (gf[j] * pc[i * h + j]) + (gi[j] * gg[j]);
+    }
+  }
+}
+
+void lstm_hidden_into(Tensor& h, Tensor& tc, const Tensor& gates, const Tensor& c) {
+  const auto hid = check_lstm_state(gates, c, "lstm_hidden");
+  check_out_shape(h, c.shape(), "lstm_hidden");
+  check_out_shape(tc, c.shape(), "lstm_hidden");
+  core::tanh(tc.data(), c.data());
+  const auto m = c.dim(0);
+  const auto* pg = gates.data().data();
+  const auto* pt = tc.data().data();
+  auto* po = h.data().data();
+  for (std::int64_t i = 0; i < m; ++i) {
+    const double* go = pg + i * 4 * hid + 3 * hid;
+    for (std::int64_t j = 0; j < hid; ++j) po[i * hid + j] = go[j] * pt[i * hid + j];
+  }
+}
+
 double max_abs_diff(const Tensor& a, const Tensor& b) {
   check_same_shape(a, b, "max_abs_diff");
   double m = 0.0;

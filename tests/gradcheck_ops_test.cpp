@@ -173,6 +173,42 @@ TEST(Gradcheck, SliceConcatComposite) {
   EXPECT_TRUE(result.ok) << result.detail;
 }
 
+// The three LSTM cell ops, each on its own. Gate values for the state ops
+// are arbitrary inputs there, not activations.
+TEST(Gradcheck, LstmGates) {
+  t::Rng rng(61);
+  auto zx = ag::Variable(rng.normal_tensor({3, 12}), true);
+  auto zh = ag::Variable(rng.normal_tensor({3, 12}), true);
+  auto b = ag::Variable(rng.normal_tensor({12}), true);
+  auto fn = [](const std::vector<ag::Variable>& in) {
+    return ag::sum(ag::square(ag::lstm_gates(in[0], in[1], in[2])));
+  };
+  const auto result = ag::gradcheck(fn, {zx, zh, b});
+  EXPECT_TRUE(result.ok) << result.detail;
+}
+
+TEST(Gradcheck, LstmCellState) {
+  t::Rng rng(67);
+  auto gates = ag::Variable(rng.uniform_tensor({3, 12}, -1.0, 1.0), true);
+  auto c_prev = ag::Variable(rng.normal_tensor({3, 3}), true);
+  auto fn = [](const std::vector<ag::Variable>& in) {
+    return ag::sum(ag::square(ag::lstm_cell_state(in[0], in[1])));
+  };
+  const auto result = ag::gradcheck(fn, {gates, c_prev});
+  EXPECT_TRUE(result.ok) << result.detail;
+}
+
+TEST(Gradcheck, LstmHidden) {
+  t::Rng rng(71);
+  auto gates = ag::Variable(rng.uniform_tensor({3, 12}, -1.0, 1.0), true);
+  auto c = ag::Variable(rng.normal_tensor({3, 3}), true);
+  auto fn = [](const std::vector<ag::Variable>& in) {
+    return ag::sum(ag::square(ag::lstm_hidden(in[0], in[1])));
+  };
+  const auto result = ag::gradcheck(fn, {gates, c});
+  EXPECT_TRUE(result.ok) << result.detail;
+}
+
 TEST(Gradcheck, TransposeComposite) {
   t::Rng rng(53);
   auto a = ag::Variable(rng.normal_tensor({3, 4}), true);

@@ -4,10 +4,19 @@
 
 #include "tensor/ops.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <string>
 
 #include "autograd/gradcheck.hpp"
 #include "autograd/ops.hpp"
+#include "autograd/tape.hpp"
+#include "data/markov_text.hpp"
+#include "nn/language_model.hpp"
+#include "train/trainer.hpp"
+#include "tuner/yellowfin.hpp"
 
 namespace ag = yf::autograd;
 namespace nn = yf::nn;
@@ -145,4 +154,237 @@ TEST(Lstm, InitScaleScalesWeights) {
   for (double v : small.w_h.value().data()) n_small += v * v;
   for (double v : big.w_h.value().data()) n_big += v * v;
   EXPECT_NEAR(n_big / n_small, 9.0, 1e-9);
+}
+
+// -- The cell ops against the unfused chain. ----------------------------------
+
+namespace {
+
+std::string hex(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+/// One cell step built from the general ops, as LSTMCell::forward built it
+/// before the cell ops existed. `*z_out` receives the gate pre-activations.
+nn::LSTMState unfused_cell(const nn::LSTMCell& cell, const ag::Variable& x,
+                           const nn::LSTMState& prev, ag::Variable* z_out) {
+  const auto H = cell.hidden_size();
+  auto zx = ag::matmul(x, cell.w_x);
+  auto zh = ag::matmul(prev.h, cell.w_h);
+  auto z = ag::add_row_broadcast(ag::add(zx, zh), cell.b);
+  auto i = ag::sigmoid(ag::slice_cols(z, 0, H));
+  auto f = ag::sigmoid(ag::slice_cols(z, H, 2 * H));
+  auto g = ag::tanh(ag::slice_cols(z, 2 * H, 3 * H));
+  auto o = ag::sigmoid(ag::slice_cols(z, 3 * H, 4 * H));
+  nn::LSTMState next;
+  next.c = ag::add(ag::mul(f, prev.c), ag::mul(i, g));
+  next.h = ag::mul(o, ag::tanh(next.c));
+  *z_out = z;
+  return next;
+}
+
+/// A 3-step unroll of one cell at batch 5 and input width 3 whose leaves
+/// (inputs, initial state, loss weights) keep their identity across tape
+/// steps; refill() rewrites their values in place.
+struct CellUnroll {
+  static constexpr std::int64_t kBatch = 5, kInput = 3, kSteps = 3;
+  t::Rng init;
+  nn::LSTMCell cell;
+  std::vector<ag::Variable> xs, hw;  ///< inputs and loss weights of h, per step
+  ag::Variable h0, c0, cw;           ///< requires-grad initial state; loss weight of c
+  double max_abs_z = 0.0;            ///< largest |pre-activation| of the last run()
+
+  explicit CellUnroll(std::int64_t hidden) : init(100 + static_cast<std::uint64_t>(hidden)),
+                                             cell(kInput, hidden, init) {
+    for (std::int64_t s = 0; s < kSteps; ++s) {
+      xs.emplace_back(t::Tensor::zeros({kBatch, kInput}), true);
+      hw.emplace_back(t::Tensor::zeros({kBatch, hidden}));
+    }
+    h0 = ag::Variable(t::Tensor::zeros({kBatch, hidden}), true);
+    c0 = ag::Variable(t::Tensor::zeros({kBatch, hidden}), true);
+    cw = ag::Variable(t::Tensor::zeros({kBatch, hidden}));
+  }
+
+  /// Step 1's inputs are scaled so that many pre-activations pass |z| > 22:
+  /// those 8-blocks take the AVX2 kernels' scalar fallback.
+  void refill(std::uint64_t seed) {
+    t::Rng rng(seed);
+    for (std::int64_t s = 0; s < kSteps; ++s) {
+      auto x = rng.normal_tensor({kBatch, kInput}, 0.0, s == 1 ? 40.0 : 1.0);
+      t::copy_into(xs[static_cast<std::size_t>(s)].value(), x);
+      auto w = rng.normal_tensor(hw[0].value().shape());
+      t::copy_into(hw[static_cast<std::size_t>(s)].value(), w);
+    }
+    t::copy_into(h0.value(), rng.normal_tensor(h0.value().shape(), 0.0, 0.5));
+    t::copy_into(c0.value(), rng.normal_tensor(c0.value().shape(), 0.0, 0.5));
+    t::copy_into(cw.value(), rng.normal_tensor(cw.value().shape()));
+  }
+
+  /// h and c at every step, then the gradients of x, h0, c0, w_x, w_h and
+  /// b, of loss = sum_t sum(h_t * hw_t) + sum(c_T * cw).
+  std::vector<double> run(bool fused) {
+    std::vector<ag::Variable> leaves = xs;
+    leaves.insert(leaves.end(), {h0, c0, cell.w_x, cell.w_h, cell.b});
+    for (auto& v : leaves) v.zero_grad();
+    max_abs_z = 0.0;
+    std::vector<double> out;
+    auto append = [&out](const t::Tensor& v) {
+      out.insert(out.end(), v.data().begin(), v.data().end());
+    };
+    nn::LSTMState st{h0, c0};
+    ag::Variable loss;
+    for (std::int64_t s = 0; s < kSteps; ++s) {
+      const auto& x = xs[static_cast<std::size_t>(s)];
+      ag::Variable z;
+      st = fused ? cell.forward(x, st) : unfused_cell(cell, x, st, &z);
+      if (!fused) {
+        for (double v : z.value().data()) max_abs_z = std::max(max_abs_z, std::abs(v));
+      }
+      append(st.h.value());
+      append(st.c.value());
+      auto term = ag::sum(ag::mul(st.h, hw[static_cast<std::size_t>(s)]));
+      loss = loss.defined() ? ag::add(loss, term) : term;
+    }
+    loss = ag::add(loss, ag::sum(ag::mul(st.c, cw)));
+    loss.backward();
+    for (const auto& v : leaves) append(v.grad());
+    return out;
+  }
+};
+
+void expect_same_bits(const std::vector<double>& ref, const std::vector<double>& got,
+                      const std::string& what) {
+  ASSERT_EQ(ref.size(), got.size()) << what;
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    if (!same_bits(ref[i], got[i]) && mismatches++ < 5) {
+      ADD_FAILURE() << what << ": element " << i << " is " << hex(got[i]) << ", unfused "
+                    << hex(ref[i]);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << what;
+}
+
+}  // namespace
+
+// The cell ops against the 15-node chain they replace: H = 5 exercises the
+// activations' n % 8 tails (row segments of 10 and 5 against whole-tensor
+// calls of 25), H = 16 whole 8-blocks. On the heap, then on a tape over
+// one recording step and one replay with new input values.
+TEST(Lstm, FusedCellMatchesUnfusedChain) {
+  for (const std::int64_t hidden : {5, 16}) {
+    const std::string tag = "H=" + std::to_string(hidden);
+    CellUnroll u(hidden);
+    std::vector<std::vector<double>> ref;
+    for (const std::uint64_t seed : {1, 2}) {
+      u.refill(seed);
+      ref.push_back(u.run(false));
+      EXPECT_GT(u.max_abs_z, 22.0) << tag;
+      expect_same_bits(ref.back(), u.run(true), tag + " heap, seed " + std::to_string(seed));
+    }
+    ag::GraphTape tape;
+    ag::TapeScope scope(&tape);
+    for (const std::uint64_t seed : {1, 2}) {
+      u.refill(seed);
+      tape.begin_step();
+      expect_same_bits(ref[seed - 1], u.run(true), tag + " tape step " + std::to_string(seed));
+    }
+    EXPECT_EQ(tape.steps(), 2);
+    EXPECT_EQ(tape.fresh_nodes(), tape.replayed_nodes()) << "step 2 replays step 1's graph";
+  }
+}
+
+// Each cell op validates its operands before recording anything: a throw
+// after make_frame would leave a half-built node for later steps to replay.
+TEST(Lstm, GatesOpRejectsMismatchedShapes) {
+  ag::GraphTape tape;
+  ag::TapeScope scope(&tape);
+  tape.begin_step();
+  const auto var = [](t::Shape s) { return ag::Variable(t::Tensor::zeros(std::move(s)), true); };
+  EXPECT_THROW(ag::lstm_gates(var({2, 8}), var({3, 8}), var({8})), std::invalid_argument);
+  EXPECT_THROW(ag::lstm_gates(var({2, 8}), var({2, 8}), var({4})), std::invalid_argument);
+  EXPECT_THROW(ag::lstm_gates(var({2, 6}), var({2, 6}), var({6})), std::invalid_argument);
+  EXPECT_EQ(tape.recorded_nodes(), 0u);
+}
+
+TEST(Lstm, CellStateOpRejectsMismatchedShapes) {
+  ag::GraphTape tape;
+  ag::TapeScope scope(&tape);
+  tape.begin_step();
+  const auto var = [](t::Shape s) { return ag::Variable(t::Tensor::zeros(std::move(s)), true); };
+  EXPECT_THROW(ag::lstm_cell_state(var({2, 8}), var({2, 3})), std::invalid_argument);
+  EXPECT_THROW(ag::lstm_cell_state(var({2, 8}), var({3, 2})), std::invalid_argument);
+  EXPECT_EQ(tape.recorded_nodes(), 0u);
+}
+
+TEST(Lstm, HiddenOpRejectsMismatchedShapes) {
+  ag::GraphTape tape;
+  ag::TapeScope scope(&tape);
+  tape.begin_step();
+  const auto var = [](t::Shape s) { return ag::Variable(t::Tensor::zeros(std::move(s)), true); };
+  EXPECT_THROW(ag::lstm_hidden(var({2, 8}), var({2, 8})), std::invalid_argument);
+  EXPECT_THROW(ag::lstm_hidden(var({2, 8}), var({1, 2})), std::invalid_argument);
+  EXPECT_EQ(tape.recorded_nodes(), 0u);
+}
+
+// -- Golden LM trajectory. ---------------------------------------------------
+
+// perfbench's train_lm configuration (table2's TS-sub task): the losses of
+// its first 40 steps through train::train(), recorded as exact doubles.
+// Unlike the heap-vs-tape pins, which run the same ops on both sides, this
+// catches any change to the LSTM's numerics. Both kernel backends produce
+// this trajectory. The values assume glibc's double libm (recorded with gcc 12
+// and glibc 2.36): std::log in the loss and the libm calls in the tuner, data
+// and init feed them. If this fails on another libm, re-record the values at
+// the parent commit there; do not edit them to match a change.
+TEST(Lstm, TrainLmTrajectoryMatchesGolden) {
+  static constexpr double kGolden[40] = {
+      0x1.bef2a24a0d07p+1, 0x1.bddd731c7856cp+1, 0x1.b88071e51e691p+1, 0x1.b51416d34c582p+1,
+      0x1.aebe7ba94ba3ap+1, 0x1.b080e8654b617p+1, 0x1.9911b027c466ep+1, 0x1.a95ec636ece07p+1,
+      0x1.a50de4324adb3p+1, 0x1.9c9b9256963fp+1, 0x1.7759a5f1a2be8p+1, 0x1.9bc71d141c7b3p+1,
+      0x1.9dddc352ae515p+1, 0x1.8e40378f1ec05p+1, 0x1.7b61fda7d5a8cp+1, 0x1.56e60b8b20fcfp+1,
+      0x1.90d92c0fa9912p+1, 0x1.8267d5a841edcp+1, 0x1.901b7aab326c7p+1, 0x1.93b60dcd05a04p+1,
+      0x1.c01e7a4b23dabp+1, 0x1.a0fa62977039p+1, 0x1.94a3df44ccd06p+1, 0x1.7d51ed9ee7cf4p+1,
+      0x1.b6addbfda0825p+1, 0x1.99c8e7ed20f8cp+1, 0x1.8363a14a7e45cp+1, 0x1.895ca4020bed3p+1,
+      0x1.b1f4b1320450ep+1, 0x1.a2a29d9149f4bp+1, 0x1.8ccd51726529p+1, 0x1.85ff446794872p+1,
+      0x1.8904a8030b3f2p+1, 0x1.669e0e840e2fdp+1, 0x1.7370303d40e3p+1, 0x1.591f0092dffadp+1,
+      0x1.869aba8f738c9p+1, 0x1.a3227bc503516p+1, 0x1.8410171d397b6p+1, 0x1.45348aa499d85p+1,
+  };
+  yf::data::MarkovTextConfig dcfg;
+  dcfg.vocab = 33;
+  dcfg.branching = 3;
+  dcfg.seed = 13;
+  yf::data::MarkovText text(dcfg);
+  nn::LanguageModelConfig cfg;
+  cfg.vocab = 33;
+  cfg.embed_dim = 12;
+  cfg.hidden = 16;
+  cfg.layers = 2;
+  t::Rng init(1);
+  nn::LSTMLanguageModel model(cfg, init);
+  yf::tuner::YellowFinOptions yopts;
+  yopts.beta = 0.995;
+  yopts.slow_start_iters = 50;
+  yf::tuner::YellowFin opt(model.parameters(), yopts);
+  t::Rng data_rng(2001);
+  std::vector<std::int64_t> tokens;
+  const yf::train::GradFn grad_fn = [&] {
+    tokens = text.sample_batch(6, 13, data_rng);
+    auto loss = model.loss(tokens, 6, 13);
+    loss.backward();
+    return loss.value().item();
+  };
+  yf::train::TrainOptions topts;
+  topts.iterations = 40;
+  const auto res = yf::train::train(opt, grad_fn, topts);
+  ASSERT_FALSE(res.diverged);
+  ASSERT_EQ(res.losses.size(), 40u);
+  for (std::size_t i = 0; i < 40; ++i) {
+    EXPECT_TRUE(same_bits(res.losses[i], kGolden[i]))
+        << "step " << i + 1 << ": got " << hex(res.losses[i]) << ", golden " << hex(kGolden[i]);
+  }
 }
