@@ -8,9 +8,12 @@
 // shards let one worker's sweep over shard k overlap another worker's
 // copy into shard k+1, so contention drops as K grows. The *Measured
 // variant adds the per-shard iterate history + Eq. 37 ratio extraction,
-// pricing the total-momentum measurement hook.
+// pricing the total-momentum measurement hook. BM_ServerPushClosedLoop
+// times one push at the async_socket workload's shape: one worker,
+// YellowFin with the closed loop on, the TS-sub arena's 4,925 scalars.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <future>
 #include <memory>
 #include <vector>
@@ -20,6 +23,7 @@
 #include "core/parallel.hpp"
 #include "optim/momentum_sgd.hpp"
 #include "tensor/random.hpp"
+#include "tuner/yellowfin.hpp"
 
 namespace {
 
@@ -82,6 +86,57 @@ BENCHMARK(BM_ServerPushMeasured)
     ->ArgsProduct({{1, 4, 8}, {4}})
     ->ArgNames({"shards", "workers"})
     ->UseRealTime();
+
+/// One worker's closed-loop YellowFin push over the TS-sub arena's 4,925
+/// scalars in 4 shards with measurement on (history 64), as the
+/// async_socket master applies it. With one worker every push's Eq. 37
+/// ratios are near-ties around the applied momentum, the case that costs
+/// a branching median selection most. The worker's gradient is that of
+/// 0.5 * |x|^2 plus one of 16 fixed noise vectors, so the iterates keep
+/// moving; only the push is timed.
+void BM_ServerPushClosedLoop(benchmark::State& state) {
+  constexpr std::int64_t kArena = 4925;
+  constexpr std::size_t kNoiseVectors = 16;
+  t::Rng rng(7);
+  ag::Variable master(rng.normal_tensor({kArena}), true);
+  yf::tuner::YellowFinOptions yopts;
+  yopts.beta = 0.995;
+  yopts.slow_start_iters = 50;
+  auto opt =
+      std::make_shared<yf::tuner::YellowFin>(std::vector<ag::Variable>{master}, yopts);
+  async::ParamServerOptions opts;
+  opts.shards = 4;
+  opts.measure = true;
+  opts.closed_loop = true;
+  opts.history = 64;
+  async::ShardedParamServer server(opt, opts);
+
+  std::vector<std::vector<double>> noise(kNoiseVectors,
+                                         std::vector<double>(static_cast<std::size_t>(kArena)));
+  for (auto& n : noise) {
+    for (auto& v : n) v = 0.1 * rng.normal();
+  }
+  std::vector<double> values(static_cast<std::size_t>(kArena));
+  std::vector<double> grad(values.size());
+  async::PullTicket ticket;
+  std::size_t round = 0;
+  std::int64_t estimates = 0;
+  for (auto _ : state) {
+    server.pull(values, ticket);
+    const auto& n = noise[round++ % kNoiseVectors];
+    for (std::size_t i = 0; i < grad.size(); ++i) grad[i] = values[i] + n[i];
+    const auto start = std::chrono::steady_clock::now();
+    auto stats = server.push(grad, ticket);
+    const auto stop = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(stats);
+    state.SetIterationTime(std::chrono::duration<double>(stop - start).count());
+    estimates += stats.mu_hat_total ? 1 : 0;
+  }
+  state.counters["estimates"] = static_cast<double>(estimates);
+  state.counters["updates"] = static_cast<double>(server.updates());
+}
+
+BENCHMARK(BM_ServerPushClosedLoop)->UseManualTime();
 
 }  // namespace
 

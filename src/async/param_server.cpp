@@ -1,7 +1,6 @@
 #include "async/param_server.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -125,13 +124,13 @@ ApplyStats ShardedParamServer::push(std::span<double> grad, const PullTicket& ti
   if (ticket.versions.size() != shards_.size()) {
     throw std::invalid_argument("ShardedParamServer::push: ticket does not match shards");
   }
-  // Eq. 37 ratio scratch, one ratio per coordinate at most. Thread-local
+  // Eq. 37 ratio scratch, room for one ratio per coordinate. Thread-local
   // with retained capacity: a worker thread lives for its whole run and a
   // master service thread for its connection, so after a thread's first
   // push the steady state performs no heap allocation.
   static thread_local std::vector<double> ratios;
-  ratios.clear();
-  ratios.reserve(static_cast<std::size_t>(size_));
+  ratios.resize(static_cast<std::size_t>(size_));
+  std::size_t ratio_count = 0;
 
   // Opening global stage: measurement / tuning on the full gradient.
   optim::ApplyPlan plan;
@@ -164,31 +163,31 @@ ApplyStats ShardedParamServer::push(std::span<double> grad, const PullTicket& ti
     const auto* x_read = shard.lookup(j);
     const auto* x_next = shard.lookup(j + 1);
     if (!x_prev || !x_read || !x_next) continue;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double den = (*x_read)[i] - (*x_prev)[i];
-      if (std::abs(den) < opts_.denom_eps) continue;
-      const double num = (*x_next)[i] - (*x_read)[i] + plan.lr * grad[lo + i];
-      ratios.push_back(num / den);
-    }
+    ratio_count += eq37_ratios(*x_prev, *x_read, *x_next, grad.subspan(lo, n), plan.lr,
+                               opts_.denom_eps, std::span(ratios).subspan(ratio_count, n));
   }
+
+  // This push's mu_hat_T, from its own ratios: no other push reads them,
+  // so the selection runs before, not under, the closing stage lock.
+  std::optional<double> estimate;
+  if (ratio_count > 0) estimate = median_inplace(std::span(ratios).first(ratio_count));
 
   // Closing global stage: advance the optimizer, fold the estimate into
   // the smoothed total momentum, and run the Algorithm 5 feedback.
   ApplyStats stats;
   stats.applied_momentum = plan.mu;
+  stats.mu_hat_total = estimate;
   {
     std::scoped_lock lock(stage_mu_);
     optimizer_->end_apply(plan);
     stats.update_index = updates_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (!ratios.empty()) {
-      const double estimate = median_inplace(ratios);
-      stats.mu_hat_total = estimate;
+    if (estimate) {
       smoothed_ = smoothed_init_
-                      ? opts_.smooth_beta * smoothed_ + (1.0 - opts_.smooth_beta) * estimate
-                      : estimate;
+                      ? opts_.smooth_beta * smoothed_ + (1.0 - opts_.smooth_beta) * *estimate
+                      : *estimate;
       smoothed_init_ = true;
       if (opts_.closed_loop) {
-        control_.set_applied(controller_.update(control_.target(), estimate));
+        control_.set_applied(controller_.update(control_.target(), *estimate));
       }
     }
     stats.target_momentum = control_.target();

@@ -13,6 +13,7 @@
 // iterate movement; coordinates with |denominator| < eps are skipped.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -52,9 +53,21 @@ class TotalMomentumEstimator {
   std::int64_t staleness_;
   double denom_eps_;
   std::deque<Record> history_;
+  /// Eq. 37 ratio scratch; its capacity is kept across estimate() calls.
+  mutable std::vector<double> ratios_;
   double smoothed_value_ = 0.0;
   bool smoothed_init_ = false;
 };
+
+/// Eq. 37's per-coordinate ratios ((x_next - x_read) + lr * g) /
+/// (x_read - x_prev), packed into the front of `out` for every coordinate
+/// whose |x_read - x_prev| is not below `eps`; returns how many were kept.
+/// The loop stores every ratio and advances the count by the test, so it
+/// has no data-dependent branch; `out` needs room for every coordinate.
+/// The parameter server's push and TotalMomentumEstimator both call it.
+std::size_t eq37_ratios(std::span<const double> x_prev, std::span<const double> x_read,
+                        std::span<const double> x_next, std::span<const double> g, double lr,
+                        double eps, std::span<double> out);
 
 /// Median of a (non-empty) vector; averages the two middle elements for
 /// even sizes. Utility shared with tests.
@@ -62,7 +75,11 @@ double median(std::vector<double> values);
 
 /// Same selection, reordering `values` in place instead of copying --
 /// the parameter server's push path reuses one scratch buffer per
-/// thread, so the hot path must not allocate.
+/// thread, so the hot path must not allocate. An exact three-way
+/// quickselect whose partition loops have no data-dependent branch: the
+/// ratios it serves are near-ties, on which a branching selection
+/// mispredicts most compares (DESIGN.md §5). Input holding NaN still
+/// terminates, with an unspecified result.
 double median_inplace(std::span<double> values);
 
 }  // namespace yf::async

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <random>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "async/async_simulator.hpp"
@@ -12,6 +16,7 @@
 #include "async/total_momentum.hpp"
 #include "optim/momentum_sgd.hpp"
 #include "sim/noisy_quadratic.hpp"
+#include "tensor/random.hpp"
 
 namespace async = yf::async;
 namespace ag = yf::autograd;
@@ -286,6 +291,113 @@ TEST(Median, OddAndEven) {
   EXPECT_EQ(async::median({4.0, 1.0, 2.0, 3.0}), 2.5);
   EXPECT_EQ(async::median({5.0}), 5.0);
   EXPECT_THROW(async::median({}), std::invalid_argument);
+}
+
+namespace {
+
+/// The median by full sort: the reference the selection must equal.
+double sorted_median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid] + v[mid - 1]);
+}
+
+/// The inputs the selection is checked on, each of size n.
+std::vector<std::pair<std::string, std::vector<double>>> selection_inputs(std::size_t n,
+                                                                          t::Rng& rng) {
+  std::vector<std::pair<std::string, std::vector<double>>> out;
+  const auto make = [&](const std::string& name, auto value_at) {
+    std::vector<double> v(n);
+    for (std::size_t i = 0; i < n; ++i) v[i] = value_at(i);
+    out.emplace_back(name, std::move(v));
+  };
+  make("uniform", [&](std::size_t) { return rng.uniform(-1.0, 1.0); });
+  make("duplicates", [&](std::size_t) { return std::floor(rng.uniform(0.0, 4.0)); });
+  make("all-equal", [](std::size_t) { return 0.3; });
+  make("sorted", [](std::size_t i) { return static_cast<double>(i); });
+  make("reverse-sorted", [n](std::size_t i) { return static_cast<double>(n - i); });
+  make("organ-pipe", [n](std::size_t i) { return static_cast<double>(std::min(i, n - 1 - i)); });
+  // Within a few ulps of one double: the near-ties of one-worker ratios.
+  make("few-ulps", [&](std::size_t) {
+    double x = 0.9;
+    const int steps = static_cast<int>(rng.uniform(-4.0, 4.0));
+    for (int s = 0; s < std::abs(steps); ++s) x = std::nextafter(x, steps < 0 ? 0.0 : 1.0);
+    return x;
+  });
+  return out;
+}
+
+std::vector<std::size_t> selection_sizes() {
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 64; ++n) sizes.push_back(n);
+  sizes.push_back(4925);  // the TS-sub arena: one ratio per coordinate
+  return sizes;
+}
+
+}  // namespace
+
+TEST(Median, SelectionEqualsSortedReference) {
+  t::Rng rng(17);
+  for (const std::size_t n : selection_sizes()) {
+    for (auto& [name, values] : selection_inputs(n, rng)) {
+      const double expected = sorted_median(values);
+      EXPECT_EQ(async::median(values), expected) << name << ", n " << n;
+      std::vector<double> inplace = values;
+      EXPECT_EQ(async::median_inplace(inplace), expected) << name << ", n " << n;
+      // In place means reordered, not rewritten.
+      std::sort(inplace.begin(), inplace.end());
+      std::sort(values.begin(), values.end());
+      EXPECT_EQ(inplace, values) << name << ", n " << n;
+    }
+  }
+}
+
+TEST(Median, InputWithNaNTerminates) {
+  // A NaN has no rank, so the value is unspecified; the selection must
+  // still return, whatever the NaNs' number and positions.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  t::Rng rng(23);
+  for (const std::size_t n : selection_sizes()) {
+    for (auto& [name, values] : selection_inputs(n, rng)) {
+      std::vector<double> one = values;
+      one[n / 2] = nan;
+      (void)async::median_inplace(one);
+      std::vector<double> every_third = values;
+      for (std::size_t i = 0; i < n; i += 3) every_third[i] = nan;
+      (void)async::median_inplace(every_third);
+    }
+    std::vector<double> all(n, nan);
+    EXPECT_TRUE(std::isnan(async::median_inplace(all))) << n;
+  }
+}
+
+TEST(TotalMomentum, Eq37RatiosMatchBranchingLoop) {
+  // The branch-free ratio loop keeps exactly the coordinates and values
+  // of the loop that skips |den| < eps with a branch, NaN movement included.
+  const std::vector<double> x_prev = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0};
+  const std::vector<double> x_read = {1.5, 2.0, 3.0 + 1e-12, 3.0, 5.25, std::nan(""), 7.5};
+  const std::vector<double> x_next = {1.75, 2.1, 3.0, 2.5, 5.5, 6.0, 7.5};
+  const std::vector<double> g = {0.5, -1.0, 2.0, 0.25, 0.0, 1.0, -0.5};
+  const double lr = 0.1, eps = 1e-10;
+  std::vector<double> expected;
+  for (std::size_t i = 0; i < x_read.size(); ++i) {
+    const double den = x_read[i] - x_prev[i];
+    if (std::abs(den) < eps) continue;
+    expected.push_back((x_next[i] - x_read[i] + lr * g[i]) / den);
+  }
+  std::vector<double> out(x_read.size());
+  const std::size_t count = async::eq37_ratios(x_prev, x_read, x_next, g, lr, eps, out);
+  ASSERT_EQ(count, expected.size());
+  for (std::size_t i = 0; i < count; ++i) {
+    if (std::isnan(expected[i])) {
+      EXPECT_TRUE(std::isnan(out[i])) << i;
+    } else {
+      EXPECT_EQ(out[i], expected[i]) << i;
+    }
+  }
+  std::vector<double> short_out(x_read.size() - 1);
+  EXPECT_THROW(async::eq37_ratios(x_prev, x_read, x_next, g, lr, eps, short_out),
+               std::invalid_argument);
 }
 
 TEST(TotalMomentum, NoEstimateUntilHistoryFills) {

@@ -2,13 +2,17 @@
 // shard layout, pull/push mechanics, the 1e-12 trajectory-parity pinning
 // discipline extended to the async layer (one worker / one shard must
 // reproduce the synchronous fused sweep exactly), shard-count invariance,
-// real nn::Module worker replicas, and the closed-loop controller keeping
-// measured total momentum on target under emergent staleness.
+// real nn::Module worker replicas, the closed-loop controller keeping
+// measured total momentum on target under emergent staleness, and a golden
+// one-worker closed-loop LSTM trajectory pinned as exact doubles.
 #include "async/param_server.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -17,6 +21,8 @@
 #include "autograd/ops.hpp"
 #include "core/arena.hpp"
 #include "core/kernels/backend.hpp"
+#include "data/markov_text.hpp"
+#include "nn/language_model.hpp"
 #include "nn/linear.hpp"
 #include "nn/module.hpp"
 #include "optim/adam.hpp"
@@ -458,4 +464,176 @@ TEST(ShardedParamServer, ClosedLoopKeepsTotalMomentumOnTarget) {
   EXPECT_LT(std::abs(closed.tail_gap), 0.05);
   // Cancelling requires pulling applied momentum below the target.
   EXPECT_LT(closed.applied_tail, open.applied_tail - 0.02);
+}
+
+// ---------------------------------------------------------------------------
+// Golden closed-loop trajectory.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::string hex(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+/// One push of the golden run: the worker's loss and the push's ApplyStats
+/// doubles. `mu_hat_total` is NaN where the push yields no estimate.
+struct GoldenPush {
+  double loss;
+  double mu_hat_total;
+  double applied_momentum;
+  double target_momentum;
+};
+
+/// A TS-sub LSTM LM replica and its MarkovText minibatch stream.
+struct LmReplica {
+  yf::data::MarkovText text;
+  yf::nn::LSTMLanguageModel model;
+  t::Rng data_rng;
+  LmReplica(const yf::data::MarkovTextConfig& dcfg, const yf::nn::LanguageModelConfig& mcfg,
+            t::Rng&& init, std::uint64_t data_seed)
+      : text(dcfg), model(mcfg, init), data_rng(data_seed) {}
+};
+
+}  // namespace
+
+// perfbench's async_socket master configuration (the TS-sub LSTM LM,
+// quick-mode YellowFin, 4 shards with measurement and the closed loop on),
+// pushed to by one in-process worker replica. The losses and every
+// ApplyStats field of its first 60 pushes are recorded as exact doubles.
+// With one worker each push's Eq. 37 ratios are near-ties around the
+// applied momentum, which is the median selection's hard case. Every value
+// is compared bit for bit except mu_hat_total, which is compared with ==:
+// push 3's ratios hold 100 +0s and 85 -0s around the middle rank, and which
+// signed zero a selection lands on is not part of the median's value. The
+// values assume glibc's double libm (recorded with gcc 12 and glibc 2.36):
+// std::log in the loss and the libm calls in the tuner, data and init feed
+// them. If this fails on another libm, re-record the values at the parent
+// commit there; do not edit them to match a change.
+TEST(ShardedParamServer, OneWorkerClosedLoopMatchesGolden) {
+  static constexpr double kNone = std::numeric_limits<double>::quiet_NaN();
+  static constexpr GoldenPush kGolden[60] = {
+      {0x1.bef2a24a0d07p+1, kNone, 0x0p+0, 0x0p+0},
+      {0x1.bddd731c7856cp+1, 0x1.ba90964f791f4p-7, 0x1.ba90964f791d4p-7, 0x1.ba90964f791d4p-7},
+      {0x1.b88071e51e691p+1, -0x0p+0, -0x1.47ae147ae147bp-61, 0x1.b5f89df62de57p-6},
+      {0x1.b523dd7bce891p+1, 0x1.184d31e53c09p-12, 0x1.184d31e53c175p-12, 0x1.61ba971856852p-5},
+      {0x1.aef755ea2cd05p+1, 0x1.6d22bfcc91655p-11, 0x1.6d22bfcc91474p-11, 0x1.ca6ed708cca7p-5},
+      {0x1.b0dc74c420bd1p+1, 0x1.4770d4643c7d4p-10, 0x1.4770d4643c99ep-10, 0x1.135c7183a7fd6p-4},
+      {0x1.9a23b0a6f8bb4p+1, 0x1.f465bec1bbfbp-10, 0x1.f465bec1bbfd6p-10, 0x1.42a1918f5487ep-4},
+      {0x1.a9c9071707f86p+1, 0x1.5ef04e48a4ea3p-9, 0x1.5ef04e48a4e7ap-9, 0x1.70a1323a69d45p-4},
+      {0x1.a5a82a234cb1dp+1, 0x1.d1640ba76900cp-9, 0x1.d1640ba768f6p-9, 0x1.9e200f87a7ce7p-4},
+      {0x1.9d5efa6dd53eep+1, 0x1.28a0e469da54ap-8, 0x1.28a0e469da531p-8, 0x1.c7de7f4d7cd65p-4},
+      {0x1.78cd4420e8644p+1, 0x1.6e99ec41fe0cep-8, 0x1.6e99ec41fe09p-8, 0x1.ef9943b7646d3p-4},
+      {0x1.9b8ae6af6bb16p+1, 0x1.ba3b255eacd9ep-8, 0x1.ba3b255eacd7cp-8, 0x1.0d383108136efp-3},
+      {0x1.9e1df380305a6p+1, 0x1.05fabf768e6d6p-7, 0x1.05fabf768e6d3p-7, 0x1.20f5ccc828fa2p-3},
+      {0x1.8fe350765f47ep+1, 0x1.3197e36eff155p-7, 0x1.3197e36eff142p-7, 0x1.334931c9a07c7p-3},
+      {0x1.7b6e86009ff1cp+1, 0x1.5fb4002a4e867p-7, 0x1.5fb4002a4e869p-7, 0x1.44cb16ae28961p-3},
+      {0x1.58c3849ef0f27p+1, 0x1.90272cc0a109ap-7, 0x1.90272cc0a108cp-7, 0x1.54dff0386e899p-3},
+      {0x1.8deb057f8f895p+1, 0x1.c2b1036154f35p-7, 0x1.c2b1036154f32p-7, 0x1.64cf7234efb58p-3},
+      {0x1.81b23a7c27e21p+1, 0x1.f74631c78c608p-7, 0x1.f74631c78c5fap-7, 0x1.735874494d033p-3},
+      {0x1.92409f9256341p+1, 0x1.16d41006149adp-6, 0x1.16d41006149b2p-6, 0x1.8135e387e085ep-3},
+      {0x1.93afdda72979cp+1, 0x1.32db5f8187a56p-6, 0x1.32db5f8187a45p-6, 0x1.8e06721381d5fp-3},
+      {0x1.c100ee6bf805ep+1, 0x1.4fa15fff3c31dp-6, 0x1.4fa15fff3c313p-6, 0x1.9b3433a82946ep-3},
+      {0x1.9fd474024abc2p+1, 0x1.6d2b9e0cb2176p-6, 0x1.6d2b9e0cb217ap-6, 0x1.a82aa9a62779ap-3},
+      {0x1.9602373dbdfedp+1, 0x1.8b73b6d74d118p-6, 0x1.8b73b6d74d11cp-6, 0x1.b441eda39e61dp-3},
+      {0x1.7d1723dab20c6p+1, 0x1.aa65e94dc1edep-6, 0x1.aa65e94dc1edep-6, 0x1.bf627d8d696cp-3},
+      {0x1.b81e58fe9583ap+1, 0x1.c9ecc57eb1624p-6, 0x1.c9ecc57eb1623p-6, 0x1.caa00d7505d75p-3},
+      {0x1.99c5ba3ecd129p+1, 0x1.ea0920c1aaf4ep-6, 0x1.ea0920c1aaf5p-6, 0x1.d534529a63543p-3},
+      {0x1.7afe8c3162114p+1, 0x1.0555f8a37b281p-5, 0x1.0555f8a37b283p-5, 0x1.df7e6e17c10a3p-3},
+      {0x1.8e7a731466ccdp+1, 0x1.15e6f7fef4d8cp-5, 0x1.15e6f7fef4d8dp-5, 0x1.e9b230373b24dp-3},
+      {0x1.ac1453466d262p+1, 0x1.26b606cdf9e25p-5, 0x1.26b606cdf9e26p-5, 0x1.f35a2a1a29849p-3},
+      {0x1.a0bbd3489af48p+1, 0x1.37bceed215347p-5, 0x1.37bceed21534cp-5, 0x1.fcb6dfab1fc6p-3},
+      {0x1.89cb61724084cp+1, 0x1.48f81e56d3b42p-5, 0x1.48f81e56d3b47p-5, 0x1.02d181c654e7dp-2},
+      {0x1.86475e76725e3p+1, 0x1.5a628ed158614p-5, 0x1.5a628ed158616p-5, 0x1.06ff5216bde38p-2},
+      {0x1.8637681b5543cp+1, 0x1.6bf5ff7a07f7bp-5, 0x1.6bf5ff7a07f7cp-5, 0x1.0afbe87915227p-2},
+      {0x1.6818c274e7915p+1, 0x1.7dae1733232ddp-5, 0x1.7dae1733232ddp-5, 0x1.0ebbf16d3a4bbp-2},
+      {0x1.75d073c8aa149p+1, 0x1.8f85a00ab9693p-5, 0x1.8f85a00ab9693p-5, 0x1.125e40233b627p-2},
+      {0x1.618b02483950fp+1, 0x1.a179e8b1468c4p-5, 0x1.a179e8b1468c3p-5, 0x1.15e7c20f040f3p-2},
+      {0x1.9663164b89457p+1, 0x1.b388aba676ce5p-5, 0x1.b388aba676ce9p-5, 0x1.196c0f6610cefp-2},
+      {0x1.a1747429af981p+1, 0x1.c5b13a8690904p-5, 0x1.c5b13a8690904p-5, 0x1.1cbfcf1876bc1p-2},
+      {0x1.861fe16ffda08p+1, 0x1.d7ef70e874c7p-5, 0x1.d7ef70e874c6dp-5, 0x1.1ffc246f673dfp-2},
+      {0x1.4e26d63d7dfdcp+1, 0x1.ea4137d052e8bp-5, 0x1.ea4137d052e88p-5, 0x1.230f29001c803p-2},
+      {0x1.76bfaf4f677cp+1, 0x1.fca30f0402707p-5, 0x1.fca30f0402707p-5, 0x1.25fda96a320ap-2},
+      {0x1.54620caec18acp+1, 0x1.0788f0c4f3d94p-4, 0x1.0788f0c4f3d95p-4, 0x1.28d667956f10fp-2},
+      {0x1.72d9d2d3d4142p+1, 0x1.10c5e843d722p-4, 0x1.10c5e843d7221p-4, 0x1.2ba6be9f5809dp-2},
+      {0x1.88b5eeb788cp+1, 0x1.1a0809ba2cfbcp-4, 0x1.1a0809ba2cfbbp-4, 0x1.2e52e1b9ae5edp-2},
+      {0x1.6f8aa28bb647ap+1, 0x1.234dd5380fab1p-4, 0x1.234dd5380fab1p-4, 0x1.30d8c70cc7808p-2},
+      {0x1.476b4d99ba735p+1, 0x1.2c95b9c4cfcfcp-4, 0x1.2c95b9c4cfcfcp-4, 0x1.334bbe2badd84p-2},
+      {0x1.79ee3838f78d4p+1, 0x1.35def0286e497p-4, 0x1.35def0286e498p-4, 0x1.35b11bc1a54a1p-2},
+      {0x1.54b575b3616f5p+1, 0x1.3f28e9bf21e02p-4, 0x1.3f28e9bf21e03p-4, 0x1.380a211bad326p-2},
+      {0x1.7583ca12d5541p+1, 0x1.4873262c6876fp-4, 0x1.4873262c6877p-4, 0x1.3a5320862f93dp-2},
+      {0x1.46021875ff45dp+1, 0x1.51bd00b154d7fp-4, 0x1.51bd00b154d7ep-4, 0x1.3c82cf7402921p-2},
+      {0x1.52d0762416fc4p+1, 0x1.5b0577105bc6fp-4, 0x1.5b0577105bc71p-4, 0x1.3e944df151db2p-2},
+      {0x1.1639cf8aa1939p+1, 0x1.644b57b601f96p-4, 0x1.644b57b601f96p-4, 0x1.40884a6fb3a91p-2},
+      {0x1.4e268da1c0fd4p+1, 0x1.6d8d7b17602e8p-4, 0x1.6d8d7b17602e5p-4, 0x1.4270957b3ce2ep-2},
+      {0x1.70f7d626fa8a4p+1, 0x1.76cb730a26c65p-4, 0x1.76cb730a26c65p-4, 0x1.4442db8d7a413p-2},
+      {0x1.529e9c7605e1cp+1, 0x1.800468c0595b6p-4, 0x1.800468c0595b7p-4, 0x1.45fcca50a9082p-2},
+      {0x1.f76461514dadp+0, 0x1.89376fcbe4586p-4, 0x1.89376fcbe4585p-4, 0x1.47ad721baafbp-2},
+      {0x1.75b846c91fc01p+1, 0x1.9264385ce1387p-4, 0x1.9264385ce1388p-4, 0x1.49589587e8d89p-2},
+      {0x1.8058c03f69abap+1, 0x1.9b8a99f0bf527p-4, 0x1.9b8a99f0bf528p-4, 0x1.4af7bbd27574fp-2},
+      {0x1.1fab7df730df5p+1, 0x1.a4aa2a2765f29p-4, 0x1.a4aa2a2765f28p-4, 0x1.4c8627e875de3p-2},
+      {0x1.89d536a4aa5ccp+1, 0x1.adc24f2b2ec32p-4, 0x1.adc24f2b2ec33p-4, 0x1.4e07e33657589p-2},
+  };
+  yf::data::MarkovTextConfig dcfg;
+  dcfg.vocab = 33;
+  dcfg.branching = 3;
+  dcfg.seed = 13;
+  yf::nn::LanguageModelConfig mcfg;
+  mcfg.vocab = 33;
+  mcfg.embed_dim = 12;
+  mcfg.hidden = 16;
+  mcfg.layers = 2;
+  yf::tuner::YellowFinOptions yopts;
+  yopts.beta = 0.995;
+  yopts.slow_start_iters = 50;
+
+  t::Rng master_init(1);
+  yf::nn::LSTMLanguageModel master(mcfg, master_init);
+  async::ParamServerOptions sopts;
+  sopts.shards = 4;
+  sopts.measure = true;
+  sopts.closed_loop = true;
+  async::ShardedParamServer server(
+      std::make_shared<yf::tuner::YellowFin>(master.parameters(), yopts), sopts);
+  ASSERT_EQ(server.size(), 4925);
+
+  auto replica = std::make_shared<LmReplica>(dcfg, mcfg, t::Rng(1), 2001);
+  async::ServerWorker worker;
+  worker.params = replica->model.parameters();
+  worker.grad_fn = [replica] {
+    const auto tokens = replica->text.sample_batch(6, 13, replica->data_rng);
+    auto loss = replica->model.loss(tokens, 6, 13);
+    loss.backward();
+    return loss.value().item();
+  };
+  async::ServerRunOptions ropts;
+  ropts.steps_per_worker = 60;
+  const auto run = async::run_workers(server, {worker}, ropts);
+
+  ASSERT_EQ(run.stats.size(), 60u);
+  ASSERT_EQ(run.losses.size(), 60u);
+  for (std::size_t i = 0; i < 60; ++i) {
+    const auto& s = run.stats[i];
+    const GoldenPush& g = kGolden[i];
+    const std::string at = "push " + std::to_string(i + 1);
+    EXPECT_EQ(s.update_index, static_cast<std::int64_t>(i) + 1) << at;
+    EXPECT_TRUE(same_bits(run.losses[i], g.loss))
+        << at << ": loss " << hex(run.losses[i]) << ", golden " << hex(g.loss);
+    ASSERT_EQ(s.mu_hat_total.has_value(), !std::isnan(g.mu_hat_total)) << at;
+    if (s.mu_hat_total) {
+      EXPECT_EQ(*s.mu_hat_total, g.mu_hat_total)
+          << at << ": mu_hat_total " << hex(*s.mu_hat_total) << ", golden "
+          << hex(g.mu_hat_total);
+    }
+    EXPECT_TRUE(same_bits(s.applied_momentum, g.applied_momentum))
+        << at << ": applied_momentum " << hex(s.applied_momentum) << ", golden "
+        << hex(g.applied_momentum);
+    EXPECT_TRUE(same_bits(s.target_momentum, g.target_momentum))
+        << at << ": target_momentum " << hex(s.target_momentum) << ", golden "
+        << hex(g.target_momentum);
+  }
 }
