@@ -13,8 +13,11 @@
 #include "autograd/gradcheck.hpp"
 #include "autograd/ops.hpp"
 #include "autograd/tape.hpp"
+#include "data/copy_translate.hpp"
 #include "data/markov_text.hpp"
+#include "data/zipf_text.hpp"
 #include "nn/language_model.hpp"
+#include "nn/seq2seq.hpp"
 #include "train/trainer.hpp"
 #include "tuner/yellowfin.hpp"
 
@@ -387,4 +390,111 @@ TEST(Lstm, TrainLmTrajectoryMatchesGolden) {
     EXPECT_TRUE(same_bits(res.losses[i], kGolden[i]))
         << "step " << i + 1 << ": got " << hex(res.losses[i]) << ", golden " << hex(kGolden[i]);
   }
+}
+
+namespace {
+
+/// Runs 40 steps of `grad_fn` through train::train() and compares every
+/// loss bit for bit with `golden`.
+void expect_golden_trajectory(yf::optim::Optimizer& opt, const yf::train::GradFn& grad_fn,
+                              const double (&golden)[40]) {
+  yf::train::TrainOptions topts;
+  topts.iterations = 40;
+  const auto res = yf::train::train(opt, grad_fn, topts);
+  ASSERT_FALSE(res.diverged);
+  ASSERT_EQ(res.losses.size(), 40u);
+  for (std::size_t i = 0; i < 40; ++i) {
+    EXPECT_TRUE(same_bits(res.losses[i], golden[i]))
+        << "step " << i + 1 << ": got " << hex(res.losses[i]) << ", golden " << hex(golden[i]);
+  }
+}
+
+}  // namespace
+
+// table1's seq2seq (vocab 12, embed 10, hidden 16, one layer) at
+// init_scale 2.0 under YellowFin's defaults. The large weights push gate
+// pre-activations into the AVX2 kernels' scalar fallback blocks, and the
+// encoder's final states start the decoder, a path train_lm's golden
+// never takes. Same libm caveat as TrainLmTrajectoryMatchesGolden.
+TEST(Lstm, Seq2SeqTrajectoryMatchesGolden) {
+  static constexpr double kGolden[40] = {
+      0x1.4e12770510ee1p+1, 0x1.54518410c0092p+1, 0x1.52d9364b3d418p+1, 0x1.52127d3cfec35p+1,
+      0x1.51102cb77532fp+1, 0x1.4e301b96bdd9p+1, 0x1.50f0a51f131f3p+1, 0x1.4da196b8ff568p+1,
+      0x1.4c24850aa0b55p+1, 0x1.4b6f5828166dfp+1, 0x1.47cf6ffdd26d7p+1, 0x1.4208e7c53832ep+1,
+      0x1.4bcfb859072ebp+1, 0x1.4731fa7e3f4edp+1, 0x1.472124a6a6bd2p+1, 0x1.4c1f1bf9ac1dp+1,
+      0x1.4626772921771p+1, 0x1.3d7ed7270d9aap+1, 0x1.4d9a2cbd61b83p+1, 0x1.42fd2cf9a4937p+1,
+      0x1.4c36e229c00c3p+1, 0x1.41c2c29db4bf5p+1, 0x1.3cadf8d918ab8p+1, 0x1.45b6af2605226p+1,
+      0x1.3e7624c2a7a17p+1, 0x1.3f8f54b1a821dp+1, 0x1.3a63d0b690adcp+1, 0x1.3958fdf8c6d65p+1,
+      0x1.360b17ebc5f5p+1, 0x1.3da37c30934c7p+1, 0x1.3add11a821782p+1, 0x1.3ad7967b67dep+1,
+      0x1.3c00d5169e8f4p+1, 0x1.36116263e73bap+1, 0x1.2ea5b5d7ae754p+1, 0x1.32a992a335c1cp+1,
+      0x1.3317837242e2bp+1, 0x1.36bccc3bce067p+1, 0x1.2f17e88383f01p+1, 0x1.30cd84ed129c8p+1,
+  };
+  yf::data::CopyTranslateConfig dcfg;
+  dcfg.vocab = 12;
+  dcfg.src_len = 6;
+  dcfg.seed = 23;
+  yf::data::CopyTranslate text(dcfg);
+  nn::Seq2SeqConfig cfg;
+  cfg.src_vocab = text.src_vocab();
+  cfg.tgt_vocab = text.tgt_vocab();
+  cfg.embed_dim = 10;
+  cfg.hidden = 16;
+  cfg.layers = 1;
+  cfg.init_scale = 2.0;
+  t::Rng init(1);
+  nn::Seq2Seq model(cfg, init);
+  yf::tuner::YellowFin opt(model.parameters(), yf::tuner::YellowFinOptions{});
+  t::Rng data_rng(4001);
+  const yf::train::GradFn grad_fn = [&] {
+    const auto b = text.sample(6, data_rng);
+    auto loss = model.loss(b.src, b.src_len, b.tgt, b.tgt_len_plus1, b.batch);
+    loss.backward();
+    return loss.value().item();
+  };
+  expect_golden_trajectory(opt, grad_fn, kGolden);
+}
+
+// fig11's tied word LM (Zipf vocab 80, embed = hidden = 16, two layers,
+// output projection tied to the embedding) under quick-mode YellowFin.
+// The embedding's gradient sums the output-projection and lookup
+// contributions of every step in the order the backward pass visits
+// them, so this pins the graph's node order, not only its arithmetic.
+TEST(Lstm, TiedWordLmTrajectoryMatchesGolden) {
+  static constexpr double kGolden[40] = {
+      0x1.188d47e9dd98fp+2, 0x1.17c82f28d955cp+2, 0x1.155f893fef918p+2, 0x1.130427b2e4p+2,
+      0x1.0e1b6cc1e9163p+2, 0x1.054fc73146efep+2, 0x1.016c4b4336442p+2, 0x1.cf409bd1542fp+1,
+      0x1.bf05f80cd1da8p+1, 0x1.afa2c4cf87868p+1, 0x1.bb894f7a6efc6p+1, 0x1.ac8cbb467f8c7p+1,
+      0x1.9f7dbc99afbb4p+1, 0x1.ad331925af7f3p+1, 0x1.a0def0f8555f3p+1, 0x1.ba860e8e9de22p+1,
+      0x1.8eff5de23575dp+1, 0x1.9cae18eeb7e53p+1, 0x1.933ffaf81d0f2p+1, 0x1.c8d557e008c1ep+1,
+      0x1.c0d2e893fb462p+1, 0x1.b04d7a673816dp+1, 0x1.afd46d2a48956p+1, 0x1.8584d29d80f2bp+1,
+      0x1.be84176c574fap+1, 0x1.a727fee3bc27dp+1, 0x1.aff9b9931f9e4p+1, 0x1.b569d0f07448cp+1,
+      0x1.8370a03cdb54ap+1, 0x1.9e727e86732e6p+1, 0x1.8912e5fea8567p+1, 0x1.b5027c0bce5c6p+1,
+      0x1.a88f7b21ec858p+1, 0x1.964049fc0372ep+1, 0x1.de52a41d571d4p+1, 0x1.9ad327b4462f2p+1,
+      0x1.959734ff074a5p+1, 0x1.93f20939355b2p+1, 0x1.9bc8209c5821dp+1, 0x1.a8aec1eed4414p+1,
+  };
+  yf::data::ZipfTextConfig dcfg;
+  dcfg.vocab = 80;
+  dcfg.seed = 17;
+  yf::data::ZipfText text(dcfg);
+  nn::LanguageModelConfig cfg;
+  cfg.vocab = 80;
+  cfg.embed_dim = 16;
+  cfg.hidden = 16;
+  cfg.layers = 2;
+  cfg.tie_weights = true;
+  t::Rng init(1);
+  nn::LSTMLanguageModel model(cfg, init);
+  yf::tuner::YellowFinOptions yopts;
+  yopts.beta = 0.995;
+  yopts.slow_start_iters = 50;
+  yf::tuner::YellowFin opt(model.parameters(), yopts);
+  t::Rng data_rng(2001);
+  std::vector<std::int64_t> tokens;
+  const yf::train::GradFn grad_fn = [&] {
+    tokens = text.sample_batch(6, 13, data_rng);
+    auto loss = model.loss(tokens, 6, 13);
+    loss.backward();
+    return loss.value().item();
+  };
+  expect_golden_trajectory(opt, grad_fn, kGolden);
 }
