@@ -2,8 +2,9 @@
 // subsystem (core/gemm.hpp) on LM-shaped products -- tied-embedding
 // decode (NT), LSTM 4-gate pre-activations (NN), conv im2col forward
 // (NT) and its dW pullback (TN) -- plus square compute-bound shapes,
-// each across the scalar and AVX2 kernel backends. Args are {m, n, k}
-// with C = m x n.
+// each across the scalar and AVX2 kernel backends, and the pullbacks'
+// gradient add (product + axpy against the accumulate form). Args are
+// {m, n, k} with C = m x n.
 //
 // BM_GemmPackedForced / BM_GemmSmallForced run the *forced* packed and
 // small engines on cubes around the dispatch thresholds; their output
@@ -120,6 +121,44 @@ void BM_GemmTn_args(benchmark::internal::Benchmark* b) {
 YF_GEMM_BENCH(BM_GemmNn);
 YF_GEMM_BENCH(BM_GemmNt);
 YF_GEMM_BENCH(BM_GemmTn);
+
+// -- Gradient accumulation: grad += op(A) @ op(B). ---------------------------
+// The matmul and LSTM pullbacks once formed each product in scratch and
+// added it with an axpy (Tensor::add_); they now call GEMM's accumulate
+// form, whose one k-panel adds straight into the gradient. Arg: train_lm's
+// LSTM weight gradient dW_h += h^T @ dGates (TN 16x64x6).
+
+void run_grad_add(benchmark::State& state, core::KernelBackend backend, bool accumulate) {
+  BackendScope scope(state, backend);
+  if (!scope) return;
+  const auto m = state.range(0), n = state.range(1), k = state.range(2);
+  auto ops = make_operands(core::GemmVariant::kTN, m, n, k);
+  t::Tensor grad(t::Shape{m, n});
+  for (auto _ : state) {
+    if (accumulate) {
+      core::gemm(core::GemmVariant::kTN, grad.data().data(), ops.a.data().data(),
+                 ops.b.data().data(), m, n, k, /*accumulate=*/true);
+    } else {
+      core::gemm(core::GemmVariant::kTN, ops.c.data().data(), ops.a.data().data(),
+                 ops.b.data().data(), m, n, k);
+      grad.add_(ops.c);
+    }
+    benchmark::DoNotOptimize(grad.data().data());
+  }
+  state.SetItemsProcessed(state.iterations() * m * n * k);
+}
+
+void BM_GemmTnProductAxpy(benchmark::State& state, core::KernelBackend backend) {
+  run_grad_add(state, backend, false);
+}
+void BM_GemmTnAccumulate(benchmark::State& state, core::KernelBackend backend) {
+  run_grad_add(state, backend, true);
+}
+void BM_GemmTnProductAxpy_args(benchmark::internal::Benchmark* b) { b->Args({16, 64, 6}); }
+void BM_GemmTnAccumulate_args(benchmark::internal::Benchmark* b) { b->Args({16, 64, 6}); }
+
+YF_GEMM_BENCH(BM_GemmTnProductAxpy);
+YF_GEMM_BENCH(BM_GemmTnAccumulate);
 
 // -- Small-path crossover: forced engines on n^3 cubes. ----------------------
 // The dispatch thresholds in core/gemm.hpp are pinned from this table:

@@ -5,6 +5,7 @@
 
 #include "autograd/tape.hpp"
 #include "core/conv_math.hpp"
+#include "core/gemm.hpp"
 #include "core/kernels.hpp"
 #include "tensor/ops.hpp"
 
@@ -35,6 +36,11 @@ namespace {
 std::span<const std::int64_t> dims_of(const t::Tensor& x) {
   return {x.shape().data(), x.shape().size()};
 }
+
+double* grad_ptr(Node& n) { return n.ensure_grad().data().data(); }
+const double* value_ptr(const Node& n) { return n.value.data().data(); }
+
+using core::GemmVariant;
 
 }  // namespace
 
@@ -336,6 +342,40 @@ Variable concat_cols(const std::vector<Variable>& parts) {
   return Variable(std::move(f.handle));
 }
 
+namespace {
+
+/// C [m, n] = A[:m] @ B [k, n], reading only A's first m rows: all of A for
+/// matmul, the h rows of a packed state for lstm_cell's input projection.
+/// The caller validates the shapes.
+Variable matmul_top_rows(const char* sig, const Variable& a, std::int64_t m, const Variable& b) {
+  const auto k = b.value().dim(0), n = b.value().dim(1);
+  auto an = a.node();
+  auto bn = b.node();
+  const NodePtr parents[] = {an, bn};
+  const std::int64_t dims[] = {m, n};
+  auto f = make_frame(sig, parents, dims);
+  core::gemm(GemmVariant::kNN, f.node->value.data().data(), value_ptr(*an), value_ptr(*bn), m, n,
+             k);
+  if (f.fresh && f.node->requires_grad) {
+    // dA += dC @ Bᵀ via the NT variant, dB += Aᵀ @ dC via TN: the packing
+    // step absorbs the transpose and the accumulate form the add.
+    f.node->backward_fn = [an, bn, m, k, n](Node& nn) {
+      const double* dc = nn.grad.data().data();
+      if (an->requires_grad) {
+        core::gemm(GemmVariant::kNT, grad_ptr(*an), dc, value_ptr(*bn), m, k, n,
+                   /*accumulate=*/true);
+      }
+      if (bn->requires_grad) {
+        core::gemm(GemmVariant::kTN, grad_ptr(*bn), value_ptr(*an), dc, k, n, m,
+                   /*accumulate=*/true);
+      }
+    };
+  }
+  return Variable(std::move(f.handle));
+}
+
+}  // namespace
+
 Variable matmul(const Variable& a, const Variable& b) {
   const auto& av = a.value();
   const auto& bv = b.value();
@@ -347,32 +387,7 @@ Variable matmul(const Variable& a, const Variable& b) {
     throw std::invalid_argument("matmul: inner dimension mismatch " + t::to_string(av.shape()) +
                                 " vs " + t::to_string(bv.shape()));
   }
-  const auto m = av.dim(0), k = av.dim(1), n = bv.dim(1);
-  auto an = a.node();
-  auto bn = b.node();
-  const NodePtr parents[] = {an, bn};
-  const std::int64_t dims[] = {m, n};
-  auto f = make_frame("matmul", parents, dims);
-  t::matmul_into(f.node->value, av, bv);
-  if (f.fresh && f.node->requires_grad) {
-    // dA = dC @ Bᵀ via the NT variant, dB = Aᵀ @ dC via TN: the packing
-    // step absorbs the transpose, so the only scratch left is the
-    // product buffer each gradient accumulates from.
-    t::Tensor dA, dB;
-    if (an->requires_grad) dA = make_scratch({m, k});
-    if (bn->requires_grad) dB = make_scratch({k, n});
-    f.node->backward_fn = [an, bn, dA, dB](Node& nn) mutable {
-      if (an->requires_grad) {
-        t::matmul_nt_into(dA, nn.grad, bn->value);
-        an->ensure_grad().add_(dA);
-      }
-      if (bn->requires_grad) {
-        t::matmul_tn_into(dB, an->value, nn.grad);
-        bn->ensure_grad().add_(dB);
-      }
-    };
-  }
-  return Variable(std::move(f.handle));
+  return matmul_top_rows("matmul", a, av.dim(0), b);
 }
 
 Variable matmul_nt(const Variable& a, const Variable& b) {
@@ -394,18 +409,16 @@ Variable matmul_nt(const Variable& a, const Variable& b) {
   auto f = make_frame("matmul_nt", parents, dims);
   t::matmul_nt_into(f.node->value, av, bv);
   if (f.fresh && f.node->requires_grad) {
-    // C = A Bᵀ: dA = dC @ B (plain NN), dB = dCᵀ @ A (TN).
-    t::Tensor dA, dB;
-    if (an->requires_grad) dA = make_scratch({m, k});
-    if (bn->requires_grad) dB = make_scratch({n, k});
-    f.node->backward_fn = [an, bn, dA, dB](Node& nn) mutable {
+    // C = A Bᵀ: dA += dC @ B (plain NN), dB += dCᵀ @ A (TN).
+    f.node->backward_fn = [an, bn, m, k, n](Node& nn) {
+      const double* dc = nn.grad.data().data();
       if (an->requires_grad) {
-        t::matmul_into(dA, nn.grad, bn->value);
-        an->ensure_grad().add_(dA);
+        core::gemm(GemmVariant::kNN, grad_ptr(*an), dc, value_ptr(*bn), m, k, n,
+                   /*accumulate=*/true);
       }
       if (bn->requires_grad) {
-        t::matmul_tn_into(dB, nn.grad, an->value);
-        bn->ensure_grad().add_(dB);
+        core::gemm(GemmVariant::kTN, grad_ptr(*bn), dc, value_ptr(*an), n, k, m,
+                   /*accumulate=*/true);
       }
     };
   }
@@ -455,113 +468,162 @@ Variable add_row_broadcast(const Variable& a, const Variable& bias) {
   return Variable(std::move(f.handle));
 }
 
-// The three LSTM cell ops compute what the cell's chain of 15 general
-// elementwise nodes computes. Each pullback keeps that chain's
-// association: the chain adds every interior gradient once into a zeroed
-// buffer, and skipping a `0 +` changes no accumulated bit.
-
-Variable lstm_gates(const Variable& zx, const Variable& zh, const Variable& b) {
-  const auto h = t::check_lstm_gates(zx.value(), zh.value(), b.value());
-  const auto m = zx.value().dim(0);
-  auto xn = zx.node();
-  auto hn = zh.node();
-  auto bn = b.node();
-  const NodePtr parents[] = {xn, hn, bn};
-  auto f = make_frame("lstm_gates", parents, dims_of(zx.value()));
-  t::lstm_gates_into(f.node->value, zx.value(), zh.value(), b.value());
+Variable slice_rows(const Variable& a, std::int64_t row_begin, std::int64_t row_end) {
+  const auto& v = a.value();
+  if (v.ndim() != 2) throw std::invalid_argument("slice_rows: expected 2-D input");
+  if (row_begin < 0 || row_end > v.dim(0) || row_begin >= row_end) {
+    throw std::invalid_argument("slice_rows: bad range [" + std::to_string(row_begin) + ", " +
+                                std::to_string(row_end) + ") for " + t::to_string(v.shape()));
+  }
+  const auto w = v.dim(1);
+  const auto offset = static_cast<std::size_t>(row_begin * w);
+  const auto count = static_cast<std::size_t>((row_end - row_begin) * w);
+  auto an = a.node();
+  const NodePtr parents[] = {an};
+  const std::int64_t dims[] = {row_end - row_begin, w};
+  const double attrs[] = {static_cast<double>(row_begin), static_cast<double>(row_end)};
+  auto f = make_frame("slice_rows", parents, dims, attrs);
+  // Rows are contiguous in row-major storage: one copy, one axpy back.
+  core::copy(f.node->value.data(), v.data().subspan(offset, count));
   if (f.fresh && f.node->requires_grad) {
-    t::Tensor dz = make_scratch({m, 4 * h});
+    f.node->backward_fn = [an, offset, count](Node& n) {
+      if (!an->requires_grad) return;
+      core::axpy(an->ensure_grad().data().subspan(offset, count), n.grad.data(), 1.0);
+    };
+  }
+  return Variable(std::move(f.handle));
+}
+
+namespace {
+
+/// Signature of lstm_cell nodes; a parent carrying it holds a packed state.
+constexpr char kLstmCellOp[] = "lstm_cell";
+
+/// Where lstm_cell reads a [B, cols] operand: all of a plain variable,
+/// or half of a packed lstm_cell state [2B, cols] -- its h rows (first
+/// half) for x and h_prev, its c rows (second half) for c_prev.
+struct CellOperand {
+  std::int64_t rows = 0;    ///< B
+  std::int64_t offset = 0;  ///< first element read
+  bool packed = false;
+};
+
+CellOperand cell_operand(const Variable& v, bool c_rows) {
+  const auto& t = v.value();
+  CellOperand o;
+  o.packed = v.node()->op_name == kLstmCellOp;
+  o.rows = t.ndim() == 2 ? (o.packed ? t.dim(0) / 2 : t.dim(0)) : -1;
+  o.offset = o.packed && c_rows ? o.rows * t.dim(1) : 0;
+  return o;
+}
+
+}  // namespace
+
+// A cell step records two nodes. "lstm_input" is zx = x @ w_x, reading a
+// packed x's h rows in place. "lstm_cell" runs h_prev @ w_h and
+// tensor::lstm_{gates,cell,hidden}_into, as serve::LMForward does, into
+// the packed state. The input projection keeps a node of its own because
+// its pullback must run where the chain's x @ w_x matmul ran: when no loss
+// reads the per-step h (a seq2seq encoder), the backward pass reaches the
+// projections only after the whole recurrence, so w_x sums its per-step
+// gradients in the opposite order from w_h (DESIGN.md §13). Per element,
+// the pullbacks keep the arithmetic of the 15-node chain the cell replaces
+// (Lstm.FusedCellMatchesUnfusedChain pins it): the chain added every
+// interior gradient once into a zeroed buffer, and skipping a `0 +`
+// changes no bit that reaches a parameter or a state gradient.
+Variable lstm_cell(const Variable& x, const Variable& h_prev, const Variable& c_prev,
+                   const Variable& w_x, const Variable& w_h, const Variable& b) {
+  const auto& wx = w_x.value();
+  const auto& wh = w_h.value();
+  const auto& bv = b.value();
+  const CellOperand xo = cell_operand(x, false);
+  const CellOperand ho = cell_operand(h_prev, false);
+  const CellOperand co = cell_operand(c_prev, true);
+  const std::int64_t batch = xo.rows;
+  const bool ok = wx.ndim() == 2 && wh.ndim() == 2 && bv.ndim() == 1 && wx.dim(1) > 0 &&
+                  wx.dim(1) % 4 == 0 && wh.dim(1) == wx.dim(1) && bv.dim(0) == wx.dim(1) &&
+                  wh.dim(0) * 4 == wx.dim(1) && batch >= 0 && ho.rows == batch &&
+                  co.rows == batch && x.value().dim(1) == wx.dim(0) &&
+                  h_prev.value().dim(1) == wh.dim(0) && c_prev.value().dim(1) == wh.dim(0);
+  if (!ok) {
+    throw std::invalid_argument(
+        "lstm_cell: expected x [B, I], h_prev and c_prev [B, H] (or packed [2B, .] states), "
+        "w_x [I, 4H], w_h [H, 4H] and b [4H], got " +
+        t::to_string(x.value().shape()) + ", " + t::to_string(h_prev.value().shape()) + ", " +
+        t::to_string(c_prev.value().shape()) + ", " + t::to_string(wx.shape()) + ", " +
+        t::to_string(wh.shape()) + " and " + t::to_string(bv.shape()));
+  }
+  const std::int64_t hid = wh.dim(0), g4 = 4 * hid;
+  auto hn = h_prev.node();
+  auto cn = c_prev.node();
+  auto whn = w_h.node();
+  auto bn = b.node();
+
+  const NodePtr zn = matmul_top_rows("lstm_input", x, batch, w_x).node();
+  const NodePtr parents[] = {zn, hn, cn, whn, bn};
+  const std::int64_t dims[] = {2 * batch, hid};
+  auto f = make_frame(kLstmCellOp, parents, dims);
+  Node& node = *f.node;
+  std::vector<t::Tensor>& sc = node.scratch;
+  if (f.fresh) {
+    // Built once per node: views allocate their shapes, and a replayed
+    // node reads the same parent buffers.
+    sc.push_back(make_scratch({batch, g4}));                        // [0] h_prev @ w_h
+    sc.push_back(make_scratch({batch, g4}));                        // [1] gates
+    sc.push_back(make_scratch({batch, hid}));                       // [2] tanh(c)
+    sc.push_back(t::Tensor::view_of(node.value, 0, {batch, hid}));  // [3] h rows
+    sc.push_back(t::Tensor::view_of(node.value, batch * hid, {batch, hid}));  // [4] c rows
+    if (co.packed) sc.push_back(t::Tensor::view_of(cn->value, co.offset, {batch, hid}));  // [5]
+  }
+  core::gemm(GemmVariant::kNN, sc[0].data().data(), value_ptr(*hn), value_ptr(*whn), batch, g4,
+             hid);
+  t::lstm_gates_into(sc[1], zn->value, sc[0], bv);
+  t::lstm_cell_into(sc[4], sc[1], co.packed ? sc[5] : c_prev.value());
+  t::lstm_hidden_into(sc[3], sc[2], sc[1], sc[4]);
+  if (f.fresh && node.requires_grad) {
     t::Tensor colsum;
-    if (bn->requires_grad) colsum = make_scratch({4 * h});
-    f.node->backward_fn = [xn, hn, bn, dz, colsum, m, h](Node& n) mutable {
-      // dz = dgates * act'(gates): y * (1 - y) on the sigmoid blocks i, f
-      // and o, 1 - y * y on the tanh block g.
-      const double* y = n.value.data().data();
-      const double* dy = n.grad.data().data();
+    if (bn->requires_grad) colsum = make_scratch({g4});
+    const std::int64_t c_off = co.offset;
+    f.node->backward_fn = [zn, hn, cn, whn, bn, colsum, batch, hid, g4, c_off](Node& n) mutable {
+      // dz is written (not added) straight into the input node's gradient:
+      // this node is the only one that reads that node.
+      t::Tensor& dz = zn->ensure_grad();
+      const double* dh = n.grad.data().data();
+      const double* dc_out = dh + batch * hid;
+      const double* gv = n.scratch[1].data().data();
+      const double* tc = n.scratch[2].data().data();
+      const double* cp = value_ptr(*cn) + c_off;
+      double* dcp = cn->requires_grad ? grad_ptr(*cn) + c_off : nullptr;
       double* d = dz.data().data();
-      for (std::int64_t k = 0; k < m * 4 * h; k += 4 * h) {
-        for (std::int64_t j = k; j < k + 2 * h; ++j) d[j] = dy[j] * (y[j] * (1.0 - y[j]));
-        for (std::int64_t j = k + 2 * h; j < k + 3 * h; ++j) d[j] = dy[j] * (1.0 - y[j] * y[j]);
-        for (std::int64_t j = k + 3 * h; j < k + 4 * h; ++j) d[j] = dy[j] * (y[j] * (1.0 - y[j]));
+      // Per element: dc = dc_out + (dh * o) * (1 - tanh(c)^2), then the
+      // gate gradients di = dc * g, df = dc * c_prev, dg = dc * i and
+      // do = dh * tanh(c) times each activation's derivative, and the
+      // carry dc_prev += dc * f.
+      for (std::int64_t r = 0; r < batch; ++r) {
+        const double* gi = gv + r * g4;
+        double* dr = d + r * g4;
+        for (std::int64_t j = 0; j < hid; ++j) {
+          const std::int64_t k = r * hid + j;
+          const double i = gi[j], fg = gi[hid + j], g = gi[2 * hid + j], o = gi[3 * hid + j];
+          const double dc = dc_out[k] + (dh[k] * o) * (1.0 - tc[k] * tc[k]);
+          dr[j] = (dc * g) * (i * (1.0 - i));
+          dr[hid + j] = (dc * cp[k]) * (fg * (1.0 - fg));
+          dr[2 * hid + j] = (dc * i) * (1.0 - g * g);
+          dr[3 * hid + j] = (dh[k] * tc[k]) * (o * (1.0 - o));
+          if (dcp != nullptr) dcp[k] += dc * fg;
+        }
       }
-      xn->accumulate_grad(dz);
-      hn->accumulate_grad(dz);
+      if (hn->requires_grad) {
+        core::gemm(GemmVariant::kNT, grad_ptr(*hn), d, value_ptr(*whn), batch, hid, g4,
+                   /*accumulate=*/true);
+      }
+      if (whn->requires_grad) {
+        core::gemm(GemmVariant::kTN, grad_ptr(*whn), value_ptr(*hn), d, hid, g4, batch,
+                   /*accumulate=*/true);
+      }
       if (bn->requires_grad) {
         t::sum_rows_into(colsum, dz);
         bn->ensure_grad().add_(colsum);
-      }
-    };
-  }
-  return Variable(std::move(f.handle));
-}
-
-Variable lstm_cell_state(const Variable& gates, const Variable& c_prev) {
-  const auto h = t::check_lstm_state(gates.value(), c_prev.value(), "lstm_cell_state");
-  const auto m = c_prev.value().dim(0);
-  auto gn = gates.node();
-  auto cn = c_prev.node();
-  const NodePtr parents[] = {gn, cn};
-  auto f = make_frame("lstm_cell_state", parents, dims_of(c_prev.value()));
-  t::lstm_cell_into(f.node->value, gates.value(), c_prev.value());
-  if (f.fresh && f.node->requires_grad) {
-    f.node->backward_fn = [gn, cn, m, h](Node& n) {
-      const double* dc = n.grad.data().data();
-      const double* gv = gn->value.data().data();
-      if (gn->requires_grad) {
-        // di = dc * g, df = dc * c_prev, dg = dc * i.
-        double* dg = gn->ensure_grad().data().data();
-        const double* cp = cn->value.data().data();
-        for (std::int64_t r = 0; r < m; ++r) {
-          const auto i0 = r * 4 * h;
-          for (std::int64_t j = 0; j < h; ++j) {
-            const auto k = r * h + j;
-            dg[i0 + j] += dc[k] * gv[i0 + 2 * h + j];
-            dg[i0 + h + j] += dc[k] * cp[k];
-            dg[i0 + 2 * h + j] += dc[k] * gv[i0 + j];
-          }
-        }
-      }
-      if (cn->requires_grad) {
-        // dc_prev = dc * f.
-        double* dcp = cn->ensure_grad().data().data();
-        for (std::int64_t r = 0; r < m; ++r)
-          for (std::int64_t j = 0; j < h; ++j)
-            dcp[r * h + j] += dc[r * h + j] * gv[r * 4 * h + h + j];
-      }
-    };
-  }
-  return Variable(std::move(f.handle));
-}
-
-Variable lstm_hidden(const Variable& gates, const Variable& c) {
-  const auto h = t::check_lstm_state(gates.value(), c.value(), "lstm_hidden");
-  const auto m = c.value().dim(0);
-  auto gn = gates.node();
-  auto cn = c.node();
-  const NodePtr parents[] = {gn, cn};
-  auto f = make_frame("lstm_hidden", parents, dims_of(c.value()));
-  if (f.fresh) f.node->scratch.push_back(make_scratch({m, h}));  // tanh(c)
-  t::lstm_hidden_into(f.node->value, f.node->scratch[0], gates.value(), c.value());
-  if (f.fresh && f.node->requires_grad) {
-    f.node->backward_fn = [gn, cn, m, h](Node& n) {
-      const double* dh = n.grad.data().data();
-      const double* tc = n.scratch[0].data().data();
-      const double* gv = gn->value.data().data();
-      if (gn->requires_grad) {
-        // do = dh * tanh(c).
-        double* dg = gn->ensure_grad().data().data();
-        for (std::int64_t r = 0; r < m; ++r)
-          for (std::int64_t j = 0; j < h; ++j)
-            dg[r * 4 * h + 3 * h + j] += dh[r * h + j] * tc[r * h + j];
-      }
-      if (cn->requires_grad) {
-        // dc = (dh * o) * (1 - tanh(c)^2).
-        double* dc = cn->ensure_grad().data().data();
-        for (std::int64_t r = 0; r < m; ++r)
-          for (std::int64_t j = 0; j < h; ++j) {
-            const auto k = r * h + j;
-            dc[k] += (dh[k] * gv[r * 4 * h + 3 * h + j]) * (1.0 - tc[k] * tc[k]);
-          }
       }
     };
   }

@@ -1,9 +1,12 @@
 // Differentiable operations over yf::autograd::Variable.
 //
 // Each op computes its value eagerly with yf::tensor and records a pullback
-// closure that scatters the output gradient into the parents. Ops taking
-// integer index arguments (embedding, cross-entropy labels) treat those as
-// non-differentiable.
+// closure that scatters the output gradient into the parents. Pullbacks
+// add their GEMM products into the parents' gradients through core::gemm's
+// accumulate form, with no product scratch. Ops taking integer index
+// arguments (embedding, cross-entropy labels) treat those as
+// non-differentiable. The LSTM cell is one op over a packed [2B, H] state
+// (lstm_cell), so the recurrence records two nodes per cell step.
 #pragma once
 
 #include <cstdint>
@@ -50,6 +53,9 @@ Variable reshape(const Variable& a, std::initializer_list<std::int64_t> dims);
 Variable reshape(const Variable& a, tensor::Shape new_shape);
 /// Columns [col_begin, col_end) of a 2-D tensor.
 Variable slice_cols(const Variable& a, std::int64_t col_begin, std::int64_t col_end);
+/// Rows [row_begin, row_end) of a 2-D tensor (e.g. the h or c rows of an
+/// lstm_cell state).
+Variable slice_rows(const Variable& a, std::int64_t row_begin, std::int64_t row_end);
 /// Concatenate 2-D tensors along columns (all with equal row counts).
 Variable concat_cols(const std::vector<Variable>& parts);
 /// Stack rank-1 tensors (or 2-D [1,n] rows) into a 2-D tensor -- not needed;
@@ -59,8 +65,7 @@ Variable concat_cols(const std::vector<Variable>& parts);
 Variable matmul(const Variable& a, const Variable& b);
 /// C = A @ Bᵀ without materializing the transpose (A [m,k], B [n,k]):
 /// the GEMM NT variant absorbs it in the packing step. Used for the
-/// tied-embedding decode; the matmul/conv pullbacks use the tensor-level
-/// NT/TN kernels directly.
+/// tied-embedding decode.
 Variable matmul_nt(const Variable& a, const Variable& b);
 /// Transpose of a 2-D variable.
 Variable transpose(const Variable& a);
@@ -75,16 +80,20 @@ Variable softmax_cross_entropy(const Variable& logits, const std::vector<std::in
 /// Row-wise softmax probabilities (forward only helper; differentiable).
 Variable softmax(const Variable& logits);
 
-/// The LSTM cell as three ops over the gate tensor (layout i | f | g | o,
-/// each H columns wide), computed by tensor::lstm_{gates,cell,hidden}_into.
-/// Values and gradients are bit-identical to the same cell built from
-/// add, add_row_broadcast, slice_cols, sigmoid, tanh and mul.
-/// gates [B, 4H] = act((zx + zh) + b): sigmoid on i, f, o and tanh on g.
-Variable lstm_gates(const Variable& zx, const Variable& zh, const Variable& b);
-/// c [B, H] = (f * c_prev) + (i * g).
-Variable lstm_cell_state(const Variable& gates, const Variable& c_prev);
-/// h [B, H] = o * tanh(c).
-Variable lstm_hidden(const Variable& gates, const Variable& c);
+/// One LSTM cell step as one op (gate layout i | f | g | o, each H
+/// columns wide). Its value is the packed state [2B, H]: rows [0, B) hold
+/// h = o * tanh(c), rows [B, 2B) hold c = (f * c_prev) + (i * g), where
+/// the gates are act((x @ w_x + h_prev @ w_h) + b), sigmoid on i, f, o
+/// and tanh on g, computed by tensor::lstm_{gates,cell,hidden}_into.
+/// x is [B, I] or the packed state of the layer below (its h rows are
+/// read); h_prev and c_prev are [B, H], or both the packed state of the
+/// previous step (its h rows and its c rows). It records two nodes: the
+/// input projection x @ w_x, which keeps its own place in the backward
+/// order, and the cell. Values and gradients are bit-identical to the
+/// same cell built from matmul, add, add_row_broadcast, slice_cols,
+/// sigmoid, tanh and mul.
+Variable lstm_cell(const Variable& x, const Variable& h_prev, const Variable& c_prev,
+                   const Variable& w_x, const Variable& w_h, const Variable& b);
 
 /// Embedding lookup: weight [V, E], indices (size B) -> output [B, E].
 Variable embedding(const Variable& weight, const std::vector<std::int64_t>& indices);

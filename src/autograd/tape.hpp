@@ -50,7 +50,7 @@
 // parameter server's worker fan-out. The tape does not fuse elementwise
 // chains: at these shapes their interior buffers are already L1-resident,
 // and what a node costs is its bookkeeping. The one hot chain, the LSTM
-// cell, is three hand-written ops instead (DESIGN.md §13).
+// cell, is one hand-written op instead (DESIGN.md §13).
 #pragma once
 
 #include <cstdint>

@@ -121,13 +121,30 @@ void pack_a_block(GemmVariant v, double* ap, const double* a, std::int64_t m, st
   }
 }
 
-bool degenerate(double* c, std::int64_t m, std::int64_t n, std::int64_t k) {
+using GemmPath = void (*)(GemmVariant, double*, const double*, const double*, std::int64_t,
+                          std::int64_t, std::int64_t, bool);
+
+/// Handles what a path's kernels do not: empty outputs, k == 0 (C is
+/// zeroed), and the accumulate form unless k is one k-panel, which runs
+/// `path` into workspace scratch and then adds that product into C.
+/// Returns true when C is done.
+bool degenerate_or_split(GemmPath path, GemmVariant variant, double* c, const double* a,
+                         const double* b, std::int64_t m, std::int64_t n, std::int64_t k,
+                         bool accumulate) {
   if (m <= 0 || n <= 0) return true;
-  if (k <= 0) {
-    fill(std::span<double>(c, static_cast<std::size_t>(m * n)), 0.0);
-    return true;
+  const std::span<double> cs(c, static_cast<std::size_t>(m * n));
+  if (!accumulate) {
+    if (k <= 0) fill(cs, 0.0);
+    return k <= 0;
   }
-  return false;
+  if (k >= 1 && k <= kGemmKC) return false;
+  Workspace& ws = pack_workspace();
+  const Workspace::Marker mark = ws.mark();
+  const std::span<double> product = ws.acquire_span(m * n);
+  path(variant, product.data(), a, b, m, n, k, false);
+  axpy(cs, product, 1.0);
+  ws.rollback(mark);
+  return true;
 }
 
 }  // namespace
@@ -135,25 +152,25 @@ bool degenerate(double* c, std::int64_t m, std::int64_t n, std::int64_t k) {
 namespace detail {
 
 void gemm_small(GemmVariant variant, double* c, const double* a, const double* b, std::int64_t m,
-                std::int64_t n, std::int64_t k) {
-  if (degenerate(c, m, n, k)) return;
+                std::int64_t n, std::int64_t k, bool accumulate) {
+  if (degenerate_or_split(gemm_small, variant, c, a, b, m, n, k, accumulate)) return;
   const KernelTable& table = active_table();
   switch (variant) {
     case GemmVariant::kNN:
-      table.gemm_small_nn(c, a, b, m, n, k);
+      table.gemm_small_nn(c, a, b, m, n, k, accumulate);
       break;
     case GemmVariant::kNT:
-      table.gemm_small_nt(c, a, b, m, n, k);
+      table.gemm_small_nt(c, a, b, m, n, k, accumulate);
       break;
     case GemmVariant::kTN:
-      table.gemm_small_tn(c, a, b, m, n, k);
+      table.gemm_small_tn(c, a, b, m, n, k, accumulate);
       break;
   }
 }
 
 void gemm_packed(GemmVariant variant, double* c, const double* a, const double* b, std::int64_t m,
-                 std::int64_t n, std::int64_t k) {
-  if (degenerate(c, m, n, k)) return;
+                 std::int64_t n, std::int64_t k, bool accumulate) {
+  if (degenerate_or_split(gemm_packed, variant, c, a, b, m, n, k, accumulate)) return;
   const KernelTable& table = active_table();
 
   Workspace& ws = pack_workspace();
@@ -169,7 +186,7 @@ void gemm_packed(GemmVariant variant, double* c, const double* a, const double* 
     const std::int64_t col_tiles = ceil_div(nc, kGemmNR);
     for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
       const std::int64_t kc = std::min(kGemmKC, k - pc);
-      const bool beta0 = pc == 0;
+      const bool beta0 = pc == 0 && !accumulate;
       pack_b_slab(variant, bp, b, n, k, jc, nc, pc, kc);
       // Row blocks are independent: each carries its own packed A block
       // (worker-local workspace) and writes a disjoint C row range, so
@@ -207,13 +224,13 @@ void gemm_packed(GemmVariant variant, double* c, const double* a, const double* 
 }  // namespace detail
 
 void gemm(GemmVariant variant, double* c, const double* a, const double* b, std::int64_t m,
-          std::int64_t n, std::int64_t k) {
+          std::int64_t n, std::int64_t k, bool accumulate) {
   const bool small = m * n * k <= detail::kGemmSmallWork ||
                      (variant != GemmVariant::kNT && m <= detail::kGemmSmallRows);
   if (small) {
-    detail::gemm_small(variant, c, a, b, m, n, k);
+    detail::gemm_small(variant, c, a, b, m, n, k, accumulate);
   } else {
-    detail::gemm_packed(variant, c, a, b, m, n, k);
+    detail::gemm_packed(variant, c, a, b, m, n, k, accumulate);
   }
 }
 

@@ -7,8 +7,10 @@
 //   kNT:  C[m,n] = A[m,k]  · B[n,k]ᵀ   (autograd dA, tied-embedding decode)
 //   kTN:  C[m,n] = A[k,m]ᵀ · B[k,n]    (autograd dB, conv dW)
 //
-// C is always *overwritten* (beta = 0 on the first k-panel), so a dirty
-// reused output tensor needs no separate zeroing pass. Above a flops
+// gemm() *overwrites* C (beta = 0 on the first k-panel), so a dirty
+// reused output tensor needs no separate zeroing pass; its accumulate
+// form adds the product into C instead, which is how the autograd
+// pullbacks add into gradients without a product scratch. Above a flops
 // threshold the driver runs the BLIS-style panel hierarchy -- NC column
 // slabs of packed B, KC k-panels, MC row blocks of packed A, an MR x NR
 // register-tiled microkernel -- parallelized over row blocks on the
@@ -34,8 +36,15 @@ enum class GemmVariant {
 
 /// C (m x n, row-major, fully overwritten) = op(A) · op(B). Aliasing
 /// between c and a/b is not allowed. k == 0 zeroes C.
+///
+/// With `accumulate`, C += op(A) · op(B) instead, bit-identical to the
+/// product into a scratch matrix followed by an add into C. For
+/// 1 <= k <= KC (one k-panel) the panel sum s_0 is added straight into C,
+/// which is that same C + s_0. A longer k would give ((C + s_0) + s_1),
+/// not C + (s_0 + s_1), so it still forms the product in per-thread
+/// workspace scratch and adds it after (DESIGN.md §9).
 void gemm(GemmVariant variant, double* c, const double* a, const double* b, std::int64_t m,
-          std::int64_t n, std::int64_t k);
+          std::int64_t n, std::int64_t k, bool accumulate = false);
 
 namespace detail {
 
@@ -67,9 +76,9 @@ inline constexpr std::int64_t kGemmSmallRows = 16;
 /// bit-identical results by the canonical-order contract; gemm() is
 /// dispatch plus these.
 void gemm_packed(GemmVariant variant, double* c, const double* a, const double* b, std::int64_t m,
-                 std::int64_t n, std::int64_t k);
+                 std::int64_t n, std::int64_t k, bool accumulate = false);
 void gemm_small(GemmVariant variant, double* c, const double* a, const double* b, std::int64_t m,
-                std::int64_t n, std::int64_t k);
+                std::int64_t n, std::int64_t k, bool accumulate = false);
 
 }  // namespace detail
 

@@ -37,12 +37,29 @@ KernelBackend resolve_initial_backend() {
   return requested;
 }
 
-std::atomic<KernelBackend>& backend_state() {
-  static std::atomic<KernelBackend> state{resolve_initial_backend()};
-  return state;
+const detail::KernelTable& table_of(KernelBackend backend) {
+#ifdef YF_KERNELS_AVX2
+  if (backend == KernelBackend::kSimd) return detail::kAvx2Kernels;
+#endif
+  (void)backend;
+  return detail::kScalarKernels;
 }
 
 }  // namespace
+
+namespace detail {
+
+std::atomic<const KernelTable*> g_active_table{nullptr};
+
+const KernelTable& resolve_active_table() {
+  // A set_kernel_backend() that won the race keeps its table.
+  const KernelTable* expected = nullptr;
+  g_active_table.compare_exchange_strong(expected, &table_of(resolve_initial_backend()),
+                                         std::memory_order_relaxed);
+  return *g_active_table.load(std::memory_order_relaxed);
+}
+
+}  // namespace detail
 
 bool simd_supported() {
   static const bool supported = cpu_has_avx2_fma();
@@ -50,14 +67,15 @@ bool simd_supported() {
 }
 
 KernelBackend active_kernel_backend() {
-  return backend_state().load(std::memory_order_relaxed);
+  return &detail::active_table() == &detail::kScalarKernels ? KernelBackend::kScalar
+                                                            : KernelBackend::kSimd;
 }
 
 void set_kernel_backend(KernelBackend backend) {
   if (backend == KernelBackend::kSimd && !simd_supported()) {
     throw std::invalid_argument("set_kernel_backend: simd backend unavailable on this machine");
   }
-  backend_state().store(backend, std::memory_order_relaxed);
+  detail::g_active_table.store(&table_of(backend), std::memory_order_relaxed);
 }
 
 bool kernel_backend_from_string(std::string_view name, KernelBackend& out) {
@@ -79,16 +97,5 @@ const char* kernel_backend_name(KernelBackend backend) {
 const char* active_kernel_backend_name() {
   return kernel_backend_name(active_kernel_backend());
 }
-
-namespace detail {
-
-const KernelTable& active_table() {
-#ifdef YF_KERNELS_AVX2
-  if (active_kernel_backend() == KernelBackend::kSimd) return kAvx2Kernels;
-#endif
-  return kScalarKernels;
-}
-
-}  // namespace detail
 
 }  // namespace yf::core

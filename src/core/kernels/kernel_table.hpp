@@ -24,6 +24,7 @@
 //    (because reductions stay on one thread) worker counts.
 #pragma once
 
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -74,11 +75,11 @@ struct KernelTable {
   void (*gemm_micro)(double* c, std::int64_t ldc, const double* ap, const double* bp,
                      std::int64_t kc, std::int64_t rows, std::int64_t cols, bool beta0);
   void (*gemm_small_nn)(double* c, const double* a, const double* b, std::int64_t m,
-                        std::int64_t n, std::int64_t k);
+                        std::int64_t n, std::int64_t k, bool accumulate);
   void (*gemm_small_nt)(double* c, const double* a, const double* b, std::int64_t m,
-                        std::int64_t n, std::int64_t k);
+                        std::int64_t n, std::int64_t k, bool accumulate);
   void (*gemm_small_tn)(double* c, const double* a, const double* b, std::int64_t m,
-                        std::int64_t n, std::int64_t k);
+                        std::int64_t n, std::int64_t k, bool accumulate);
 
   // -- Lane-blocked deterministic reductions. -------------------------------
   double (*sum)(const double* x, std::int64_t n);
@@ -94,8 +95,17 @@ extern const KernelTable kScalarKernels;
 extern const KernelTable kAvx2Kernels;
 #endif
 
-/// Table for the currently active backend (one relaxed atomic load).
-const KernelTable& active_table();
+/// The active backend's table (core/kernels/backend.cpp); null until the
+/// first active_table() call resolves YF_KERNEL_BACKEND.
+extern std::atomic<const KernelTable*> g_active_table;
+/// Slow path of active_table(): resolves and publishes the initial backend.
+const KernelTable& resolve_active_table();
+
+/// Table for the currently active backend: one relaxed atomic load.
+inline const KernelTable& active_table() {
+  const KernelTable* table = g_active_table.load(std::memory_order_relaxed);
+  return table != nullptr ? *table : resolve_active_table();
+}
 
 // -- GEMM tiling constants (core/gemm.cpp panel hierarchy). ------------------
 // The register tile is MR x NR = 4 x 8 (one broadcast lane times two
@@ -123,6 +133,9 @@ inline constexpr std::int64_t kGemmNC = 1024;
 //             in one accumulator starting at 0.0
 //
 // The first panel *overwrites* C (beta = 0), later panels accumulate.
+// In the accumulate form (C += op(A)·op(B), `accumulate` below) the first
+// panel adds too, so C ends as ((C + s_0) + s_1) + ...; the driver runs it
+// only when there is one panel (core/gemm.hpp).
 // No FMA anywhere: each mul and each add rounds separately, so 4-wide
 // vector lanes round exactly like 4 scalars.
 
@@ -156,17 +169,19 @@ inline void gemm_micro_ref(double* c, std::int64_t ldc, const double* ap, const 
 /// Reference small-matrix path: unpacked operands, no pool, same
 /// canonical per-element order as the packed path (KC panel partial
 /// sums, kk ascending). `la(i, kk)` / `lb(kk, j)` read op(A) / op(B).
+/// With `accumulate` the first panel adds into C as well.
 template <typename LoadA, typename LoadB>
 inline void gemm_small_ref(double* c, std::int64_t m, std::int64_t n, std::int64_t k, LoadA la,
-                           LoadB lb) {
+                           LoadB lb, bool accumulate) {
   for (std::int64_t i = 0; i < m; ++i) {
     double* crow = c + i * n;
     for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
       const std::int64_t ke = pc + kGemmKC < k ? pc + kGemmKC : k;
+      const bool beta0 = pc == 0 && !accumulate;
       for (std::int64_t j = 0; j < n; ++j) {
         double acc = 0.0;
         for (std::int64_t kk = pc; kk < ke; ++kk) acc += la(i, kk) * lb(kk, j);
-        crow[j] = pc == 0 ? acc : crow[j] + acc;
+        crow[j] = beta0 ? acc : crow[j] + acc;
       }
     }
   }

@@ -399,10 +399,10 @@ void gemm_micro_avx2(double* c, std::int64_t ldc, const double* ap, const double
 /// the m <= 16 training matmuls).
 template <typename LoadARow>
 void gemm_small_rowmajor_b_avx2(double* c, const double* b, std::int64_t m, std::int64_t n,
-                                std::int64_t k, LoadARow la) {
+                                std::int64_t k, bool accumulate, LoadARow la) {
   for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
     const std::int64_t ke = std::min(k, pc + kGemmKC);
-    const bool beta0 = pc == 0;
+    const bool beta0 = pc == 0 && !accumulate;
     std::int64_t j = 0;
     // Column strip outermost, row groups inner: every group after the
     // first re-reads the same kc x NR strip of B while it is still
@@ -496,9 +496,10 @@ void gemm_small_rowmajor_b_avx2(double* c, const double* b, std::int64_t m, std:
 }
 
 void gemm_small_nn_avx2(double* c, const double* a, const double* b, std::int64_t m,
-                        std::int64_t n, std::int64_t k) {
-  gemm_small_rowmajor_b_avx2(
-      c, b, m, n, k, [a, k](std::int64_t i, std::int64_t kk) { return a[i * k + kk]; });
+                        std::int64_t n, std::int64_t k, bool accumulate) {
+  gemm_small_rowmajor_b_avx2(c, b, m, n, k, accumulate, [a, k](std::int64_t i, std::int64_t kk) {
+    return a[i * k + kk];
+  });
 }
 
 /// NT tile: R rows x 4 columns of C, one C element per accumulator lane
@@ -557,11 +558,11 @@ void nt_tile(double* c, const double* a, const double* b, std::int64_t n, std::i
 /// registers because R is a template constant); scalar columns for
 /// n % 4, in the same per-element order.
 void gemm_small_nt_avx2(double* c, const double* a, const double* b, std::int64_t m,
-                        std::int64_t n, std::int64_t k) {
+                        std::int64_t n, std::int64_t k, bool accumulate) {
   static_assert(kGemmMR == 4, "the remainder switch covers 1..3 rows");
   for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
     const std::int64_t ke = std::min(k, pc + kGemmKC);
-    const bool beta0 = pc == 0;
+    const bool beta0 = pc == 0 && !accumulate;
     std::int64_t j = 0;
     for (; j + kVec <= n; j += kVec) {
       std::int64_t i = 0;
@@ -592,9 +593,10 @@ void gemm_small_nt_avx2(double* c, const double* a, const double* b, std::int64_
 }
 
 void gemm_small_tn_avx2(double* c, const double* a, const double* b, std::int64_t m,
-                        std::int64_t n, std::int64_t k) {
-  gemm_small_rowmajor_b_avx2(
-      c, b, m, n, k, [a, m](std::int64_t i, std::int64_t kk) { return a[kk * m + i]; });
+                        std::int64_t n, std::int64_t k, bool accumulate) {
+  gemm_small_rowmajor_b_avx2(c, b, m, n, k, accumulate, [a, m](std::int64_t i, std::int64_t kk) {
+    return a[kk * m + i];
+  });
 }
 
 // -- Lane-blocked reductions. ------------------------------------------------

@@ -140,10 +140,10 @@ void gemm_micro_scalar(double* c, std::int64_t ldc, const double* ap, const doub
 /// page per kk, which the hardware streamer cannot follow.
 template <typename LoadA>
 void gemm_small_rowmajor_b_scalar(double* c, const double* b, std::int64_t m, std::int64_t n,
-                                  std::int64_t k, LoadA la) {
+                                  std::int64_t k, bool accumulate, LoadA la) {
   for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
     const std::int64_t ke = std::min(k, pc + kGemmKC);
-    const bool beta0 = pc == 0;
+    const bool beta0 = pc == 0 && !accumulate;
     std::int64_t j = 0;
     // Column strip outermost, row groups inner (like the AVX2 twin):
     // every group after the first re-reads an L1-resident strip of B.
@@ -195,22 +195,24 @@ void gemm_small_rowmajor_b_scalar(double* c, const double* b, std::int64_t m, st
 }
 
 void gemm_small_nn_scalar(double* c, const double* a, const double* b, std::int64_t m,
-                          std::int64_t n, std::int64_t k) {
-  gemm_small_rowmajor_b_scalar(
-      c, b, m, n, k, [a, k](std::int64_t i, std::int64_t kk) { return a[i * k + kk]; });
+                          std::int64_t n, std::int64_t k, bool accumulate) {
+  gemm_small_rowmajor_b_scalar(c, b, m, n, k, accumulate, [a, k](std::int64_t i, std::int64_t kk) {
+    return a[i * k + kk];
+  });
 }
 
 void gemm_small_nt_scalar(double* c, const double* a, const double* b, std::int64_t m,
-                          std::int64_t n, std::int64_t k) {
+                          std::int64_t n, std::int64_t k, bool accumulate) {
   gemm_small_ref(
       c, m, n, k, [a, k](std::int64_t i, std::int64_t kk) { return a[i * k + kk]; },
-      [b, k](std::int64_t kk, std::int64_t j) { return b[j * k + kk]; });
+      [b, k](std::int64_t kk, std::int64_t j) { return b[j * k + kk]; }, accumulate);
 }
 
 void gemm_small_tn_scalar(double* c, const double* a, const double* b, std::int64_t m,
-                          std::int64_t n, std::int64_t k) {
-  gemm_small_rowmajor_b_scalar(
-      c, b, m, n, k, [a, m](std::int64_t i, std::int64_t kk) { return a[kk * m + i]; });
+                          std::int64_t n, std::int64_t k, bool accumulate) {
+  gemm_small_rowmajor_b_scalar(c, b, m, n, k, accumulate, [a, m](std::int64_t i, std::int64_t kk) {
+    return a[kk * m + i];
+  });
 }
 
 // -- Lane-blocked reductions. ------------------------------------------------

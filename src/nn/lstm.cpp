@@ -20,19 +20,14 @@ LSTMCell::LSTMCell(std::int64_t input_size, std::int64_t hidden_size, tensor::Rn
 }
 
 LSTMState LSTMCell::forward(const autograd::Variable& x, const LSTMState& prev) const {
-  // Two gate projections, then the cell's three elementwise ops.
-  auto gates = ag::lstm_gates(ag::matmul(x, w_x), ag::matmul(prev.h, w_h), b);
-  LSTMState next;
-  next.c = ag::lstm_cell_state(gates, prev.c);
-  next.h = ag::lstm_hidden(gates, next.c);
-  return next;
+  const auto packed = ag::lstm_cell(x, prev.h, prev.c, w_x, w_h, b);
+  const auto batch = packed.value().dim(0) / 2;
+  return {ag::slice_rows(packed, 0, batch), ag::slice_rows(packed, batch, 2 * batch)};
 }
 
 LSTMState LSTMCell::zero_state(std::int64_t batch) const {
-  LSTMState s;
-  s.h = ag::zeros({batch, hidden_});
-  s.c = ag::zeros({batch, hidden_});
-  return s;
+  const auto zero = ag::zeros({batch, hidden_});
+  return {zero, zero};
 }
 
 LSTM::LSTM(std::int64_t input_size, std::int64_t hidden_size, std::int64_t num_layers,
@@ -47,22 +42,34 @@ LSTM::LSTM(std::int64_t input_size, std::int64_t hidden_size, std::int64_t num_l
 
 const std::vector<autograd::Variable>& LSTM::forward(
     const std::vector<autograd::Variable>& inputs, std::vector<LSTMState>* states) const {
-  std::vector<LSTMState>& st = states ? *states : states_scratch_;
-  if (!states) st.clear();
-  if (st.empty()) {
-    const auto batch = inputs.empty() ? 1 : inputs.front().value().dim(0);
-    st.resize(cells_.size());
-    for (std::size_t l = 0; l < cells_.size(); ++l) st[l] = cells_[l]->zero_state(batch);
+  const auto batch = inputs.empty() ? 1 : inputs.front().value().dim(0);
+  std::vector<LSTMState>& st = states_scratch_;
+  st.clear();
+  if (states != nullptr && !states->empty()) {
+    st.assign(states->begin(), states->end());
+  } else if (!cells_.empty()) {
+    // All layers share one hidden size, so one zero tensor is every
+    // layer's initial h and c.
+    st.assign(cells_.size(), cells_.front()->zero_state(batch));
   }
   outputs_.clear();
   outputs_.reserve(inputs.size());
   for (const auto& x : inputs) {
     autograd::Variable layer_in = x;
     for (std::size_t l = 0; l < cells_.size(); ++l) {
-      st[l] = cells_[l]->forward(layer_in, st[l]);
-      layer_in = st[l].h;
+      const LSTMCell& cell = *cells_[l];
+      layer_in = ag::lstm_cell(layer_in, st[l].h, st[l].c, cell.w_x, cell.w_h, cell.b);
+      st[l] = {layer_in, layer_in};
     }
-    outputs_.push_back(layer_in);
+    outputs_.push_back(ag::slice_rows(layer_in, 0, batch));
+  }
+  if (states != nullptr) {
+    states->resize(cells_.size());
+    for (std::size_t l = 0; l < cells_.size(); ++l) {
+      (*states)[l] = inputs.empty() ? st[l]
+                                    : LSTMState{ag::slice_rows(st[l].h, 0, batch),
+                                                ag::slice_rows(st[l].c, batch, 2 * batch)};
+    }
   }
   return outputs_;
 }

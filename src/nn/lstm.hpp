@@ -1,12 +1,19 @@
 // LSTM cell and multi-layer unrolled LSTM (BPTT through autograd).
 //
-// A cell step records five graph nodes: the gate projections x @ w_x and
-// h @ w_h, then the cell ops autograd::lstm_gates, lstm_cell_state and
-// lstm_hidden. Their forward math is tensor::lstm_{gates,cell,hidden}_into,
-// which serve::LMForward calls too (DESIGN.md §8, §11). Gate layout in the
-// [B, 4H] gate tensor: input | forget | cell | output (i, f, g, o).
-// Forget-gate bias is initialized to 1 per standard practice, which the
-// paper's LSTM experiments rely on for stable early training.
+// A cell step is one op, autograd::lstm_cell, which records two graph
+// nodes: the input projection x @ w_x, then the cell (h_prev @ w_h and the
+// cell math, whose forward kernels tensor::lstm_{gates,cell,hidden}_into
+// serve::LMForward calls too; DESIGN.md §8, §11, §13). The cell's value
+// packs the new state as [2B, H], h rows then c rows. Inside
+// LSTM::forward the next step and the next layer read those rows
+// directly; only each step's top-layer h and the final states a caller
+// asks for become slice_rows nodes. Nodes per step, not one op per layer
+// sequence: every step's nodes must keep their own place in the backward
+// order, or the weight and embedding gradients sum in another order
+// (DESIGN.md §13). Gate layout in the [B, 4H] gate tensor: input |
+// forget | cell | output (i, f, g, o). Forget-gate bias is initialized to
+// 1 per standard practice, which the paper's LSTM experiments rely on for
+// stable early training.
 #pragma once
 
 #include <vector>
@@ -26,11 +33,13 @@ class LSTMCell : public Module {
   LSTMCell(std::int64_t input_size, std::int64_t hidden_size, tensor::Rng& rng,
            double init_scale = 1.0);
 
-  /// One step: x [B, input] with previous state -> next state.
+  /// One step: x [B, input] with previous state -> next state, whose h
+  /// and c are row slices of the step's packed lstm_cell state.
   LSTMState forward(const autograd::Variable& x, const LSTMState& prev) const;
 
-  /// Zero state for batch size B (constant, non-differentiable). Under an
-  /// active GraphTape the zero tensors are tape-cached across steps.
+  /// Zero state for batch size B (constant, non-differentiable; h and c
+  /// are one zero tensor). Under an active GraphTape it is tape-cached
+  /// across steps.
   LSTMState zero_state(std::int64_t batch) const;
 
   std::int64_t hidden_size() const { return hidden_; }
@@ -51,10 +60,11 @@ class LSTM : public Module {
        tensor::Rng& rng, double init_scale = 1.0);
 
   /// Run over a sequence of per-step inputs (each [B, input]); returns the
-  /// top-layer output at every step (each [B, H]) and the final states.
-  /// The returned vector is an internal buffer reused across calls (so
-  /// steady-state steps do not allocate) -- copy it if it must survive
-  /// the next forward() on this module.
+  /// top-layer output at every step (each [B, H]). With `states`, the run
+  /// starts from them (zero states when empty) and leaves the final
+  /// states there. The returned vector is an internal buffer reused
+  /// across calls (so steady-state steps do not allocate) -- copy it if it
+  /// must survive the next forward() on this module.
   const std::vector<autograd::Variable>& forward(const std::vector<autograd::Variable>& inputs,
                                                  std::vector<LSTMState>* states) const;
 
@@ -77,7 +87,9 @@ class LSTM : public Module {
  private:
   std::vector<std::shared_ptr<LSTMCell>> cells_;
   // Per-call scratch reused across steps (modules are driven by one
-  // thread; worker replicas each own their module).
+  // thread; worker replicas each own their module). states_scratch_ holds
+  // each layer's running state: after the first step both h and c are the
+  // layer's latest packed lstm_cell state.
   mutable std::vector<autograd::Variable> outputs_;
   mutable std::vector<LSTMState> states_scratch_;
 };

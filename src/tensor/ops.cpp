@@ -349,6 +349,9 @@ Tensor sum_rows(const Tensor& a) {
   return out;
 }
 
+namespace {
+
+/// Operand checks of the LSTM cell kernels; each returns H.
 std::int64_t check_lstm_gates(const Tensor& zx, const Tensor& zh, const Tensor& b) {
   if (zx.ndim() != 2 || zx.dim(1) == 0 || zx.dim(1) % 4 != 0 || zh.shape() != zx.shape() ||
       b.ndim() != 1 || b.dim(0) != zx.dim(1)) {
@@ -368,6 +371,8 @@ std::int64_t check_lstm_state(const Tensor& gates, const Tensor& state, const ch
   }
   return state.dim(1);
 }
+
+}  // namespace
 
 void lstm_gates_into(Tensor& gates, const Tensor& zx, const Tensor& zh, const Tensor& b) {
   const auto h = check_lstm_gates(zx, zh, b);

@@ -90,8 +90,8 @@ void add_row_broadcast_into(Tensor& out, const Tensor& a, const Tensor& bias);
 void sum_rows_into(Tensor& out, const Tensor& a);
 
 // -- LSTM cell (gate layout i | f | g | o, each H columns wide). --------------
-// The cell's forward math, written once: the autograd ops lstm_gates,
-// lstm_cell_state and lstm_hidden and serve::LMForward all call these.
+// The cell's forward math, written once: the autograd op lstm_cell and
+// serve::LMForward both call these.
 // Each element takes the operation sequence of the same cell built from
 // add, add_row_broadcast, slice_cols, sigmoid, tanh and mul, so the two
 // are bit-identical (pinned by Lstm.FusedCellMatchesUnfusedChain).
@@ -102,10 +102,6 @@ void lstm_gates_into(Tensor& gates, const Tensor& zx, const Tensor& zh, const Te
 void lstm_cell_into(Tensor& c, const Tensor& gates, const Tensor& c_prev);
 /// tc[B, H] = tanh(c) and h[B, H] = o * tc.
 void lstm_hidden_into(Tensor& h, Tensor& tc, const Tensor& gates, const Tensor& c);
-/// Operand checks of the kernels above, callable before any output
-/// exists; each returns H.
-std::int64_t check_lstm_gates(const Tensor& zx, const Tensor& zh, const Tensor& b);
-std::int64_t check_lstm_state(const Tensor& gates, const Tensor& state, const char* op);
 
 // -- Comparison helpers (used heavily by tests). ------------------------------
 /// max_i |a_i - b_i|; shapes must match.

@@ -84,7 +84,7 @@ Tensor Tensor::clone() const {
   return Tensor(shape_, std::vector<double>(s.begin(), s.end()));
 }
 
-std::int64_t Tensor::dim(std::int64_t i) const {
+std::int64_t Tensor::dim_negative_or_throw(std::int64_t i) const {
   const auto nd = ndim();
   if (i < 0) i += nd;
   if (i < 0 || i >= nd) {

@@ -67,7 +67,10 @@ class Tensor {
   std::int64_t ndim() const { return static_cast<std::int64_t>(shape_.size()); }
   std::int64_t size() const { return size_; }
   /// Extent along axis `i` (supports negative axes Python-style).
-  std::int64_t dim(std::int64_t i) const;
+  std::int64_t dim(std::int64_t i) const {
+    if (i >= 0 && i < ndim()) return shape_[static_cast<std::size_t>(i)];
+    return dim_negative_or_throw(i);
+  }
 
   std::span<double> data() {
     return {storage_->data() + offset_, static_cast<std::size_t>(size_)};
@@ -113,6 +116,8 @@ class Tensor {
   Tensor& zero_();                                        ///< this = 0
 
  private:
+  /// dim() off its in-range path: negative axes, and the out-of-range throw.
+  std::int64_t dim_negative_or_throw(std::int64_t i) const;
   std::int64_t flat_index(std::initializer_list<std::int64_t> idx) const;
 
   Shape shape_;

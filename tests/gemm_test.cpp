@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <random>
@@ -217,6 +218,49 @@ TEST(Gemm, ThreadCountAndPartitionInvariant) {
     }
   }
   pool.set_fanout(old_fanout);
+}
+
+TEST(Gemm, AccumulateMatchesProductThenAdd) {
+  // C += op(A)·op(B) must add exactly what the product formed in scratch
+  // and then added with Tensor::add_ adds. k = 6 and 256 are one k-panel,
+  // added into C in place; k = 300 spans two panels, which the driver
+  // still forms in scratch first. Row 0 of op(A) is zero, so its product
+  // is +0.0 and the -0.0 entries of C there must turn into +0.0 as an add
+  // of the product would turn them.
+  std::vector<core::KernelBackend> backends = {core::KernelBackend::kScalar};
+  if (core::simd_supported()) backends.push_back(core::KernelBackend::kSimd);
+  for (const auto backend : backends) {
+    with_backend(backend, [] {
+      for (const auto& s : {Shape{16, 64, 6}, Shape{16, 64, 256}, Shape{16, 64, 300},
+                            Shape{7, 13, 6}, Shape{7, 13, 256}, Shape{7, 13, 300}}) {
+        for (const auto v : kVariants) {
+          auto a = random_vec(static_cast<std::size_t>(a_len(v, s)), 51);
+          const auto b = random_vec(static_cast<std::size_t>(b_len(v, s)), 52);
+          for (std::int64_t kk = 0; kk < s.k; ++kk) {
+            a[static_cast<std::size_t>(v == core::GemmVariant::kTN ? kk * s.m : kk)] = 0.0;
+          }
+          t::Tensor c0(t::Shape{s.m, s.n}, random_vec(static_cast<std::size_t>(s.m * s.n), 53));
+          for (std::int64_t i = 0; i < c0.size(); i += 3) c0[i] = -0.0;
+          for (const bool packed : {false, true}) {
+            const auto path = packed ? core::detail::gemm_packed : core::detail::gemm_small;
+            t::Tensor product(t::Shape{s.m, s.n});
+            path(v, product.data().data(), a.data(), b.data(), s.m, s.n, s.k, false);
+            t::Tensor expect = c0.clone();
+            expect.add_(product);
+            t::Tensor got = c0.clone();
+            path(v, got.data().data(), a.data(), b.data(), s.m, s.n, s.k, true);
+            for (std::int64_t i = 0; i < got.size(); ++i) {
+              ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                        std::bit_cast<std::uint64_t>(expect[i]))
+                  << core::active_kernel_backend_name() << " " << variant_name(v)
+                  << (packed ? " packed " : " small ") << s.m << "x" << s.n << "x" << s.k
+                  << " @" << i << ": " << got[i] << " vs " << expect[i];
+            }
+          }
+        }
+      }
+    });
+  }
 }
 
 TEST(Gemm, DirtyReusedOutputIsOverwritten) {

@@ -173,39 +173,23 @@ TEST(Gradcheck, SliceConcatComposite) {
   EXPECT_TRUE(result.ok) << result.detail;
 }
 
-// The three LSTM cell ops, each on its own. Gate values for the state ops
-// are arbitrary inputs there, not activations.
-TEST(Gradcheck, LstmGates) {
+// The LSTM cell op on plain operands, then reading its packed state as
+// the next layer's x and as the next step's h and c.
+TEST(Gradcheck, LstmCell) {
   t::Rng rng(61);
-  auto zx = ag::Variable(rng.normal_tensor({3, 12}), true);
-  auto zh = ag::Variable(rng.normal_tensor({3, 12}), true);
-  auto b = ag::Variable(rng.normal_tensor({12}), true);
+  std::vector<ag::Variable> inputs;
+  for (const t::Shape& s : std::vector<t::Shape>{{3, 2}, {3, 3}, {3, 3}, {2, 12}, {3, 12}, {12},
+                                                 {3, 12}}) {
+    inputs.emplace_back(rng.normal_tensor(s, 0.0, 0.7), true);
+  }
   auto fn = [](const std::vector<ag::Variable>& in) {
-    return ag::sum(ag::square(ag::lstm_gates(in[0], in[1], in[2])));
+    const auto &x = in[0], &h0 = in[1], &c0 = in[2], &wx = in[3], &wh = in[4], &b = in[5];
+    auto step = ag::lstm_cell(x, h0, c0, wx, wh, b);
+    auto above = ag::lstm_cell(step, h0, c0, in[6], wh, b);
+    auto next = ag::lstm_cell(x, step, step, wx, wh, b);
+    return ag::add(ag::sum(ag::square(above)), ag::sum(ag::square(next)));
   };
-  const auto result = ag::gradcheck(fn, {zx, zh, b});
-  EXPECT_TRUE(result.ok) << result.detail;
-}
-
-TEST(Gradcheck, LstmCellState) {
-  t::Rng rng(67);
-  auto gates = ag::Variable(rng.uniform_tensor({3, 12}, -1.0, 1.0), true);
-  auto c_prev = ag::Variable(rng.normal_tensor({3, 3}), true);
-  auto fn = [](const std::vector<ag::Variable>& in) {
-    return ag::sum(ag::square(ag::lstm_cell_state(in[0], in[1])));
-  };
-  const auto result = ag::gradcheck(fn, {gates, c_prev});
-  EXPECT_TRUE(result.ok) << result.detail;
-}
-
-TEST(Gradcheck, LstmHidden) {
-  t::Rng rng(71);
-  auto gates = ag::Variable(rng.uniform_tensor({3, 12}, -1.0, 1.0), true);
-  auto c = ag::Variable(rng.normal_tensor({3, 3}), true);
-  auto fn = [](const std::vector<ag::Variable>& in) {
-    return ag::sum(ag::square(ag::lstm_hidden(in[0], in[1])));
-  };
-  const auto result = ag::gradcheck(fn, {gates, c});
+  const auto result = ag::gradcheck(fn, inputs);
   EXPECT_TRUE(result.ok) << result.detail;
 }
 

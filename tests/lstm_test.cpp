@@ -301,37 +301,31 @@ TEST(Lstm, FusedCellMatchesUnfusedChain) {
   }
 }
 
-// Each cell op validates its operands before recording anything: a throw
+// The cell op validates its operands before recording anything: a throw
 // after make_frame would leave a half-built node for later steps to replay.
-TEST(Lstm, GatesOpRejectsMismatchedShapes) {
+// A [2B, .] operand counts as packed only when an lstm_cell made it.
+TEST(Lstm, CellOpRejectsMismatchedShapes) {
   ag::GraphTape tape;
   ag::TapeScope scope(&tape);
   tape.begin_step();
   const auto var = [](t::Shape s) { return ag::Variable(t::Tensor::zeros(std::move(s)), true); };
-  EXPECT_THROW(ag::lstm_gates(var({2, 8}), var({3, 8}), var({8})), std::invalid_argument);
-  EXPECT_THROW(ag::lstm_gates(var({2, 8}), var({2, 8}), var({4})), std::invalid_argument);
-  EXPECT_THROW(ag::lstm_gates(var({2, 6}), var({2, 6}), var({6})), std::invalid_argument);
-  EXPECT_EQ(tape.recorded_nodes(), 0u);
-}
-
-TEST(Lstm, CellStateOpRejectsMismatchedShapes) {
-  ag::GraphTape tape;
-  ag::TapeScope scope(&tape);
-  tape.begin_step();
-  const auto var = [](t::Shape s) { return ag::Variable(t::Tensor::zeros(std::move(s)), true); };
-  EXPECT_THROW(ag::lstm_cell_state(var({2, 8}), var({2, 3})), std::invalid_argument);
-  EXPECT_THROW(ag::lstm_cell_state(var({2, 8}), var({3, 2})), std::invalid_argument);
-  EXPECT_EQ(tape.recorded_nodes(), 0u);
-}
-
-TEST(Lstm, HiddenOpRejectsMismatchedShapes) {
-  ag::GraphTape tape;
-  ag::TapeScope scope(&tape);
-  tape.begin_step();
-  const auto var = [](t::Shape s) { return ag::Variable(t::Tensor::zeros(std::move(s)), true); };
-  EXPECT_THROW(ag::lstm_hidden(var({2, 8}), var({2, 8})), std::invalid_argument);
-  EXPECT_THROW(ag::lstm_hidden(var({2, 8}), var({1, 2})), std::invalid_argument);
-  EXPECT_EQ(tape.recorded_nodes(), 0u);
+  const auto x = var({2, 3}), s = var({2, 4}), wx = var({3, 16}), wh = var({4, 16}), b = var({16});
+  const auto packed = ag::lstm_cell(x, s, s, wx, wh, b);
+  ASSERT_EQ(packed.value().shape(), (t::Shape{4, 4}));
+  const auto recorded = tape.recorded_nodes();
+  EXPECT_THROW(ag::lstm_cell(var({3, 3}), s, s, wx, wh, b), std::invalid_argument);
+  EXPECT_THROW(ag::lstm_cell(var({4, 3}), s, s, wx, wh, b), std::invalid_argument);
+  EXPECT_THROW(ag::lstm_cell(var({3}), s, s, wx, wh, b), std::invalid_argument);
+  EXPECT_THROW(ag::lstm_cell(x, var({2, 5}), s, wx, wh, b), std::invalid_argument);
+  EXPECT_THROW(ag::lstm_cell(x, s, var({1, 4}), wx, wh, b), std::invalid_argument);
+  EXPECT_THROW(ag::lstm_cell(x, s, s, var({2, 16}), wh, b), std::invalid_argument);
+  EXPECT_THROW(ag::lstm_cell(x, s, s, wx, var({4, 12}), b), std::invalid_argument);
+  EXPECT_THROW(ag::lstm_cell(x, s, s, wx, wh, var({12})), std::invalid_argument);
+  EXPECT_THROW(ag::lstm_cell(x, var({2, 3}), var({2, 3}), var({3, 14}), var({3, 14}), var({14})),
+               std::invalid_argument);
+  EXPECT_THROW(ag::lstm_cell(var({3, 3}), packed, packed, wx, wh, b), std::invalid_argument);
+  EXPECT_THROW(ag::lstm_cell(packed, s, s, wx, wh, b), std::invalid_argument);
+  EXPECT_EQ(tape.recorded_nodes(), recorded);
 }
 
 // -- Golden LM trajectory. ---------------------------------------------------
