@@ -63,8 +63,35 @@ inline std::string env_or(const char* name, const std::string& fallback) {
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <string_view>
+
+#include "core/kernels/kernel_table.hpp"
 
 namespace yfb {
+
+/// Makes the kernel table `name` ("scalar", "avx2" or "avx512") active for
+/// one benchmark run and labels the run with it, restoring the previous
+/// table on destruction. Converts to false, after flagging the run
+/// skipped, when the build or the CPU cannot run that table.
+class TableScope {
+ public:
+  TableScope(benchmark::State& state, std::string_view name) {
+    for (const auto& runnable : yf::core::detail::runnable_tables()) {
+      if (name == runnable.name) {
+        scope_ = std::make_unique<yf::core::detail::ActiveTableScope>(*runnable.table);
+      }
+    }
+    if (!scope_) {
+      state.SkipWithError("kernel table not runnable on this machine");
+      return;
+    }
+    state.SetLabel(std::string(name));
+  }
+  explicit operator bool() const { return scope_ != nullptr; }
+
+ private:
+  std::unique_ptr<yf::core::detail::ActiveTableScope> scope_;
+};
 
 class JsonReporter : public benchmark::ConsoleReporter {
  public:
@@ -123,6 +150,7 @@ class JsonReporter : public benchmark::ConsoleReporter {
     out << "  \"bench\": \"" << escape(bench_) << "\",\n";
     out << "  \"git_sha\": \"" << escape(sha) << "\",\n";
     out << "  \"default_backend\": \"" << yf::core::active_kernel_backend_name() << "\",\n";
+    out << "  \"kernel_table\": \"" << yf::core::active_kernel_table_name() << "\",\n";
     out << "  \"results\": [";
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       const Entry& e = entries_[i];

@@ -9,6 +9,8 @@
 // BM_GemmPackedForced / BM_GemmSmallForced run the *forced* packed and
 // small engines on cubes around the dispatch thresholds; their output
 // pins core::detail::kGemmSmallWork / kGemmSmallRows (gemm.hpp).
+// BM_TableGemm* time each runnable kernel table's small-path entries at
+// the products the gated workloads run (DESIGN.md §4).
 // Results land in BENCH_micro_gemm.json via yfb::JsonReporter.
 #include <benchmark/benchmark.h>
 
@@ -202,6 +204,66 @@ BENCHMARK_CAPTURE(BM_GemmSmallForced, scalar, core::KernelBackend::kScalar)
     ->Apply(BM_GemmCrossover_args);
 BENCHMARK_CAPTURE(BM_GemmSmallForced, simd, core::KernelBackend::kSimd)
     ->Apply(BM_GemmCrossover_args);
+
+// -- Kernel tables at the workloads' shapes. ---------------------------------
+// Each table (scalar, avx2, avx512; runs skip where the CPU cannot run the
+// table) through the forced small path, which calls the active table's
+// gemm_small_* entry: train_lm's and async_socket's batch-6 LSTM (gate
+// products, LM-head logits, and their pullbacks), serve_lm's batch-3
+// gates, and a one-row decode whose k spans two KC panels. An AVX-512
+// override keeps its place in kAvx512Kernels only while it beats avx2
+// here.
+
+void run_table_gemm(benchmark::State& state, const char* table, core::GemmVariant v) {
+  yfb::TableScope scope(state, table);
+  if (!scope) return;
+  const auto m = state.range(0), n = state.range(1), k = state.range(2);
+  auto ops = make_operands(v, m, n, k);
+  for (auto _ : state) {
+    core::detail::gemm_small(v, ops.c.data().data(), ops.a.data().data(), ops.b.data().data(), m,
+                             n, k);
+    benchmark::DoNotOptimize(ops.c.data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * m * n * k);
+}
+
+void BM_TableGemmNn(benchmark::State& state, const char* table) {
+  run_table_gemm(state, table, core::GemmVariant::kNN);
+}
+void BM_TableGemmNt(benchmark::State& state, const char* table) {
+  run_table_gemm(state, table, core::GemmVariant::kNT);
+}
+void BM_TableGemmTn(benchmark::State& state, const char* table) {
+  run_table_gemm(state, table, core::GemmVariant::kTN);
+}
+
+void BM_TableGemmNn_args(benchmark::internal::Benchmark* b) {
+  b->Args({6, 64, 12})      // train_lm layer-0 input projection x[6,12] @ Wx[12,64]
+      ->Args({6, 64, 16})   // train_lm recurrent gates h[6,16] @ Wh[16,64]
+      ->Args({6, 33, 16})   // train_lm LM head h[6,16] @ Wd[16,33]
+      ->Args({3, 64, 16})   // serve_lm gates at a coalesced batch of 3
+      ->Args({1, 256, 400});  // one-row decode, two KC panels (ROADMAP item 8)
+}
+void BM_TableGemmTn_args(benchmark::internal::Benchmark* b) {
+  b->Args({16, 64, 6})      // dWh += h^T @ dGates
+      ->Args({12, 64, 6})   // dWx += x^T @ dGates
+      ->Args({16, 33, 6});  // dWd += h^T @ dLogits
+}
+void BM_TableGemmNt_args(benchmark::internal::Benchmark* b) {
+  b->Args({6, 16, 64})      // dH = dGates @ Wh^T
+      ->Args({6, 12, 64})   // dX = dGates @ Wx^T
+      ->Args({6, 16, 33});  // dH = dLogits @ Wd^T
+}
+
+#define YF_TABLE_BENCH(fn)                                   \
+  BENCHMARK_CAPTURE(fn, scalar, "scalar")->Apply(fn##_args); \
+  BENCHMARK_CAPTURE(fn, avx2, "avx2")->Apply(fn##_args);     \
+  BENCHMARK_CAPTURE(fn, avx512, "avx512")->Apply(fn##_args)
+
+YF_TABLE_BENCH(BM_TableGemmNn);
+YF_TABLE_BENCH(BM_TableGemmTn);
+YF_TABLE_BENCH(BM_TableGemmNt);
 
 }  // namespace
 

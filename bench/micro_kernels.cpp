@@ -304,6 +304,32 @@ BENCHMARK_CAPTURE(BM_UnarySigmoid, simd, core::KernelBackend::kSimd)->Arg(96)->A
 BENCHMARK_CAPTURE(BM_UnaryTanh, scalar, core::KernelBackend::kScalar)->Arg(96)->Arg(100000);
 BENCHMARK_CAPTURE(BM_UnaryTanh, simd, core::KernelBackend::kSimd)->Arg(96)->Arg(100000);
 
+// Each runnable kernel table (runs skip where the CPU cannot run it) at
+// the sizes the LSTM runs: 16 and 32 are one batch row's gate segments,
+// 96 a [6,16] state, 2376 the [72,33] softmax of train_lm's logits.
+void BM_TableExp(benchmark::State& state, const char* table) {
+  yfb::TableScope scope(state, table);
+  if (scope) run_unary(state, core::exp);
+}
+void BM_TableSigmoid(benchmark::State& state, const char* table) {
+  yfb::TableScope scope(state, table);
+  if (scope) run_unary(state, core::sigmoid);
+}
+void BM_TableTanh(benchmark::State& state, const char* table) {
+  yfb::TableScope scope(state, table);
+  if (scope) run_unary(state, core::tanh);
+}
+void table_unary_args(benchmark::internal::Benchmark* b) {
+  for (const std::int64_t n : {16, 32, 96, 2376}) b->Arg(n);
+}
+#define YF_TABLE_UNARY_BENCH(fn)                                    \
+  BENCHMARK_CAPTURE(fn, scalar, "scalar")->Apply(table_unary_args); \
+  BENCHMARK_CAPTURE(fn, avx2, "avx2")->Apply(table_unary_args);     \
+  BENCHMARK_CAPTURE(fn, avx512, "avx512")->Apply(table_unary_args)
+YF_TABLE_UNARY_BENCH(BM_TableExp);
+YF_TABLE_UNARY_BENCH(BM_TableSigmoid);
+YF_TABLE_UNARY_BENCH(BM_TableTanh);
+
 // -- Blocked matmul through the kernel backends. -----------------------------
 
 void BM_Matmul(benchmark::State& state, core::KernelBackend backend) {

@@ -15,11 +15,13 @@
 // slabs of packed B, KC k-panels, MC row blocks of packed A, an MR x NR
 // register-tiled microkernel -- parallelized over row blocks on the
 // process pool with a flops-aware grain. Below the threshold it runs an
-// unpacked single-thread fast path. Both paths, on both kernel
-// backends, accumulate every element in the canonical KC-panel order
-// defined in core/kernels/kernel_table.hpp, so results are bit-identical
-// scalar-vs-simd and invariant to size bucket, thread count, and
-// partition. Packing buffers come from a per-thread core::Workspace
+// unpacked single-thread fast path. Both paths, on every kernel table
+// (scalar, AVX2, AVX-512), accumulate every element in the canonical
+// KC-panel order defined in core/kernels/kernel_table.hpp: only KC and
+// the kk-ascending per-element sum fix results, not the register tile
+// (4 x 8 packed, up to 8 x 16 in the AVX-512 small kernels). Results are
+// therefore bit-identical across tables and invariant to tile shape,
+// size bucket, thread count, and partition. Packing buffers come from a per-thread core::Workspace
 // (high-water-mark reuse): after a warm-up call of each peak shape, a
 // steady-state GEMM performs zero heap allocations.
 #pragma once

@@ -1,7 +1,8 @@
-// Internal kernel dispatch table shared by the scalar and AVX2 backends
-// (DESIGN.md §4). Not installed with the public headers: only
-// core/kernels.cpp (the span front-end), core/gemm.cpp and the backend
-// translation units include this.
+// Internal kernel dispatch table shared by the scalar, AVX2 and AVX-512
+// backends (DESIGN.md §4). Not installed with the public headers: only
+// core/kernels.cpp (the span front-end), core/gemm.cpp, the backend
+// translation units, and the tests and benches that run each table
+// include this.
 //
 // Every entry operates on raw contiguous ranges *below* the
 // parallel_for partitioning layer: the front-end validates spans, picks
@@ -22,6 +23,12 @@
 //    *contract*, not of the ISA: the scalar backend emulates the same
 //    lanes, so results are identical across backends, machines, and
 //    (because reductions stay on one thread) worker counts.
+//
+// The scalar helpers here (combine_lanes, the GEMM and transcendental
+// references) are `static inline`: every backend TU, built with its own
+// ISA flags, keeps its own copy. As plain inline functions they become
+// weak symbols wherever they are not inlined (any -O0 build), and the
+// linker could hand the scalar backend a copy built for AVX-512.
 #pragma once
 
 #include <atomic>
@@ -29,6 +36,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 namespace yf::core::detail {
 
@@ -39,7 +47,7 @@ inline constexpr std::int64_t kReduceLanes = 8;
 
 /// Canonical lane combine: pairwise over the 8 lane accumulators.
 /// acc[l] holds the sum of elements with index ≡ l (mod kReduceLanes).
-inline double combine_lanes(const double* acc) {
+static inline double combine_lanes(const double* acc) {
   const double l0 = acc[0] + acc[4];
   const double l1 = acc[1] + acc[5];
   const double l2 = acc[2] + acc[6];
@@ -94,6 +102,20 @@ extern const KernelTable kScalarKernels;
 #ifdef YF_KERNELS_AVX2
 extern const KernelTable kAvx2Kernels;
 #endif
+#ifdef YF_KERNELS_AVX512
+extern const KernelTable kAvx512Kernels;
+#endif
+
+struct NamedKernelTable {
+  const char* name;  ///< "scalar", "avx2" or "avx512"
+  const KernelTable* table;
+};
+
+/// Every table this build carries that the running CPU can execute,
+/// scalar first and the widest last (core/kernels/backend.cpp). Tests pin
+/// each against scalar and benches time each, so the AVX2 table stays
+/// covered on hosts where `simd` resolves to AVX-512.
+std::vector<NamedKernelTable> runnable_tables();
 
 /// The active backend's table (core/kernels/backend.cpp); null until the
 /// first active_table() call resolves YF_KERNEL_BACKEND.
@@ -107,11 +129,28 @@ inline const KernelTable& active_table() {
   return table != nullptr ? *table : resolve_active_table();
 }
 
+/// Test/bench hook: makes `table` (one of runnable_tables()) the active
+/// table for the scope's lifetime, then restores the previous one.
+class ActiveTableScope {
+ public:
+  explicit ActiveTableScope(const KernelTable& table) : previous_(&active_table()) {
+    g_active_table.store(&table, std::memory_order_relaxed);
+  }
+  ~ActiveTableScope() { g_active_table.store(previous_, std::memory_order_relaxed); }
+  ActiveTableScope(const ActiveTableScope&) = delete;
+  ActiveTableScope& operator=(const ActiveTableScope&) = delete;
+
+ private:
+  const KernelTable* previous_;
+};
+
 // -- GEMM tiling constants (core/gemm.cpp panel hierarchy). ------------------
-// The register tile is MR x NR = 4 x 8 (one broadcast lane times two
-// 256-bit vectors); KC is the k-panel depth. All three are part of the
+// The packed register tile is MR x NR = 4 x 8 (one broadcast lane times
+// two 256-bit vectors); KC is the k-panel depth. Only KC is part of the
 // canonical accumulation order below and therefore results-affecting:
-// changing any of them requires re-pinning the GEMM tests and baselines.
+// changing it requires re-pinning the GEMM tests and baselines. MR and NR
+// fix the packed layout and register blocking, like the AVX-512 small
+// kernels' 8 x 16 tiles, and no tile shape changes any element's sum.
 inline constexpr std::int64_t kGemmMR = 4;
 inline constexpr std::int64_t kGemmNR = 8;
 inline constexpr std::int64_t kGemmKC = 256;
@@ -123,9 +162,9 @@ inline constexpr std::int64_t kGemmMC = 96;
 inline constexpr std::int64_t kGemmNC = 1024;
 
 // Canonical GEMM accumulation order -- the determinism contract every
-// path (packed scalar, packed AVX2, both small fast paths) reproduces
-// exactly, making results invariant to backend, matrix size bucket,
-// thread count and partition:
+// path (packed and small, on every backend) reproduces exactly, making
+// results invariant to backend, tile shape, matrix size bucket, thread
+// count and partition:
 //
 //   C[i][j] = (((s_0) + s_1) + s_2) + ...          one s per KC panel
 //   s_p     = sum over kk in [p*KC, min(k,(p+1)*KC)), ascending, of
@@ -136,8 +175,8 @@ inline constexpr std::int64_t kGemmNC = 1024;
 // In the accumulate form (C += op(A)·op(B), `accumulate` below) the first
 // panel adds too, so C ends as ((C + s_0) + s_1) + ...; the driver runs it
 // only when there is one panel (core/gemm.hpp).
-// No FMA anywhere: each mul and each add rounds separately, so 4-wide
-// vector lanes round exactly like 4 scalars.
+// No FMA anywhere: each mul and each add rounds separately, so 4- and
+// 8-wide vector lanes round exactly like 4 or 8 scalars.
 
 /// Reference MR x NR microkernel over packed panels: ap holds kc
 /// MR-groups (A tile column-major within the tile), bp holds kc
@@ -145,8 +184,9 @@ inline constexpr std::int64_t kGemmNC = 1024;
 /// valid corner of the tile into c (leading dimension ldc). The AVX2
 /// backend uses this exact function for edge tiles and an operation-
 /// for-operation vector twin for full tiles.
-inline void gemm_micro_ref(double* c, std::int64_t ldc, const double* ap, const double* bp,
-                           std::int64_t kc, std::int64_t rows, std::int64_t cols, bool beta0) {
+static inline void gemm_micro_ref(double* c, std::int64_t ldc, const double* ap,
+                                  const double* bp, std::int64_t kc, std::int64_t rows,
+                                  std::int64_t cols, bool beta0) {
   double acc[kGemmMR][kGemmNR] = {};
   for (std::int64_t kk = 0; kk < kc; ++kk) {
     const double* a = ap + kk * kGemmMR;
@@ -171,8 +211,8 @@ inline void gemm_micro_ref(double* c, std::int64_t ldc, const double* ap, const 
 /// sums, kk ascending). `la(i, kk)` / `lb(kk, j)` read op(A) / op(B).
 /// With `accumulate` the first panel adds into C as well.
 template <typename LoadA, typename LoadB>
-inline void gemm_small_ref(double* c, std::int64_t m, std::int64_t n, std::int64_t k, LoadA la,
-                           LoadB lb, bool accumulate) {
+static inline void gemm_small_ref(double* c, std::int64_t m, std::int64_t n, std::int64_t k,
+                                  LoadA la, LoadB lb, bool accumulate) {
   for (std::int64_t i = 0; i < m; ++i) {
     double* crow = c + i * n;
     for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
@@ -189,13 +229,14 @@ inline void gemm_small_ref(double* c, std::int64_t m, std::int64_t n, std::int64
 
 // -- Transcendentals: exp, sigmoid, tanh. ------------------------------------
 // Each scalar reference below IS the function: the scalar backend loops
-// it, and the AVX2 backend runs its fast path operation for operation on
-// 8-element blocks (two independent 4-lane chains). A block holding a NaN
-// or an argument outside the fast range goes through the reference
-// instead, like GEMM's edge tiles. Only IEEE mul/add/sub/div, exact bit
-// operations and compares appear, with no FMA and no libm, so results are
-// identical across backends and hosts. Accuracy against glibc (pinned by
-// core_kernels_test): exp within 1 ulp, sigmoid and tanh within 2 ulp.
+// it, and the SIMD backends run its fast path operation for operation on
+// blocks of two independent vector chains (8 elements on AVX2, 16 on
+// AVX-512). A block holding a NaN or an argument outside the fast range
+// goes through the reference instead, like GEMM's edge tiles. Only IEEE
+// mul/add/sub/div, exact bit operations and compares appear, with no FMA
+// and no libm, so results are identical across backends and hosts.
+// Accuracy against glibc (pinned by core_kernels_test): exp within 1 ulp,
+// sigmoid and tanh within 2 ulp.
 
 /// exp's fast range: for |x| <= 708, k = round(x*log2e) lies in
 /// [-1021, 1021], so 2^k is a normal double built from exponent bits.
@@ -235,7 +276,7 @@ inline constexpr std::uint64_t kExpScaleShift = 64;
 /// exp's reduction and polynomial: x = k*ln2 + r with k = round(x*log2e),
 /// then e^r. Returns e^r; `kbits` receives the bits of k + 1.5*2^52, whose
 /// low 12 bits hold k in two's complement.
-inline double exp_reduce(double x, std::uint64_t& kbits) {
+static inline double exp_reduce(double x, std::uint64_t& kbits) {
   const double t = x * kLog2e + kExpShifter;
   const double k = t - kExpShifter;
   const double r = (x - k * kLn2Hi) - k * kLn2Lo;
@@ -247,11 +288,11 @@ inline double exp_reduce(double x, std::uint64_t& kbits) {
 
 /// 2^(k + bias - 1023) from exp_reduce's kbits: the unsigned shift keeps
 /// only the low 12 bits of k + bias, which become the exponent field.
-inline double exp_pow2(std::uint64_t kbits, std::uint64_t bias) {
+static inline double exp_pow2(std::uint64_t kbits, std::uint64_t bias) {
   return std::bit_cast<double>((kbits + bias) << 52);
 }
 
-inline double exp_ref(double x) {
+static inline double exp_ref(double x) {
   std::uint64_t kbits = 0;
   if (std::abs(x) <= kExpFastLimit) {
     const double p = exp_reduce(x, kbits);
@@ -267,11 +308,11 @@ inline double exp_ref(double x) {
   return (p * exp_pow2(kbits, kExponentBias + kExpScaleShift)) * 0x1p-64;
 }
 
-inline double sigmoid_ref(double x) { return 1.0 / (1.0 + exp_ref(-x)); }
+static inline double sigmoid_ref(double x) { return 1.0 / (1.0 + exp_ref(-x)); }
 
 /// tanh on |x| with the sign bit of x OR-ed back, so tanh(-x) == -tanh(x)
 /// bitwise and tanh(-0) == -0.
-inline double tanh_ref(double x) {
+static inline double tanh_ref(double x) {
   if (x != x) return x + x;  // NaN
   const std::uint64_t sign = std::bit_cast<std::uint64_t>(x) & kSignBit;
   const double a = std::abs(x);

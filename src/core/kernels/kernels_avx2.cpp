@@ -1,8 +1,10 @@
 // AVX2 kernel backend. This translation unit is the only one compiled
 // with -mavx2 -mfma (CMakeLists.txt adds the flags when the compiler
 // accepts them and defines YF_KERNELS_AVX2 for the target); callers
-// reach it exclusively through the dispatch table after the runtime
-// cpuid guard in backend.cpp, so no AVX2 instruction executes on a
+// reach it exclusively through the dispatch tables after the runtime
+// cpuid guards in backend.cpp -- its own table, and the AVX-512 table,
+// which points every entry it does not override at the functions that
+// kernels_avx2.hpp declares -- so no AVX2 instruction executes on a
 // machine that lacks the feature.
 //
 // Bit-identity rules (kernel_table.hpp):
@@ -25,12 +27,15 @@
 #include <cmath>
 
 #include "core/kernels/kernel_table.hpp"
+#include "core/kernels/kernels_avx2.hpp"
 
 namespace yf::core::detail {
 
 namespace {
 
 constexpr std::int64_t kVec = 4;  // doubles per 256-bit vector
+
+}  // namespace
 
 // -- Elementwise chunk kernels. ----------------------------------------------
 
@@ -115,6 +120,8 @@ void ewma_moments_avx2(double* m1, double* m2, const double* x, std::int64_t n, 
 // operation for operation on 4 lanes. A block with a lane outside the
 // fast range -- or a NaN, which fails every ordered compare -- runs the
 // scalar reference instead, as does the n % 8 tail.
+
+namespace {
 
 __m256d exp_fast_avx2(__m256d x) {
   const __m256d shifter = _mm256_set1_pd(kExpShifter);
@@ -204,6 +211,8 @@ void tanh_avx2(double* y, const double* x, std::int64_t n) {
   transcendental_avx2(
       y, x, n, kTanhOneLimit, [](__m256d v) { return tanh_fast_avx2(v); }, tanh_ref);
 }
+
+}  // namespace
 
 // -- Fused optimizer sweeps. -------------------------------------------------
 
@@ -387,6 +396,8 @@ void gemm_micro_avx2(double* c, std::int64_t ldc, const double* ap, const double
     _mm256_storeu_pd(c3 + kVec, _mm256_add_pd(_mm256_loadu_pd(c3 + kVec), acc31));
   }
 }
+
+namespace {
 
 /// Small NN/TN paths: op(B) rows are contiguous, so the j loop
 /// vectorizes with one accumulator lane per column -- per element, the
@@ -621,6 +632,8 @@ double lane_reduce_avx2(std::int64_t n, TermV term_v, TermS term_s) {
   return combine_lanes(acc);
 }
 
+}  // namespace
+
 double sum_avx2(const double* x, std::int64_t n) {
   return lane_reduce_avx2(
       n, [x](std::int64_t i) { return _mm256_loadu_pd(x + i); },
@@ -681,8 +694,6 @@ double debiased_variance_sum_avx2(const double* m1, const double* m2, std::int64
         return m2[i] * inv2 - m * m;
       });
 }
-
-}  // namespace
 
 const KernelTable kAvx2Kernels = {
     .fill = fill_avx2,

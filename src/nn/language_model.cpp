@@ -37,7 +37,7 @@ autograd::Variable LSTMLanguageModel::logits(const std::vector<std::int64_t>& in
       col_[static_cast<std::size_t>(b)] = inputs[static_cast<std::size_t>(b * seq_len + t)];
     steps_.push_back(embed_->forward(col_));
   }
-  const auto& outputs = lstm_->forward(steps_, nullptr);
+  const auto& outputs = lstm_->forward(steps_);
   // Project each step's top-layer h [B, H] to logits [B, V] on its own.
   // One projection of all steps stacked into [B*T, H] would sum each
   // weight gradient in a different order and move every trajectory.

@@ -41,12 +41,13 @@ LSTM::LSTM(std::int64_t input_size, std::int64_t hidden_size, std::int64_t num_l
 }
 
 const std::vector<autograd::Variable>& LSTM::forward(
-    const std::vector<autograd::Variable>& inputs, std::vector<LSTMState>* states) const {
+    const std::vector<autograd::Variable>& inputs, const std::vector<LSTMState>* initial,
+    std::vector<LSTMState>* final_states) const {
   const auto batch = inputs.empty() ? 1 : inputs.front().value().dim(0);
   std::vector<LSTMState>& st = states_scratch_;
   st.clear();
-  if (states != nullptr && !states->empty()) {
-    st.assign(states->begin(), states->end());
+  if (initial != nullptr && !initial->empty()) {
+    st.assign(initial->begin(), initial->end());
   } else if (!cells_.empty()) {
     // All layers share one hidden size, so one zero tensor is every
     // layer's initial h and c.
@@ -63,12 +64,12 @@ const std::vector<autograd::Variable>& LSTM::forward(
     }
     outputs_.push_back(ag::slice_rows(layer_in, 0, batch));
   }
-  if (states != nullptr) {
-    states->resize(cells_.size());
+  if (final_states != nullptr) {
+    final_states->resize(cells_.size());
     for (std::size_t l = 0; l < cells_.size(); ++l) {
-      (*states)[l] = inputs.empty() ? st[l]
-                                    : LSTMState{ag::slice_rows(st[l].h, 0, batch),
-                                                ag::slice_rows(st[l].c, batch, 2 * batch)};
+      (*final_states)[l] = inputs.empty() ? st[l]
+                                          : LSTMState{ag::slice_rows(st[l].h, 0, batch),
+                                                      ag::slice_rows(st[l].c, batch, 2 * batch)};
     }
   }
   return outputs_;

@@ -60,13 +60,17 @@ class LSTM : public Module {
        tensor::Rng& rng, double init_scale = 1.0);
 
   /// Run over a sequence of per-step inputs (each [B, input]); returns the
-  /// top-layer output at every step (each [B, H]). With `states`, the run
-  /// starts from them (zero states when empty) and leaves the final
-  /// states there. The returned vector is an internal buffer reused
+  /// top-layer output at every step (each [B, H]). The run starts from
+  /// `initial` when it is non-null and non-empty, else from zero states.
+  /// With `final_states`, the final h and c of each layer are left there
+  /// as row-view nodes; without it none are recorded. The two may point
+  /// at one vector. The returned vector is an internal buffer reused
   /// across calls (so steady-state steps do not allocate) -- copy it if it
   /// must survive the next forward() on this module.
-  const std::vector<autograd::Variable>& forward(const std::vector<autograd::Variable>& inputs,
-                                                 std::vector<LSTMState>* states) const;
+  const std::vector<autograd::Variable>& forward(
+      const std::vector<autograd::Variable>& inputs,
+      const std::vector<LSTMState>* initial = nullptr,
+      std::vector<LSTMState>* final_states = nullptr) const;
 
   std::vector<LSTMState> zero_states(std::int64_t batch) const;
 

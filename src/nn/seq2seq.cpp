@@ -41,7 +41,7 @@ autograd::Variable Seq2Seq::decode_logits(const std::vector<std::int64_t>& src,
     enc_steps_.push_back(src_embed_->forward(col_));
   }
   states_.clear();
-  encoder_->forward(enc_steps_, &states_);
+  encoder_->forward(enc_steps_, nullptr, &states_);
 
   dec_steps_.clear();
   dec_steps_.reserve(static_cast<std::size_t>(tgt_len));
@@ -50,6 +50,7 @@ autograd::Variable Seq2Seq::decode_logits(const std::vector<std::int64_t>& src,
       col_[static_cast<std::size_t>(b)] = tgt[static_cast<std::size_t>(b * tgt_len_plus1 + t)];
     dec_steps_.push_back(tgt_embed_->forward(col_));
   }
+  // The decoder's own final states are not read: it records none.
   const auto& dec_out = decoder_->forward(dec_steps_, &states_);
   step_logits_.clear();
   step_logits_.reserve(dec_out.size());

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/kernels/backend.hpp"
+#include "core/kernels/kernel_table.hpp"
 #include "core/parallel.hpp"
 
 namespace core = yf::core;
@@ -25,19 +26,11 @@ std::vector<double> random_vec(std::size_t n, std::uint32_t seed) {
   return v;
 }
 
-/// Run `fn` under a forced kernel backend, restoring the previous one.
+/// Run `fn` with `table` active, restoring the previous table.
 template <typename F>
-auto with_backend(core::KernelBackend backend, F&& fn) {
-  const auto previous = core::active_kernel_backend();
-  core::set_kernel_backend(backend);
-  if constexpr (std::is_void_v<decltype(fn())>) {
-    fn();
-    core::set_kernel_backend(previous);
-  } else {
-    auto result = fn();
-    core::set_kernel_backend(previous);
-    return result;
-  }
+auto with_table(const core::detail::NamedKernelTable& table, F&& fn) {
+  const core::detail::ActiveTableScope scope(*table.table);
+  return fn();
 }
 
 /// Independent reimplementation of the canonical reduction order
@@ -186,17 +179,14 @@ TEST(Kernels, ReductionTailHandling) {
 
 TEST(Kernels, ReductionDeterministicAcrossWorkerCounts) {
   // Reductions are sequential by contract: growing the pool must not
-  // change a single bit of the result, on either backend.
+  // change a single bit of the result, on any table.
   const auto n = static_cast<std::size_t>(core::kDefaultGrain * 8);
   const auto a = random_vec(n, 6);
   const double before = core::squared_norm(a);
   core::ThreadPool::instance().set_fanout(8);
   EXPECT_EQ(core::squared_norm(a), before);
-  if (core::simd_supported()) {
-    for (auto backend : {core::KernelBackend::kScalar, core::KernelBackend::kSimd}) {
-      EXPECT_EQ(with_backend(backend, [&] { return core::squared_norm(a); }), before)
-          << core::kernel_backend_name(backend);
-    }
+  for (const auto& table : core::detail::runnable_tables()) {
+    EXPECT_EQ(with_table(table, [&] { return core::squared_norm(a); }), before) << table.name;
   }
 }
 
@@ -390,10 +380,30 @@ TEST(Kernels, TranscendentalSpecialValuesArePinned) {
 }
 
 // ---------------------------------------------------------------------------
-// Backend dispatch: scalar and SIMD must agree bit-for-bit on every
-// kernel (elementwise by per-element arithmetic identity, reductions by
-// the shared lane-blocked order), across vector-width tails.
+// Backend dispatch: every runnable table (scalar, avx2, avx512) must agree
+// with scalar bit-for-bit on every kernel (elementwise by per-element
+// arithmetic identity, reductions by the shared lane-blocked order),
+// across vector-width tails.
 // ---------------------------------------------------------------------------
+
+TEST(KernelBackend, RunnableTablesStartWithScalarAndIncludeSimd) {
+  const auto tables = core::detail::runnable_tables();
+  ASSERT_FALSE(tables.empty());
+  EXPECT_STREQ(tables.front().name, "scalar");
+  EXPECT_EQ(tables.front().table, &core::detail::kScalarKernels);
+  // `simd` resolves to the widest runnable table.
+  if (core::simd_supported()) {
+    ASSERT_GE(tables.size(), 2u);
+    EXPECT_STREQ(tables[1].name, "avx2");
+    const auto previous = core::active_kernel_backend();
+    core::set_kernel_backend(core::KernelBackend::kSimd);
+    EXPECT_EQ(&core::detail::active_table(), tables.back().table);
+    EXPECT_STREQ(core::active_kernel_table_name(), tables.back().name);
+    core::set_kernel_backend(previous);
+  } else {
+    EXPECT_EQ(tables.size(), 1u);
+  }
+}
 
 TEST(KernelBackend, StringParsingAndNames) {
   core::KernelBackend b = core::KernelBackend::kSimd;
@@ -427,21 +437,32 @@ TEST(KernelBackend, SimdRequestThrowsWhenUnsupported) {
 
 namespace {
 
-/// Sizes straddling the 4-wide vector step and the 8-wide lane block:
-/// empty, sub-lane, exact multiples, and off-by-one tails.
-const std::size_t kParitySizes[] = {0, 1, 3, 4, 5, 7, 8, 9, 12, 31, 32, 33, 1037};
+/// Sizes 0..33 give every tail of the 4- and 8-wide vector steps, the
+/// 8-wide lane block and the 16-element transcendental block, twice over;
+/// 1037 adds a long run of full blocks.
+const std::vector<std::size_t> kParitySizes = [] {
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 33; ++n) sizes.push_back(n);
+  sizes.push_back(1037);
+  return sizes;
+}();
 
-/// Run `op` (which writes its result into fresh buffers) under both
-/// backends and expect bitwise-identical output buffers.
+/// Run `op` (which writes its result into fresh buffers) under every
+/// runnable table and expect output bitwise identical to the scalar
+/// table's.
 template <typename Op>
 void expect_backend_parity(const char* what, Op op) {
-  if (!core::simd_supported()) GTEST_SKIP() << "no AVX2 on this machine";
+  const auto tables = core::detail::runnable_tables();
+  if (tables.size() < 2) GTEST_SKIP() << "no SIMD kernel table on this machine";
   for (std::size_t n : kParitySizes) {
-    const auto scalar_out = with_backend(core::KernelBackend::kScalar, [&] { return op(n); });
-    const auto simd_out = with_backend(core::KernelBackend::kSimd, [&] { return op(n); });
-    ASSERT_EQ(scalar_out.size(), simd_out.size()) << what << " n=" << n;
-    for (std::size_t i = 0; i < scalar_out.size(); ++i) {
-      EXPECT_EQ(scalar_out[i], simd_out[i]) << what << " n=" << n << " @" << i;
+    const auto scalar_out = with_table(tables.front(), [&] { return op(n); });
+    for (std::size_t t = 1; t < tables.size(); ++t) {
+      const auto out = with_table(tables[t], [&] { return op(n); });
+      ASSERT_EQ(scalar_out.size(), out.size()) << what << " " << tables[t].name << " n=" << n;
+      for (std::size_t i = 0; i < scalar_out.size(); ++i) {
+        EXPECT_EQ(scalar_out[i], out[i]) << what << " " << tables[t].name << " n=" << n << " @"
+                                         << i;
+      }
     }
   }
 }
@@ -514,6 +535,26 @@ TEST(KernelBackend, ElementwiseParityBitIdentical) {
     parity(u.name, u.f, 300.0, false);
     parity(u.name, u.f, 3.0, true);
   }
+  // One special value at every position of every size through 33 (two
+  // 16-element blocks and a tail; the long size is skipped): a lone NaN,
+  // infinity or out-of-range lane sends its block, full or tail, to the
+  // reference and leaves the others vectorized.
+  const double lone[] = {std::numeric_limits<double>::quiet_NaN(), inf, -inf, 709.0, -746.0, 23.0};
+  for (const auto& u : unaries) {
+    for (const double special : lone) {
+      expect_backend_parity(u.name, [&](std::size_t n) {
+        std::vector<std::uint64_t> out;
+        if (n > 33) return out;
+        for (std::size_t pos = 0; pos < n; ++pos) {
+          auto x = random_vec(n, 131);
+          for (auto& v : x) v *= 3.0;
+          x[pos] = special;
+          for (const double y : run_unary(u.f, x)) out.push_back(bits(y));
+        }
+        return out;
+      });
+    }
+  }
 }
 
 TEST(KernelBackend, FusedSweepParityBitIdentical) {
@@ -575,9 +616,10 @@ TEST(KernelBackend, ReductionParityBitIdentical) {
 
 TEST(KernelBackend, MaxAbsNanParity) {
   // std::max(m, NaN) keeps m, so the scalar backend drops NaN terms; the
-  // AVX2 backend must do the same (maxpd forwards its second operand on
+  // SIMD tables must do the same (maxpd forwards its second operand on
   // NaN, so the running maximum sits in the second slot).
-  if (!core::simd_supported()) GTEST_SKIP() << "no AVX2 on this machine";
+  const auto tables = core::detail::runnable_tables();
+  if (tables.size() < 2) GTEST_SKIP() << "no SIMD kernel table on this machine";
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const std::vector<std::vector<double>> cases = {
       {1.0, 2.0, 3.0, nan},
@@ -586,27 +628,27 @@ TEST(KernelBackend, MaxAbsNanParity) {
       {0.5, nan},
   };
   for (const auto& x : cases) {
-    const double scalar_m = with_backend(core::KernelBackend::kScalar,
-                                         [&] { return core::max_abs(x); });
-    const double simd_m = with_backend(core::KernelBackend::kSimd,
-                                       [&] { return core::max_abs(x); });
-    EXPECT_EQ(scalar_m, simd_m) << "n=" << x.size();
-    EXPECT_FALSE(std::isnan(simd_m)) << "n=" << x.size();
+    const double scalar_m = with_table(tables.front(), [&] { return core::max_abs(x); });
+    for (std::size_t t = 1; t < tables.size(); ++t) {
+      const double simd_m = with_table(tables[t], [&] { return core::max_abs(x); });
+      EXPECT_EQ(scalar_m, simd_m) << tables[t].name << " n=" << x.size();
+      EXPECT_FALSE(std::isnan(simd_m)) << tables[t].name << " n=" << x.size();
+    }
   }
 }
 
 TEST(KernelBackend, ReductionParityAcrossPoolSizes) {
-  // The full determinism matrix: backend x fanout must give one value.
-  if (!core::simd_supported()) GTEST_SKIP() << "no AVX2 on this machine";
+  // The full determinism matrix: table x fanout must give one value.
+  const auto tables = core::detail::runnable_tables();
+  if (tables.size() < 2) GTEST_SKIP() << "no SIMD kernel table on this machine";
   const auto n = static_cast<std::size_t>(core::kSimdGrain * 4 + 5);
   const auto a = random_vec(n, 128);
-  const double pinned = with_backend(core::KernelBackend::kScalar,
-                                     [&] { return core::squared_norm(a); });
+  const double pinned = with_table(tables.front(), [&] { return core::squared_norm(a); });
   for (std::size_t fanout : {1u, 4u, 8u}) {
     core::ThreadPool::instance().set_fanout(fanout);
-    for (auto backend : {core::KernelBackend::kScalar, core::KernelBackend::kSimd}) {
-      EXPECT_EQ(with_backend(backend, [&] { return core::squared_norm(a); }), pinned)
-          << core::kernel_backend_name(backend) << " fanout=" << fanout;
+    for (const auto& table : tables) {
+      EXPECT_EQ(with_table(table, [&] { return core::squared_norm(a); }), pinned)
+          << table.name << " fanout=" << fanout;
     }
   }
 }

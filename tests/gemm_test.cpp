@@ -23,7 +23,7 @@
 
 #include "autograd/gradcheck.hpp"
 #include "autograd/ops.hpp"
-#include "core/kernels/backend.hpp"
+#include "core/kernels/kernel_table.hpp"
 #include "core/parallel.hpp"
 #include "data/markov_text.hpp"
 #include "nn/language_model.hpp"
@@ -45,19 +45,11 @@ std::vector<double> random_vec(std::size_t n, std::uint32_t seed) {
   return v;
 }
 
-/// Run `fn` under a forced kernel backend, restoring the previous one.
+/// Run `fn` with `table` active, restoring the previous table.
 template <typename F>
-auto with_backend(core::KernelBackend backend, F&& fn) {
-  const auto previous = core::active_kernel_backend();
-  core::set_kernel_backend(backend);
-  if constexpr (std::is_void_v<decltype(fn())>) {
-    fn();
-    core::set_kernel_backend(previous);
-  } else {
-    auto result = fn();
-    core::set_kernel_backend(previous);
-    return result;
-  }
+auto with_table(const core::detail::NamedKernelTable& table, F&& fn) {
+  const core::detail::ActiveTableScope scope(*table.table);
+  return fn();
 }
 
 /// Independent reimplementation of the canonical accumulation order
@@ -163,17 +155,17 @@ TEST(Gemm, PackedAndSmallPathsBitIdentical) {
   }
 }
 
-TEST(Gemm, ScalarSimdParityBitIdentical) {
-  if (!core::simd_supported()) GTEST_SKIP() << "no AVX2 on this machine";
+TEST(Gemm, EveryTableMatchesScalarBitwise) {
+  const auto tables = core::detail::runnable_tables();
   for (const auto& s : kShapes) {
     for (const auto v : kVariants) {
       const auto a = random_vec(static_cast<std::size_t>(a_len(v, s)), 31);
       const auto b = random_vec(static_cast<std::size_t>(b_len(v, s)), 32);
-      // Both forced paths, both backends: 2x2 bitwise agreement.
+      // Both forced paths under every table against the scalar table.
       for (const bool packed : {false, true}) {
         if (packed && s.k == 0) continue;
-        auto run = [&](core::KernelBackend backend) {
-          return with_backend(backend, [&] {
+        auto run = [&](const core::detail::NamedKernelTable& table) {
+          return with_table(table, [&] {
             std::vector<double> c(static_cast<std::size_t>(s.m * s.n), 3.0);
             if (packed) {
               core::detail::gemm_packed(v, c.data(), a.data(), b.data(), s.m, s.n, s.k);
@@ -183,12 +175,74 @@ TEST(Gemm, ScalarSimdParityBitIdentical) {
             return c;
           });
         };
-        const auto scalar_out = run(core::KernelBackend::kScalar);
-        const auto simd_out = run(core::KernelBackend::kSimd);
-        for (std::size_t i = 0; i < scalar_out.size(); ++i) {
-          ASSERT_EQ(scalar_out[i], simd_out[i])
-              << variant_name(v) << (packed ? " packed " : " small ") << s.m << "x" << s.n << "x"
-              << s.k << " @" << i;
+        const auto scalar_out = run(tables.front());
+        for (const auto& table : tables) {
+          const auto out = run(table);
+          for (std::size_t i = 0; i < scalar_out.size(); ++i) {
+            ASSERT_EQ(scalar_out[i], out[i])
+                << table.name << " " << variant_name(v) << (packed ? " packed " : " small ")
+                << s.m << "x" << s.n << "x" << s.k << " @" << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Gemm, SmallEntriesMatchScalarAcrossTileEdges) {
+  // Every table's gemm_small_* entry, called directly, against the scalar
+  // table's at every row remainder of 4- and 8-row tiles (m = 1..17),
+  // column counts on both sides of 4-, 8- and 16-wide vectors (33 is
+  // train_lm's LM head), and k from one element through two KC panels.
+  // Plain form into a NaN-filled C; accumulate form into a C holding -0.0
+  // entries and a +0.0 row, with a -0.0 row of op(A) whose products are
+  // signed zeros.
+  const auto tables = core::detail::runnable_tables();
+  if (tables.size() < 2) GTEST_SKIP() << "no SIMD kernel table on this machine";
+  using Entry = void (*)(double*, const double*, const double*, std::int64_t, std::int64_t,
+                         std::int64_t, bool);
+  const auto entry = [](const core::detail::KernelTable& t, core::GemmVariant v) -> Entry {
+    switch (v) {
+      case core::GemmVariant::kNN: return t.gemm_small_nn;
+      case core::GemmVariant::kNT: return t.gemm_small_nt;
+      case core::GemmVariant::kTN: return t.gemm_small_tn;
+    }
+    return nullptr;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::int64_t k : {1, 6, 64, 256, 257, 300}) {
+    for (const std::int64_t n : {1, 7, 8, 9, 15, 16, 17, 33, 64, 65}) {
+      for (std::int64_t m = 1; m <= 17; ++m) {
+        const Shape s{m, n, k};
+        for (const auto v : kVariants) {
+          auto a = random_vec(static_cast<std::size_t>(a_len(v, s)), 61);
+          const auto b = random_vec(static_cast<std::size_t>(b_len(v, s)), 62);
+          const std::int64_t zero_row = m / 2;
+          for (std::int64_t kk = 0; kk < k; ++kk) {
+            a[static_cast<std::size_t>(v == core::GemmVariant::kTN ? kk * m + zero_row
+                                                                   : zero_row * k + kk)] = -0.0;
+          }
+          auto c0 = random_vec(static_cast<std::size_t>(m * n), 63);
+          for (std::size_t i = 0; i < c0.size(); i += 3) c0[i] = -0.0;
+          for (std::int64_t j = 0; j < n; ++j) c0[static_cast<std::size_t>((m - 1) * n + j)] = 0.0;
+          for (const bool accumulate : {false, true}) {
+            auto run = [&](const core::detail::KernelTable& t) {
+              std::vector<double> c = accumulate ? c0 : std::vector<double>(c0.size(), nan);
+              entry(t, v)(c.data(), a.data(), b.data(), m, n, k, accumulate);
+              return c;
+            };
+            const auto want = run(*tables.front().table);
+            for (std::size_t t = 1; t < tables.size(); ++t) {
+              const auto got = run(*tables[t].table);
+              for (std::size_t i = 0; i < want.size(); ++i) {
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                          std::bit_cast<std::uint64_t>(want[i]))
+                    << tables[t].name << " " << variant_name(v)
+                    << (accumulate ? " accumulate " : " plain ") << m << "x" << n << "x" << k
+                    << " @" << i << ": " << got[i] << " vs " << want[i];
+              }
+            }
+          }
         }
       }
     }
@@ -227,10 +281,8 @@ TEST(Gemm, AccumulateMatchesProductThenAdd) {
   // still forms in scratch first. Row 0 of op(A) is zero, so its product
   // is +0.0 and the -0.0 entries of C there must turn into +0.0 as an add
   // of the product would turn them.
-  std::vector<core::KernelBackend> backends = {core::KernelBackend::kScalar};
-  if (core::simd_supported()) backends.push_back(core::KernelBackend::kSimd);
-  for (const auto backend : backends) {
-    with_backend(backend, [] {
+  for (const auto& table : core::detail::runnable_tables()) {
+    with_table(table, [&] {
       for (const auto& s : {Shape{16, 64, 6}, Shape{16, 64, 256}, Shape{16, 64, 300},
                             Shape{7, 13, 6}, Shape{7, 13, 256}, Shape{7, 13, 300}}) {
         for (const auto v : kVariants) {
@@ -252,7 +304,7 @@ TEST(Gemm, AccumulateMatchesProductThenAdd) {
             for (std::int64_t i = 0; i < got.size(); ++i) {
               ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
                         std::bit_cast<std::uint64_t>(expect[i]))
-                  << core::active_kernel_backend_name() << " " << variant_name(v)
+                  << table.name << " " << variant_name(v)
                   << (packed ? " packed " : " small ") << s.m << "x" << s.n << "x" << s.k
                   << " @" << i << ": " << got[i] << " vs " << expect[i];
             }
@@ -425,15 +477,21 @@ void expect_tensors_eq(const std::vector<t::Tensor>& x, const std::vector<t::Ten
 }  // namespace
 
 TEST(Gemm, LmTrainingTrajectoryBackendBitIdentical) {
-  if (!core::simd_supported()) GTEST_SKIP() << "no AVX2 on this machine";
-  const auto scalar = with_backend(core::KernelBackend::kScalar, [] { return lm_trajectory(4); });
-  const auto simd = with_backend(core::KernelBackend::kSimd, [] { return lm_trajectory(4); });
-  expect_tensors_eq(scalar, simd, "lm");
+  const auto tables = core::detail::runnable_tables();
+  if (tables.size() < 2) GTEST_SKIP() << "no SIMD kernel table on this machine";
+  const auto scalar = with_table(tables.front(), [] { return lm_trajectory(4); });
+  for (std::size_t t = 1; t < tables.size(); ++t) {
+    expect_tensors_eq(scalar, with_table(tables[t], [] { return lm_trajectory(4); }),
+                      tables[t].name);
+  }
 }
 
 TEST(Gemm, ConvTrainingTrajectoryBackendBitIdentical) {
-  if (!core::simd_supported()) GTEST_SKIP() << "no AVX2 on this machine";
-  const auto scalar = with_backend(core::KernelBackend::kScalar, [] { return conv_trajectory(4); });
-  const auto simd = with_backend(core::KernelBackend::kSimd, [] { return conv_trajectory(4); });
-  expect_tensors_eq(scalar, simd, "conv");
+  const auto tables = core::detail::runnable_tables();
+  if (tables.size() < 2) GTEST_SKIP() << "no SIMD kernel table on this machine";
+  const auto scalar = with_table(tables.front(), [] { return conv_trajectory(4); });
+  for (std::size_t t = 1; t < tables.size(); ++t) {
+    expect_tensors_eq(scalar, with_table(tables[t], [] { return conv_trajectory(4); }),
+                      tables[t].name);
+  }
 }

@@ -13,6 +13,7 @@
 #include "autograd/gradcheck.hpp"
 #include "autograd/ops.hpp"
 #include "autograd/tape.hpp"
+#include "core/kernels/kernel_table.hpp"
 #include "data/copy_translate.hpp"
 #include "data/markov_text.hpp"
 #include "data/zipf_text.hpp"
@@ -100,7 +101,7 @@ TEST(Lstm, StackOutputsOnePerStep) {
   nn::LSTM lstm(3, 6, 2, rng);
   std::vector<ag::Variable> steps;
   for (int i = 0; i < 5; ++i) steps.push_back(ag::Variable(rng.normal_tensor({2, 3})));
-  auto outs = lstm.forward(steps, nullptr);
+  auto outs = lstm.forward(steps);
   ASSERT_EQ(outs.size(), 5u);
   for (const auto& o : outs) EXPECT_EQ(o.value().shape(), (t::Shape{2, 6}));
 }
@@ -112,9 +113,9 @@ TEST(Lstm, StatesCarryAcrossCalls) {
   auto x1 = ag::Variable(rng.normal_tensor({1, 2}));
 
   // One two-step call must equal two one-step calls with threaded state.
-  auto joint = lstm.forward({x0, x1}, nullptr);
+  auto joint = lstm.forward({x0, x1});
   auto states = lstm.zero_states(1);
-  lstm.forward({x0}, &states);
+  lstm.forward({x0}, &states, &states);
   auto split = lstm.forward({x1}, &states);
   EXPECT_TRUE(t::allclose(joint[1].value(), split[0].value(), 1e-12, 1e-12));
 }
@@ -333,10 +334,11 @@ TEST(Lstm, CellOpRejectsMismatchedShapes) {
 // perfbench's train_lm configuration (table2's TS-sub task): the losses of
 // its first 40 steps through train::train(), recorded as exact doubles.
 // Unlike the heap-vs-tape pins, which run the same ops on both sides, this
-// catches any change to the LSTM's numerics. Both kernel backends produce
-// this trajectory. The values assume glibc's double libm (recorded with gcc 12
-// and glibc 2.36): std::log in the loss and the libm calls in the tuner, data
-// and init feed them. If this fails on another libm, re-record the values at
+// catches any change to the LSTM's numerics. Every kernel table produces
+// this trajectory: the test runs it under each one the CPU can run, so the
+// AVX2 table keeps its pin on hosts where `simd` means AVX-512. The values
+// assume glibc's double libm (recorded with gcc 12 and glibc 2.36): std::log
+// in the loss and the libm calls in the tuner, data and init feed them. If this fails on another libm, re-record the values at
 // the parent commit there; do not edit them to match a change.
 TEST(Lstm, TrainLmTrajectoryMatchesGolden) {
   static constexpr double kGolden[40] = {
@@ -351,38 +353,42 @@ TEST(Lstm, TrainLmTrajectoryMatchesGolden) {
       0x1.8904a8030b3f2p+1, 0x1.669e0e840e2fdp+1, 0x1.7370303d40e3p+1, 0x1.591f0092dffadp+1,
       0x1.869aba8f738c9p+1, 0x1.a3227bc503516p+1, 0x1.8410171d397b6p+1, 0x1.45348aa499d85p+1,
   };
-  yf::data::MarkovTextConfig dcfg;
-  dcfg.vocab = 33;
-  dcfg.branching = 3;
-  dcfg.seed = 13;
-  yf::data::MarkovText text(dcfg);
-  nn::LanguageModelConfig cfg;
-  cfg.vocab = 33;
-  cfg.embed_dim = 12;
-  cfg.hidden = 16;
-  cfg.layers = 2;
-  t::Rng init(1);
-  nn::LSTMLanguageModel model(cfg, init);
-  yf::tuner::YellowFinOptions yopts;
-  yopts.beta = 0.995;
-  yopts.slow_start_iters = 50;
-  yf::tuner::YellowFin opt(model.parameters(), yopts);
-  t::Rng data_rng(2001);
-  std::vector<std::int64_t> tokens;
-  const yf::train::GradFn grad_fn = [&] {
-    tokens = text.sample_batch(6, 13, data_rng);
-    auto loss = model.loss(tokens, 6, 13);
-    loss.backward();
-    return loss.value().item();
-  };
-  yf::train::TrainOptions topts;
-  topts.iterations = 40;
-  const auto res = yf::train::train(opt, grad_fn, topts);
-  ASSERT_FALSE(res.diverged);
-  ASSERT_EQ(res.losses.size(), 40u);
-  for (std::size_t i = 0; i < 40; ++i) {
-    EXPECT_TRUE(same_bits(res.losses[i], kGolden[i]))
-        << "step " << i + 1 << ": got " << hex(res.losses[i]) << ", golden " << hex(kGolden[i]);
+  for (const auto& table : yf::core::detail::runnable_tables()) {
+    SCOPED_TRACE(table.name);
+    const yf::core::detail::ActiveTableScope scope(*table.table);
+    yf::data::MarkovTextConfig dcfg;
+    dcfg.vocab = 33;
+    dcfg.branching = 3;
+    dcfg.seed = 13;
+    yf::data::MarkovText text(dcfg);
+    nn::LanguageModelConfig cfg;
+    cfg.vocab = 33;
+    cfg.embed_dim = 12;
+    cfg.hidden = 16;
+    cfg.layers = 2;
+    t::Rng init(1);
+    nn::LSTMLanguageModel model(cfg, init);
+    yf::tuner::YellowFinOptions yopts;
+    yopts.beta = 0.995;
+    yopts.slow_start_iters = 50;
+    yf::tuner::YellowFin opt(model.parameters(), yopts);
+    t::Rng data_rng(2001);
+    std::vector<std::int64_t> tokens;
+    const yf::train::GradFn grad_fn = [&] {
+      tokens = text.sample_batch(6, 13, data_rng);
+      auto loss = model.loss(tokens, 6, 13);
+      loss.backward();
+      return loss.value().item();
+    };
+    yf::train::TrainOptions topts;
+    topts.iterations = 40;
+    const auto res = yf::train::train(opt, grad_fn, topts);
+    ASSERT_FALSE(res.diverged);
+    ASSERT_EQ(res.losses.size(), 40u);
+    for (std::size_t i = 0; i < 40; ++i) {
+      EXPECT_TRUE(same_bits(res.losses[i], kGolden[i]))
+          << "step " << i + 1 << ": got " << hex(res.losses[i]) << ", golden " << hex(kGolden[i]);
+    }
   }
 }
 
