@@ -6,6 +6,7 @@
 // scale (3 seeds, full learning-rate grids, larger budgets).
 #pragma once
 
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <memory>
@@ -59,7 +60,9 @@ inline std::string env_or(const char* name, const std::string& fallback) {
 // ---------------------------------------------------------------------------
 #if __has_include(<benchmark/benchmark.h>)
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
+#include <cctype>
 #include <cmath>
 #include <fstream>
 #include <iostream>
@@ -95,7 +98,8 @@ class TableScope {
 
 class JsonReporter : public benchmark::ConsoleReporter {
  public:
-  explicit JsonReporter(std::string bench_name) : bench_(std::move(bench_name)) {}
+  JsonReporter(std::string bench_name, OutputOptions options)
+      : benchmark::ConsoleReporter(options), bench_(std::move(bench_name)) {}
 
   void ReportRuns(const std::vector<Run>& runs) override {
     benchmark::ConsoleReporter::ReportRuns(runs);
@@ -213,12 +217,32 @@ class JsonReporter : public benchmark::ConsoleReporter {
   std::vector<Entry> entries_;
 };
 
+/// The console options for JsonReporter. google-benchmark applies
+/// --benchmark_color only to a display reporter it builds itself, so read
+/// the flag here, before Initialize() consumes it, as the library does:
+/// "auto" (the default) colors a terminal only, and false, no, off, 0, f
+/// and n turn color off. Counters stay tabular.
+inline benchmark::ConsoleReporter::OutputOptions console_options(int argc, char** argv) {
+  constexpr std::string_view kFlag = "--benchmark_color=";
+  std::string color = "auto";
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.starts_with(kFlag)) color = arg.substr(kFlag.size());
+  }
+  for (char& c : color) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  const bool on = color == "auto" ? isatty(STDOUT_FILENO) != 0
+                                  : !(color == "false" || color == "no" || color == "off" ||
+                                      color == "0" || color == "f" || color == "n");
+  return on ? benchmark::ConsoleReporter::OO_ColorTabular : benchmark::ConsoleReporter::OO_Tabular;
+}
+
 /// Drop-in replacement for BENCHMARK_MAIN() that also emits
 /// BENCH_<bench_name>.json (to YF_BENCH_JSON_DIR, default cwd).
 inline int benchmark_main_with_json(int argc, char** argv, const std::string& bench_name) {
+  const auto options = console_options(argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  JsonReporter reporter(bench_name);
+  JsonReporter reporter(bench_name, options);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   return 0;
@@ -237,7 +261,19 @@ namespace yfb {
 // Table 2 numbers are directly comparable across engines.
 // ---------------------------------------------------------------------------
 
-inline std::string engine() { return yf::core::env_str("YF_ENGINE", "sync"); }
+/// YF_ENGINE: "sync" or "server". Any other value warns once and runs
+/// sync, as a malformed int knob falls back to its default.
+inline std::string engine() {
+  const std::string v = yf::core::env_str("YF_ENGINE", "sync");
+  if (v == "sync" || v == "server") return v;
+  static const bool warned = [&v] {
+    std::fprintf(stderr, "yf: ignoring YF_ENGINE=\"%s\": not sync or server, using sync\n",
+                 v.c_str());
+    return true;
+  }();
+  (void)warned;
+  return "sync";
+}
 
 inline std::int64_t env_int(const char* name, std::int64_t fallback) {
   // Checked parse (core/env.hpp): malformed values warn and fall back

@@ -245,8 +245,8 @@ BENCHMARK_CAPTURE(BM_FusedYellowFinStep, simd, core::KernelBackend::kSimd)
 // -- Transcendentals: old libm map lambdas vs the kernel-table entries. ------
 // Arg is n: 96 is one LSTM gate tensor ([6,16]), 100000 a long sweep.
 // Inputs are N(0, 3^2), the scale of gate pre-activations. The
-// BM_LibmUnary* replicas run the core::map lambdas tensor::exp_into,
-// sigmoid_into and tanh_into used before the table entries existed.
+// BM_LibmUnary* replicas run the libm lambdas that tensor's exp, sigmoid
+// and tanh ops passed to core::map before the table entries existed.
 
 std::vector<double> unary_inputs(std::int64_t n) {
   t::Rng rng(11);

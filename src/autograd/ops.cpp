@@ -101,20 +101,6 @@ Variable mul(const Variable& a, const Variable& b) {
   return Variable(std::move(f.handle));
 }
 
-Variable neg(const Variable& a) { return mul_scalar(a, -1.0); }
-
-Variable add_scalar(const Variable& a, double s) {
-  auto an = a.node();
-  const NodePtr parents[] = {an};
-  const double attrs[] = {s};
-  auto f = make_frame("add_scalar", parents, dims_of(a.value()), attrs);
-  t::add_scalar_into(f.node->value, a.value(), s);
-  if (f.fresh && f.node->requires_grad) {
-    f.node->backward_fn = [an](Node& n) { an->accumulate_grad(n.grad); };
-  }
-  return Variable(std::move(f.handle));
-}
-
 Variable mul_scalar(const Variable& a, double s) {
   auto an = a.node();
   const NodePtr parents[] = {an};
@@ -132,7 +118,7 @@ Variable mul_scalar(const Variable& a, double s) {
 namespace {
 
 /// Helper for unary elementwise ops whose local derivative is a function of
-/// the *output* value (tanh, sigmoid, exp) or the *input* value.
+/// the *output* value (tanh, sigmoid) or the *input* value.
 template <typename DFn>
 Variable unary_op(const Variable& a, const char* sig,
                   void (*compute_into)(t::Tensor&, const t::Tensor&), DFn dfn) {
@@ -169,16 +155,6 @@ Variable tanh(const Variable& a) {
 Variable sigmoid(const Variable& a) {
   return unary_op(
       a, "sigmoid", t::sigmoid_into, [](double, double y) { return y * (1.0 - y); });
-}
-
-Variable exp(const Variable& a) {
-  return unary_op(
-      a, "exp", t::exp_into, [](double, double y) { return y; });
-}
-
-Variable log(const Variable& a) {
-  return unary_op(
-      a, "log", t::log_into, [](double x, double) { return 1.0 / x; });
 }
 
 Variable square(const Variable& a) {
@@ -641,41 +617,6 @@ double row_max(const t::Tensor& v, std::int64_t i, std::int64_t c) {
 
 }  // namespace
 
-Variable softmax(const Variable& logits) {
-  const auto& v = logits.value();
-  if (v.ndim() != 2) throw std::invalid_argument("softmax: expected 2-D logits");
-  const auto m = v.dim(0), c = v.dim(1);
-  auto an = logits.node();
-  const NodePtr parents[] = {an};
-  auto f = make_frame("softmax", parents, dims_of(v));
-  auto& probs = f.node->value;
-  // Max-shifted rows, exp'd in place, each divided by its j-ascending sum.
-  for (std::int64_t i = 0; i < m; ++i) {
-    const double mx = row_max(v, i, c);
-    for (std::int64_t j = 0; j < c; ++j) probs[i * c + j] = v[i * c + j] - mx;
-  }
-  core::exp(probs.data(), probs.data());
-  for (std::int64_t i = 0; i < m; ++i) {
-    double z = 0.0;
-    for (std::int64_t j = 0; j < c; ++j) z += probs[i * c + j];
-    for (std::int64_t j = 0; j < c; ++j) probs[i * c + j] /= z;
-  }
-  if (f.fresh && f.node->requires_grad) {
-    f.node->backward_fn = [an, m, c](Node& n) {
-      if (!an->requires_grad) return;
-      // dL/dx_j = p_j * (g_j - sum_k g_k p_k) per row.
-      auto& g = an->ensure_grad();
-      for (std::int64_t i = 0; i < m; ++i) {
-        double dotgp = 0.0;
-        for (std::int64_t k = 0; k < c; ++k) dotgp += n.grad[i * c + k] * n.value[i * c + k];
-        for (std::int64_t j = 0; j < c; ++j)
-          g[i * c + j] += n.value[i * c + j] * (n.grad[i * c + j] - dotgp);
-      }
-    };
-  }
-  return Variable(std::move(f.handle));
-}
-
 Variable softmax_cross_entropy(const Variable& logits, const std::vector<std::int64_t>& labels) {
   const auto& v = logits.value();
   if (v.ndim() != 2) throw std::invalid_argument("softmax_cross_entropy: expected 2-D logits");
@@ -942,43 +883,6 @@ Variable global_avg_pool(const Variable& input) {
           const double gv = nn.grad[i * c + j] * inv;
           for (std::int64_t k = 0; k < h * w; ++k) g[(i * c + j) * h * w + k] += gv;
         }
-    };
-  }
-  return Variable(std::move(f.handle));
-}
-
-Variable avg_pool2x2(const Variable& input) {
-  const auto& x = input.value();
-  if (x.ndim() != 4) throw std::invalid_argument("avg_pool2x2: expected [N,C,H,W]");
-  const auto n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  if (h % 2 != 0 || w % 2 != 0) throw std::invalid_argument("avg_pool2x2: H and W must be even");
-  const auto oh = h / 2, ow = w / 2;
-  auto xn = input.node();
-  const NodePtr parents[] = {xn};
-  const std::int64_t dims[] = {n, c, oh, ow};
-  auto f = make_frame("avg_pool2x2", parents, dims);
-  auto& out = f.node->value;
-  for (std::int64_t i = 0; i < n * c; ++i)
-    for (std::int64_t oy = 0; oy < oh; ++oy)
-      for (std::int64_t ox = 0; ox < ow; ++ox) {
-        double s = 0.0;
-        for (std::int64_t dy = 0; dy < 2; ++dy)
-          for (std::int64_t dx = 0; dx < 2; ++dx)
-            s += x[(i * h + 2 * oy + dy) * w + 2 * ox + dx];
-        out[(i * oh + oy) * ow + ox] = s * 0.25;
-      }
-  if (f.fresh && f.node->requires_grad) {
-    f.node->backward_fn = [xn, n, c, h, w, oh, ow](Node& nn) {
-      if (!xn->requires_grad) return;
-      auto& g = xn->ensure_grad();
-      for (std::int64_t i = 0; i < n * c; ++i)
-        for (std::int64_t oy = 0; oy < oh; ++oy)
-          for (std::int64_t ox = 0; ox < ow; ++ox) {
-            const double gv = nn.grad[(i * oh + oy) * ow + ox] * 0.25;
-            for (std::int64_t dy = 0; dy < 2; ++dy)
-              for (std::int64_t dx = 0; dx < 2; ++dx)
-                g[(i * h + 2 * oy + dy) * w + 2 * ox + dx] += gv;
-          }
     };
   }
   return Variable(std::move(f.handle));

@@ -27,14 +27,10 @@ namespace yf::autograd {
 Variable add(const Variable& a, const Variable& b);
 Variable sub(const Variable& a, const Variable& b);
 Variable mul(const Variable& a, const Variable& b);  ///< elementwise
-Variable neg(const Variable& a);
-Variable add_scalar(const Variable& a, double s);
 Variable mul_scalar(const Variable& a, double s);
 Variable relu(const Variable& a);
 Variable tanh(const Variable& a);
 Variable sigmoid(const Variable& a);
-Variable exp(const Variable& a);
-Variable log(const Variable& a);   ///< natural log; caller guarantees positivity
 Variable square(const Variable& a);
 
 // -- Reductions. ----------------------------------------------------------------
@@ -58,8 +54,6 @@ Variable slice_cols(const Variable& a, std::int64_t col_begin, std::int64_t col_
 Variable slice_rows(const Variable& a, std::int64_t row_begin, std::int64_t row_end);
 /// Concatenate 2-D tensors along columns (all with equal row counts).
 Variable concat_cols(const std::vector<Variable>& parts);
-/// Stack rank-1 tensors (or 2-D [1,n] rows) into a 2-D tensor -- not needed;
-/// use concat_cols/reshape instead.
 
 // -- Linear algebra. -----------------------------------------------------------
 Variable matmul(const Variable& a, const Variable& b);
@@ -76,9 +70,6 @@ Variable add_row_broadcast(const Variable& a, const Variable& bias);
 /// Mean cross-entropy of logits [B, C] against integer labels (size B).
 /// Numerically stable log-sum-exp formulation.
 Variable softmax_cross_entropy(const Variable& logits, const std::vector<std::int64_t>& labels);
-
-/// Row-wise softmax probabilities (forward only helper; differentiable).
-Variable softmax(const Variable& logits);
 
 /// One LSTM cell step as one op (gate layout i | f | g | o, each H
 /// columns wide). Its value is the packed state [2B, H]: rows [0, B) hold
@@ -111,8 +102,5 @@ Variable batch_norm2d(const Variable& input, const Variable& gamma, const Variab
 
 /// Global average pooling: [N, C, H, W] -> [N, C].
 Variable global_avg_pool(const Variable& input);
-
-/// 2x2 average pooling with stride 2 (H, W must be even): [N,C,H,W] -> [N,C,H/2,W/2].
-Variable avg_pool2x2(const Variable& input);
 
 }  // namespace yf::autograd

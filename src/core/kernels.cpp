@@ -193,18 +193,4 @@ void adagrad_step(std::span<double> x, std::span<double> accum, std::span<const 
                });
 }
 
-void rmsprop_step(std::span<double> x, std::span<double> sq, std::span<const double> g, double lr,
-                  double decay, double eps) {
-  check_same_size(x, g, "rmsprop_step");
-  check_same_size(x, sq, "rmsprop_step");
-  const auto& table = detail::active_table();
-  double* px = x.data();
-  double* ps = sq.data();
-  const double* pg = g.data();
-  parallel_for(static_cast<std::int64_t>(x.size()), elementwise_grain(),
-               [&](std::int64_t lo, std::int64_t hi) {
-                 table.rmsprop(px + lo, ps + lo, pg + lo, hi - lo, lr, decay, eps);
-               });
-}
-
 }  // namespace yf::core

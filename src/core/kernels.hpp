@@ -89,9 +89,6 @@ void adam_step(std::span<double> x, std::span<double> m, std::span<double> v,
 void adagrad_step(std::span<double> x, std::span<double> accum, std::span<const double> g,
                   double lr, double eps);
 
-void rmsprop_step(std::span<double> x, std::span<double> sq, std::span<const double> g,
-                  double lr, double decay, double eps);
-
 // -- Generic elementwise map/binary (parallel above the grain). --------------
 template <typename F>
 void map(std::span<double> dst, std::span<const double> src, F&& f) {

@@ -76,8 +76,6 @@ struct KernelTable {
                double beta1, double beta2, double bc1, double bc2, double eps);
   void (*adagrad)(double* x, double* accum, const double* g, std::int64_t n, double lr,
                   double eps);
-  void (*rmsprop)(double* x, double* sq, const double* g, std::int64_t n, double lr, double decay,
-                  double eps);
 
   // -- Packed GEMM microkernel + small-matrix fast paths (gemm.cpp). --------
   void (*gemm_micro)(double* c, std::int64_t ldc, const double* ap, const double* bp,

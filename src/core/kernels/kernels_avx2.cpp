@@ -312,30 +312,6 @@ void adagrad_avx2(double* x, double* accum, const double* g, std::int64_t n, dou
   }
 }
 
-void rmsprop_avx2(double* x, double* sq, const double* g, std::int64_t n, double lr, double decay,
-                  double eps) {
-  const __m256d dv = _mm256_set1_pd(decay);
-  const __m256d odv = _mm256_set1_pd(1.0 - decay);
-  const __m256d lrv = _mm256_set1_pd(lr);
-  const __m256d epsv = _mm256_set1_pd(eps);
-  std::int64_t i = 0;
-  for (; i + kVec <= n; i += kVec) {
-    const __m256d gi = _mm256_loadu_pd(g + i);
-    // (1-decay)*gi*gi associates left-to-right, like the scalar path.
-    const __m256d si = _mm256_add_pd(_mm256_mul_pd(dv, _mm256_loadu_pd(sq + i)),
-                                     _mm256_mul_pd(_mm256_mul_pd(odv, gi), gi));
-    _mm256_storeu_pd(sq + i, si);
-    const __m256d den = _mm256_add_pd(_mm256_sqrt_pd(si), epsv);
-    const __m256d upd = _mm256_div_pd(_mm256_mul_pd(lrv, gi), den);
-    _mm256_storeu_pd(x + i, _mm256_sub_pd(_mm256_loadu_pd(x + i), upd));
-  }
-  for (; i < n; ++i) {
-    const double gi = g[i];
-    sq[i] = decay * sq[i] + (1.0 - decay) * gi * gi;
-    x[i] -= lr * gi / (std::sqrt(sq[i]) + eps);
-  }
-}
-
 // -- Packed GEMM microkernel + small-matrix fast paths. ----------------------
 
 /// 4x8 register tile over packed panels: 8 ymm accumulators (4 rows x
@@ -708,7 +684,6 @@ const KernelTable kAvx2Kernels = {
     .momentum = momentum_avx2,
     .adam = adam_avx2,
     .adagrad = adagrad_avx2,
-    .rmsprop = rmsprop_avx2,
     .gemm_micro = gemm_micro_avx2,
     .gemm_small_nn = gemm_small_nn_avx2,
     .gemm_small_nt = gemm_small_nt_avx2,

@@ -22,8 +22,6 @@ void adam_avx2(double* x, double* m, double* v, const double* g, std::int64_t n,
                double beta1, double beta2, double bc1, double bc2, double eps);
 void adagrad_avx2(double* x, double* accum, const double* g, std::int64_t n, double lr,
                   double eps);
-void rmsprop_avx2(double* x, double* sq, const double* g, std::int64_t n, double lr, double decay,
-                  double eps);
 
 void gemm_micro_avx2(double* c, std::int64_t ldc, const double* ap, const double* bp,
                      std::int64_t kc, std::int64_t rows, std::int64_t cols, bool beta0);

@@ -409,7 +409,6 @@ const KernelTable kAvx512Kernels = {
     .momentum = momentum_avx2,
     .adam = adam_avx2,
     .adagrad = adagrad_avx2,
-    .rmsprop = rmsprop_avx2,
     .gemm_micro = gemm_micro_avx2,
     .gemm_small_nn = gemm_small_nn_avx512,
     .gemm_small_nt = gemm_small_nt_avx512,

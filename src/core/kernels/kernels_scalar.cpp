@@ -112,15 +112,6 @@ void adagrad_scalar(double* x, double* accum, const double* g, std::int64_t n, d
   }
 }
 
-void rmsprop_scalar(double* x, double* sq, const double* g, std::int64_t n, double lr,
-                    double decay, double eps) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    const double gi = g[i];
-    sq[i] = decay * sq[i] + (1.0 - decay) * gi * gi;
-    x[i] -= lr * gi / (std::sqrt(sq[i]) + eps);
-  }
-}
-
 // -- Packed GEMM microkernel + small-matrix fast paths. ----------------------
 // The scalar backend runs the shared reference implementations from
 // kernel_table.hpp directly: they ARE the canonical accumulation order
@@ -274,7 +265,6 @@ const KernelTable kScalarKernels = {
     .momentum = momentum_scalar,
     .adam = adam_scalar,
     .adagrad = adagrad_scalar,
-    .rmsprop = rmsprop_scalar,
     .gemm_micro = gemm_micro_scalar,
     .gemm_small_nn = gemm_small_nn_scalar,
     .gemm_small_nt = gemm_small_nt_scalar,

@@ -34,11 +34,6 @@ void StateWriter::f64_span(std::span<const double> v) {
   for (const double d : v) f64(d);
 }
 
-void StateWriter::i64_span(std::span<const std::int64_t> v) {
-  out_->reserve(out_->size() + v.size() * 8);
-  for (const std::int64_t x : v) i64(x);
-}
-
 std::span<const std::byte> StateReader::take(std::size_t n, const char* what) {
   if (n > data_.size() - pos_) {
     throw StateError(std::string("state underrun reading ") + what);
@@ -60,13 +55,6 @@ void StateReader::f64_span(std::span<double> dst) {
   const auto bytes = take(dst.size() * 8, "f64 span");
   for (std::size_t i = 0; i < dst.size(); ++i) {
     dst[i] = std::bit_cast<double>(get_le(bytes, i * 8, 8));
-  }
-}
-
-void StateReader::i64_span(std::span<std::int64_t> dst) {
-  const auto bytes = take(dst.size() * 8, "i64 span");
-  for (std::size_t i = 0; i < dst.size(); ++i) {
-    dst[i] = static_cast<std::int64_t>(get_le(bytes, i * 8, 8));
   }
 }
 

@@ -39,7 +39,6 @@ class StateWriter {
   void i64(std::int64_t v);  ///< two's-complement through u64
   void f64(double v);        ///< exact: IEEE-754 bit pattern
   void f64_span(std::span<const double> v);
-  void i64_span(std::span<const std::int64_t> v);
 
  private:
   std::vector<std::byte>* out_;
@@ -55,7 +54,6 @@ class StateReader {
   std::int64_t i64();
   double f64();
   void f64_span(std::span<double> dst);
-  void i64_span(std::span<std::int64_t> dst);
 
   std::size_t remaining() const { return data_.size() - pos_; }
   /// Throws StateError if bytes remain -- a snapshot must be consumed

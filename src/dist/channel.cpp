@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <exception>
 #include <stdexcept>
 #include <thread>
@@ -10,25 +9,9 @@
 
 #include "autograd/tape.hpp"
 #include "core/arena.hpp"
-#include "core/env.hpp"
 #include "core/parallel.hpp"
 
 namespace yf::dist {
-
-Engine channel_engine_from_env() {
-  const std::string v = core::env_str("YF_ENGINE", "inproc");
-  if (v == "socket") return Engine::kSocket;
-  // "sync" and "server" are the bench harness's names for the two
-  // in-process engines; both live on the inproc side of the channel.
-  if (v == "inproc" || v == "sync" || v == "server") return Engine::kInproc;
-  std::fprintf(stderr, "yf: unknown YF_ENGINE \"%s\" (want inproc|socket), using inproc\n",
-               v.c_str());
-  return Engine::kInproc;
-}
-
-const char* engine_name(Engine engine) {
-  return engine == Engine::kSocket ? "socket" : "inproc";
-}
 
 async::ServerRunResult run_channel_workers(const std::vector<ChannelWorker>& workers,
                                            const ChannelRunOptions& opts) {

@@ -33,14 +33,6 @@ void unary_into(Tensor& out, const Tensor& a, const char* op, F&& f) {
 }
 
 template <typename F>
-Tensor zip(const Tensor& a, const Tensor& b, const char* op, F&& f) {
-  check_same_shape(a, b, op);
-  Tensor out(a.shape());
-  core::binary(out.data(), a.data(), b.data(), std::forward<F>(f));
-  return out;
-}
-
-template <typename F>
 Tensor unary(const Tensor& a, F&& f) {
   Tensor out(a.shape());
   core::map(out.data(), a.data(), std::forward<F>(f));
@@ -67,18 +59,8 @@ void mul_into(Tensor& out, const Tensor& a, const Tensor& b) {
   zip_into(out, a, b, "mul", [](double x, double y) { return x * y; });
 }
 
-void add_scalar_into(Tensor& out, const Tensor& a, double s) {
-  unary_into(out, a, "add_scalar", [s](double x) { return x + s; });
-}
 void mul_scalar_into(Tensor& out, const Tensor& a, double s) {
   unary_into(out, a, "mul_scalar", [s](double x) { return x * s; });
-}
-void exp_into(Tensor& out, const Tensor& a) {
-  check_out_shape(out, a.shape(), "exp");
-  core::exp(out.data(), a.data());
-}
-void log_into(Tensor& out, const Tensor& a) {
-  unary_into(out, a, "log", [](double x) { return std::log(x); });
 }
 void square_into(Tensor& out, const Tensor& a) {
   unary_into(out, a, "square", [](double x) { return x * x; });
@@ -95,67 +77,8 @@ void relu_into(Tensor& out, const Tensor& a) {
   unary_into(out, a, "relu", [](double x) { return x > 0.0 ? x : 0.0; });
 }
 
-Tensor add(const Tensor& a, const Tensor& b) {
-  return zip(a, b, "add", [](double x, double y) { return x + y; });
-}
-Tensor sub(const Tensor& a, const Tensor& b) {
-  return zip(a, b, "sub", [](double x, double y) { return x - y; });
-}
-Tensor mul(const Tensor& a, const Tensor& b) {
-  return zip(a, b, "mul", [](double x, double y) { return x * y; });
-}
-Tensor div(const Tensor& a, const Tensor& b) {
-  return zip(a, b, "div", [](double x, double y) { return x / y; });
-}
-
-Tensor add_scalar(const Tensor& a, double s) {
-  return unary(a, [s](double x) { return x + s; });
-}
-Tensor mul_scalar(const Tensor& a, double s) {
-  return unary(a, [s](double x) { return x * s; });
-}
-
-Tensor neg(const Tensor& a) {
-  return unary(a, [](double x) { return -x; });
-}
-Tensor abs(const Tensor& a) {
-  return unary(a, [](double x) { return std::abs(x); });
-}
-Tensor exp(const Tensor& a) {
-  Tensor out(a.shape());
-  core::exp(out.data(), a.data());
-  return out;
-}
-Tensor log(const Tensor& a) {
-  return unary(a, [](double x) { return std::log(x); });
-}
-Tensor sqrt(const Tensor& a) {
-  return unary(a, [](double x) { return std::sqrt(x); });
-}
 Tensor square(const Tensor& a) {
   return unary(a, [](double x) { return x * x; });
-}
-Tensor tanh(const Tensor& a) {
-  Tensor out(a.shape());
-  core::tanh(out.data(), a.data());
-  return out;
-}
-Tensor sigmoid(const Tensor& a) {
-  Tensor out(a.shape());
-  core::sigmoid(out.data(), a.data());
-  return out;
-}
-Tensor relu(const Tensor& a) {
-  return unary(a, [](double x) { return x > 0.0 ? x : 0.0; });
-}
-
-Tensor map(const Tensor& a, const std::function<double(double)>& fn) {
-  // std::function is too opaque to prove thread-safe; keep it sequential.
-  Tensor out(a.shape());
-  auto ia = a.data();
-  auto oo = out.data();
-  for (std::size_t i = 0; i < oo.size(); ++i) oo[i] = fn(ia[i]);
-  return out;
 }
 
 double sum(const Tensor& a) { return core::sum(a.data()); }
@@ -314,16 +237,6 @@ void add_row_broadcast_into(Tensor& out, const Tensor& a, const Tensor& bias) {
   });
 }
 
-Tensor add_row_broadcast(const Tensor& a, const Tensor& bias) {
-  if (a.ndim() != 2) {
-    throw std::invalid_argument("add_row_broadcast: incompatible shapes " + to_string(a.shape()) +
-                                " and " + to_string(bias.shape()));
-  }
-  Tensor out(a.shape());
-  add_row_broadcast_into(out, a, bias);
-  return out;
-}
-
 void sum_rows_into(Tensor& out, const Tensor& a) {
   if (a.ndim() != 2) {
     throw std::invalid_argument("sum_rows: expected 2-D tensor, got " + to_string(a.shape()));
@@ -338,15 +251,6 @@ void sum_rows_into(Tensor& out, const Tensor& a) {
   core::fill(out.data(), 0.0);
   for (std::int64_t i = 0; i < m; ++i)
     for (std::int64_t j = 0; j < n; ++j) po[j] += pa[i * n + j];
-}
-
-Tensor sum_rows(const Tensor& a) {
-  if (a.ndim() != 2) {
-    throw std::invalid_argument("sum_rows: expected 2-D tensor, got " + to_string(a.shape()));
-  }
-  Tensor out(Shape{a.dim(1)});
-  sum_rows_into(out, a);
-  return out;
 }
 
 namespace {

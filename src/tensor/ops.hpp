@@ -1,43 +1,20 @@
 // Elementwise and linear-algebra operations on yf::tensor::Tensor.
 //
-// All functions are pure (return fresh tensors) unless suffixed `_into`.
-// Every `_into` variant writes the result into a caller-owned tensor of
-// the correct shape -- the autograd tape routes the model hot path
-// through these so steady-state steps reuse workspace-backed outputs
-// instead of allocating (DESIGN.md §8). The pure forms are implemented
-// on top of the `_into` forms, so the two paths are bit-identical.
+// Functions return fresh tensors unless suffixed `_into`. Every `_into`
+// variant writes the result into a caller-owned tensor of the correct
+// shape -- the autograd tape routes the model hot path through these so
+// steady-state steps reuse workspace-backed outputs instead of allocating
+// (DESIGN.md §8). The fresh matmul and transpose forms are implemented on
+// top of the `_into` forms, so the two paths are bit-identical.
 // Shapes are validated eagerly; mismatches throw std::invalid_argument.
 #pragma once
-
-#include <functional>
 
 #include "tensor/tensor.hpp"
 
 namespace yf::tensor {
 
-// -- Elementwise binary (same shape). ---------------------------------------
-Tensor add(const Tensor& a, const Tensor& b);
-Tensor sub(const Tensor& a, const Tensor& b);
-Tensor mul(const Tensor& a, const Tensor& b);
-Tensor div(const Tensor& a, const Tensor& b);
-
-// -- Scalar broadcast. -------------------------------------------------------
-Tensor add_scalar(const Tensor& a, double s);
-Tensor mul_scalar(const Tensor& a, double s);
-
-// -- Elementwise unary. -------------------------------------------------------
-Tensor neg(const Tensor& a);
-Tensor abs(const Tensor& a);
-Tensor exp(const Tensor& a);
-Tensor log(const Tensor& a);
-Tensor sqrt(const Tensor& a);
+// -- Elementwise. --------------------------------------------------------------
 Tensor square(const Tensor& a);
-Tensor tanh(const Tensor& a);
-Tensor sigmoid(const Tensor& a);
-Tensor relu(const Tensor& a);
-
-/// Apply `fn` to every element.
-Tensor map(const Tensor& a, const std::function<double(double)>& fn);
 
 // -- Reductions (over all elements). -----------------------------------------
 double sum(const Tensor& a);
@@ -61,10 +38,6 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b);
 Tensor matmul_tn(const Tensor& a, const Tensor& b);
 /// Transpose of a 2-D tensor.
 Tensor transpose(const Tensor& a);
-/// y[m,n] = A[m,n] + b[n] (bias broadcast over rows).
-Tensor add_row_broadcast(const Tensor& a, const Tensor& bias);
-/// Column-sums of a 2-D tensor -> rank-1 tensor of length n.
-Tensor sum_rows(const Tensor& a);
 
 // -- In-place variants writing into a preallocated output. --------------------
 // `out` must already have the result shape. `out` may not alias inputs.
@@ -74,10 +47,7 @@ void copy_into(Tensor& out, const Tensor& a);  ///< out = a (shapes equal by siz
 void add_into(Tensor& out, const Tensor& a, const Tensor& b);
 void sub_into(Tensor& out, const Tensor& a, const Tensor& b);
 void mul_into(Tensor& out, const Tensor& a, const Tensor& b);
-void add_scalar_into(Tensor& out, const Tensor& a, double s);
 void mul_scalar_into(Tensor& out, const Tensor& a, double s);
-void exp_into(Tensor& out, const Tensor& a);
-void log_into(Tensor& out, const Tensor& a);
 void square_into(Tensor& out, const Tensor& a);
 void tanh_into(Tensor& out, const Tensor& a);
 void sigmoid_into(Tensor& out, const Tensor& a);
@@ -86,7 +56,9 @@ void matmul_into(Tensor& out, const Tensor& a, const Tensor& b);
 void matmul_nt_into(Tensor& out, const Tensor& a, const Tensor& b);
 void matmul_tn_into(Tensor& out, const Tensor& a, const Tensor& b);
 void transpose_into(Tensor& out, const Tensor& a);
+/// out[m,n] = a[m,n] + bias[n] (bias broadcast over rows).
 void add_row_broadcast_into(Tensor& out, const Tensor& a, const Tensor& bias);
+/// Column sums of a 2-D [m, n] tensor into a rank-1 out of length n.
 void sum_rows_into(Tensor& out, const Tensor& a);
 
 // -- LSTM cell (gate layout i | f | g | o, each H columns wide). --------------

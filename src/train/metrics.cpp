@@ -1,7 +1,6 @@
 #include "train/metrics.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace yf::train {
@@ -15,26 +14,6 @@ std::vector<double> smooth_uniform(const std::vector<double>& curve, std::int64_
     if (i >= static_cast<std::size_t>(w)) acc -= curve[i - static_cast<std::size_t>(w)];
     const auto n = std::min<std::int64_t>(static_cast<std::int64_t>(i) + 1, w);
     out[i] = acc / static_cast<double>(n);
-  }
-  return out;
-}
-
-std::vector<double> running_min(const std::vector<double>& curve) {
-  std::vector<double> out(curve.size());
-  double m = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < curve.size(); ++i) {
-    m = std::min(m, curve[i]);
-    out[i] = m;
-  }
-  return out;
-}
-
-std::vector<double> running_max(const std::vector<double>& curve) {
-  std::vector<double> out(curve.size());
-  double m = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < curve.size(); ++i) {
-    m = std::max(m, curve[i]);
-    out[i] = m;
   }
   return out;
 }
@@ -83,17 +62,6 @@ std::vector<double> average_curves(const std::vector<std::vector<double>>& curve
 double curve_min(const std::vector<double>& curve) {
   if (curve.empty()) throw std::invalid_argument("curve_min: empty curve");
   return *std::min_element(curve.begin(), curve.end());
-}
-
-double normalized_std(const std::vector<double>& values) {
-  if (values.size() < 2) throw std::invalid_argument("normalized_std: need >= 2 values");
-  double mean = 0.0;
-  for (double v : values) mean += v;
-  mean /= static_cast<double>(values.size());
-  double var = 0.0;
-  for (double v : values) var += (v - mean) * (v - mean);
-  var /= static_cast<double>(values.size() - 1);
-  return mean != 0.0 ? std::sqrt(var) / std::abs(mean) : 0.0;
 }
 
 }  // namespace yf::train

@@ -1,8 +1,7 @@
 // Loss-curve metrics implementing the paper's Section 5.1 protocol:
 //  * smooth training losses with a uniform (trailing) window;
 //  * "record the lowest smoothed loss achieved by both; speedup is the
-//    ratio of iterations to achieve this loss";
-//  * validation metrics are reported as best-so-far (monotonic).
+//    ratio of iterations to achieve this loss".
 #pragma once
 
 #include <cstdint>
@@ -13,11 +12,6 @@ namespace yf::train {
 
 /// Trailing uniform moving average with window `w` (paper uses 1000).
 std::vector<double> smooth_uniform(const std::vector<double>& curve, std::int64_t w);
-
-/// Monotone running minimum (for losses).
-std::vector<double> running_min(const std::vector<double>& curve);
-/// Monotone running maximum (for accuracy-like validation metrics).
-std::vector<double> running_max(const std::vector<double>& curve);
 
 /// First index where curve[i] <= target; nullopt if never reached.
 std::optional<std::int64_t> iterations_to_reach(const std::vector<double>& curve, double target);
@@ -38,9 +32,5 @@ std::vector<double> average_curves(const std::vector<std::vector<double>>& curve
 
 /// Minimum value of a curve.
 double curve_min(const std::vector<double>& curve);
-
-/// Normalized sample standard deviation (stddev / mean) of a set of final
-/// metric values -- the stability statistic quoted in the paper's intro.
-double normalized_std(const std::vector<double>& values);
 
 }  // namespace yf::train

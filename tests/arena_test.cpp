@@ -10,7 +10,6 @@
 #include "optim/adagrad.hpp"
 #include "optim/adam.hpp"
 #include "optim/momentum_sgd.hpp"
-#include "optim/rmsprop.hpp"
 #include "optim/sgd.hpp"
 #include "tensor/random.hpp"
 #include "tuner/yellowfin.hpp"
@@ -287,7 +286,6 @@ TEST(ArenaTrajectory, ScalarVsSimdBackendBitIdentical) {
       {"momentum", [](auto& p) { return std::make_unique<yf::optim::MomentumSGD>(p, 0.02, 0.9); }},
       {"adam", [](auto& p) { return std::make_unique<yf::optim::Adam>(p, 0.01); }},
       {"adagrad", [](auto& p) { return std::make_unique<yf::optim::AdaGrad>(p, 0.05); }},
-      {"rmsprop", [](auto& p) { return std::make_unique<yf::optim::RMSProp>(p, 0.01); }},
       {"yellowfin", [](auto& p) {
          yf::tuner::YellowFinOptions opts;
          opts.beta = 0.99;
@@ -318,7 +316,6 @@ TEST(ArenaTrajectory, PartitionInvariance) {
       {"momentum", [](auto& p) { return std::make_unique<yf::optim::MomentumSGD>(p, 0.02, 0.9); }},
       {"adam", [](auto& p) { return std::make_unique<yf::optim::Adam>(p, 0.01); }},
       {"adagrad", [](auto& p) { return std::make_unique<yf::optim::AdaGrad>(p, 0.05); }},
-      {"rmsprop", [](auto& p) { return std::make_unique<yf::optim::RMSProp>(p, 0.01); }},
       {"yellowfin", [](auto& p) {
          yf::tuner::YellowFinOptions opts;
          opts.beta = 0.99;

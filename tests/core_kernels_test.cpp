@@ -588,15 +588,6 @@ TEST(KernelBackend, FusedSweepParityBitIdentical) {
     x.insert(x.end(), accum.begin(), accum.end());
     return x;
   });
-  expect_backend_parity("rmsprop", [](std::size_t n) {
-    auto x = random_vec(n, 120);
-    auto sq = random_vec(n, 121);
-    for (auto& s : sq) s = std::abs(s);
-    const auto g = random_vec(n, 122);
-    core::rmsprop_step(x, sq, g, 0.01, 0.95, 1e-8);
-    x.insert(x.end(), sq.begin(), sq.end());
-    return x;
-  });
 }
 
 TEST(KernelBackend, ReductionParityBitIdentical) {

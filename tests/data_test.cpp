@@ -5,7 +5,6 @@
 #include <cmath>
 #include <set>
 
-#include "data/batching.hpp"
 #include "data/bracket_lang.hpp"
 #include "data/copy_translate.hpp"
 #include "data/markov_text.hpp"
@@ -232,17 +231,4 @@ TEST(CopyTranslate, PermutationIsBijective) {
   data::CopyTranslate ct(data::CopyTranslateConfig{});
   std::set<std::int64_t> seen(ct.permutation().begin(), ct.permutation().end());
   EXPECT_EQ(static_cast<std::int64_t>(seen.size()), ct.src_vocab());
-}
-
-TEST(Batching, ArgmaxRows) {
-  const std::vector<double> scores = {0.1, 0.9, 0.0, 5.0, -2.0, 1.0};
-  const auto am = data::argmax_rows(scores, 2, 3);
-  EXPECT_EQ(am[0], 1);
-  EXPECT_EQ(am[1], 0);
-  EXPECT_THROW(data::argmax_rows(scores, 2, 2), std::invalid_argument);
-}
-
-TEST(Batching, TokenAccuracy) {
-  EXPECT_NEAR(data::token_accuracy({1, 2, 3, 4}, {1, 2, 0, 4}), 0.75, 1e-12);
-  EXPECT_THROW(data::token_accuracy({1}, {1, 2}), std::invalid_argument);
 }

@@ -1,7 +1,7 @@
 // Distributed engine tests (dist/*, DESIGN.md §12): the socket transport
 // end to end on localhost. The headline pin is the acceptance criterion
 // for the whole subsystem -- a one-worker closed-loop YellowFin run over
-// YF_ENGINE=socket is EXPECT_EQ-bit-identical to the in-process engine,
+// the socket engine is EXPECT_EQ-bit-identical to the in-process engine,
 // which holds because the wire carries doubles as IEEE-754 bit patterns
 // and the master applies them through the same ShardedParamServer
 // arithmetic. Also covered: the hello handshake, multi-client convergence
@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -89,7 +88,7 @@ struct EngineRun {
 /// One closed-loop YellowFin run, one worker, `steps` rounds, over either
 /// the in-process channel or a real socket round trip to a MasterServer
 /// in this same process. Everything else is identical by construction.
-EngineRun run_engine(dist::Engine engine, int steps) {
+EngineRun run_engine(bool over_socket, int steps) {
   auto master = make_params(kShapes, 77);
   yf::tuner::YellowFinOptions yopts;
   yopts.beta = 0.99;
@@ -105,7 +104,7 @@ EngineRun run_engine(dist::Engine engine, int steps) {
   ropts.steps_per_worker = steps;
 
   EngineRun out;
-  if (engine == dist::Engine::kSocket) {
+  if (over_socket) {
     dist::MasterServer net(server);
     dist::RemoteParamClient client(kHost, net.port());
     workers[0].channel = &client;
@@ -129,8 +128,8 @@ EngineRun run_engine(dist::Engine engine, int steps) {
 // EXPECT_EQ on doubles, per the repo's trajectory-pinning discipline.
 TEST(DistEngine, OneWorkerSocketTrajectoryBitIdenticalToInproc) {
   const int steps = 40;
-  const EngineRun inproc = run_engine(dist::Engine::kInproc, steps);
-  const EngineRun socket = run_engine(dist::Engine::kSocket, steps);
+  const EngineRun inproc = run_engine(false, steps);
+  const EngineRun socket = run_engine(true, steps);
   ASSERT_EQ(inproc.final_values.size(), socket.final_values.size());
   for (std::size_t i = 0; i < inproc.final_values.size(); ++i) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(inproc.final_values[i]),
@@ -378,19 +377,4 @@ TEST(DistEngine, MasterShutdownDrainsAndPinsPostShutdownCalls) {
   EXPECT_THROW(client.pull(buf, ticket), std::exception);
   EXPECT_THROW(fx.net->wait_for_clients(1, std::chrono::seconds(1)), std::logic_error);
   fx.net->shutdown();  // idempotent
-}
-
-TEST(DistEngine, EngineSelectionReadsYfEngine) {
-  ::setenv("YF_ENGINE", "socket", 1);
-  EXPECT_EQ(dist::channel_engine_from_env(), dist::Engine::kSocket);
-  ::setenv("YF_ENGINE", "inproc", 1);
-  EXPECT_EQ(dist::channel_engine_from_env(), dist::Engine::kInproc);
-  ::setenv("YF_ENGINE", "server", 1);  // bench name for an in-process engine
-  EXPECT_EQ(dist::channel_engine_from_env(), dist::Engine::kInproc);
-  ::setenv("YF_ENGINE", "warp-drive", 1);  // unknown: warn, fall back
-  EXPECT_EQ(dist::channel_engine_from_env(), dist::Engine::kInproc);
-  ::unsetenv("YF_ENGINE");
-  EXPECT_EQ(dist::channel_engine_from_env(), dist::Engine::kInproc);
-  EXPECT_STREQ(dist::engine_name(dist::Engine::kSocket), "socket");
-  EXPECT_STREQ(dist::engine_name(dist::Engine::kInproc), "inproc");
 }

@@ -16,7 +16,7 @@ using UnaryBuilder = ag::Variable (*)(const ag::Variable&);
 struct UnaryCase {
   const char* name;
   UnaryBuilder build;
-  double lo, hi;  // input sampling range (log needs positives etc.)
+  double lo, hi;  // input sampling range
 };
 
 class UnaryGradcheck : public ::testing::TestWithParam<UnaryCase> {};
@@ -34,19 +34,14 @@ TEST_P(UnaryGradcheck, MatchesFiniteDifferences) {
 
 ag::Variable build_square_via_mul(const ag::Variable& v) { return ag::mul(v, v); }
 ag::Variable build_scaled(const ag::Variable& v) { return ag::mul_scalar(v, -2.5); }
-ag::Variable build_shifted(const ag::Variable& v) { return ag::add_scalar(v, 3.0); }
 
 INSTANTIATE_TEST_SUITE_P(
     AllUnaryOps, UnaryGradcheck,
     ::testing::Values(UnaryCase{"tanh", &ag::tanh, -2.0, 2.0},
                       UnaryCase{"sigmoid", &ag::sigmoid, -2.0, 2.0},
-                      UnaryCase{"exp", &ag::exp, -1.0, 1.0},
-                      UnaryCase{"log", &ag::log, 0.5, 3.0},
                       UnaryCase{"square", &ag::square, -2.0, 2.0},
-                      UnaryCase{"neg", &ag::neg, -2.0, 2.0},
                       UnaryCase{"mul_by_self", &build_square_via_mul, -2.0, 2.0},
-                      UnaryCase{"mul_scalar", &build_scaled, -2.0, 2.0},
-                      UnaryCase{"add_scalar", &build_shifted, -2.0, 2.0}),
+                      UnaryCase{"mul_scalar", &build_scaled, -2.0, 2.0}),
     [](const ::testing::TestParamInfo<UnaryCase>& info) { return info.param.name; });
 
 }  // namespace
@@ -96,16 +91,6 @@ TEST(Gradcheck, SoftmaxCrossEntropy) {
   EXPECT_TRUE(result.ok) << result.detail;
 }
 
-TEST(Gradcheck, SoftmaxComposite) {
-  t::Rng rng(23);
-  auto logits = ag::Variable(rng.normal_tensor({3, 4}), true);
-  auto fn = [](const std::vector<ag::Variable>& in) {
-    return ag::sum(ag::square(ag::softmax(in[0])));
-  };
-  const auto result = ag::gradcheck(fn, {logits});
-  EXPECT_TRUE(result.ok) << result.detail;
-}
-
 TEST(Gradcheck, Embedding) {
   t::Rng rng(29);
   auto w = ag::Variable(rng.normal_tensor({5, 3}), true);
@@ -146,16 +131,6 @@ TEST(Gradcheck, GlobalAvgPool) {
   auto x = ag::Variable(rng.normal_tensor({2, 3, 4, 4}), true);
   auto fn = [](const std::vector<ag::Variable>& in) {
     return ag::sum(ag::square(ag::global_avg_pool(in[0])));
-  };
-  const auto result = ag::gradcheck(fn, {x});
-  EXPECT_TRUE(result.ok) << result.detail;
-}
-
-TEST(Gradcheck, AvgPool2x2) {
-  t::Rng rng(43);
-  auto x = ag::Variable(rng.normal_tensor({2, 2, 4, 4}), true);
-  auto fn = [](const std::vector<ag::Variable>& in) {
-    return ag::sum(ag::square(ag::avg_pool2x2(in[0])));
   };
   const auto result = ag::gradcheck(fn, {x});
   EXPECT_TRUE(result.ok) << result.detail;

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "train/grid_search.hpp"
 
 namespace train = yf::train;
@@ -24,16 +22,6 @@ TEST(Smoothing, WindowOneIsIdentity) {
 
 TEST(Smoothing, RejectsBadWindow) {
   EXPECT_THROW(train::smooth_uniform({1.0}, 0), std::invalid_argument);
-}
-
-TEST(RunningExtremes, MinAndMax) {
-  const std::vector<double> c = {3, 1, 2, 0.5, 4};
-  const auto mn = train::running_min(c);
-  const auto mx = train::running_max(c);
-  EXPECT_EQ(mn.back(), 0.5);
-  EXPECT_EQ(mn[2], 1.0);
-  EXPECT_EQ(mx.back(), 4.0);
-  EXPECT_EQ(mx[1], 3.0);
 }
 
 TEST(IterationsToReach, FirstCrossing) {
@@ -80,12 +68,6 @@ TEST(AverageCurves, ElementwiseMean) {
   EXPECT_EQ(avg[1], 3.0);
   EXPECT_THROW(train::average_curves({{1}, {1, 2}}), std::invalid_argument);
   EXPECT_THROW(train::average_curves({}), std::invalid_argument);
-}
-
-TEST(NormalizedStd, KnownValues) {
-  // {9, 11}: mean 10, sample std sqrt(2) -> ~0.1414.
-  EXPECT_NEAR(train::normalized_std({9.0, 11.0}), std::sqrt(2.0) / 10.0, 1e-12);
-  EXPECT_THROW(train::normalized_std({1.0}), std::invalid_argument);
 }
 
 TEST(GridSearch, PicksLowestLossHyper) {

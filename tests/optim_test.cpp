@@ -9,7 +9,6 @@
 #include "optim/clipping.hpp"
 #include "optim/lr_schedule.hpp"
 #include "optim/momentum_sgd.hpp"
-#include "optim/rmsprop.hpp"
 #include "optim/sgd.hpp"
 #include "tensor/random.hpp"
 
@@ -177,19 +176,6 @@ TEST(AdaGrad, AccumulatorShrinksSteps) {
   EXPECT_NEAR(first, 1.0, 1e-6);
   EXPECT_LT(second, first);
   EXPECT_NEAR(second, 1.0 / std::sqrt(2.0), 1e-6);
-}
-
-TEST(RMSProp, FixedPointStepSize)  {
-  // With constant gradient g, s -> g^2 and step -> lr * g / |g| = lr.
-  ScalarParam sp(0.0);
-  optim::RMSProp opt({sp.p}, 0.01, 0.5);
-  double prev = 0.0;
-  for (int i = 0; i < 60; ++i) {
-    sp.set_grad(3.0);
-    prev = sp.x();
-    opt.step();
-  }
-  EXPECT_NEAR(prev - sp.x(), 0.01, 1e-4);
 }
 
 TEST(Clipping, NormComputedOverAllParams) {

@@ -9,7 +9,6 @@
 #include "optim/adagrad.hpp"
 #include "optim/adam.hpp"
 #include "optim/momentum_sgd.hpp"
-#include "optim/rmsprop.hpp"
 #include "optim/sgd.hpp"
 #include "tensor/random.hpp"
 #include "tuner/yellowfin.hpp"
@@ -60,8 +59,6 @@ TEST_P(OptimizerConvergence, ReachesQuadraticOptimum) {
     opt = std::make_unique<optim::Adam>(std::vector<ag::Variable>{x}, p.lr);
   } else if (p.optimizer == "adagrad") {
     opt = std::make_unique<optim::AdaGrad>(std::vector<ag::Variable>{x}, p.lr);
-  } else if (p.optimizer == "rmsprop") {
-    opt = std::make_unique<optim::RMSProp>(std::vector<ag::Variable>{x}, p.lr);
   } else {
     opt = std::make_unique<yf::tuner::YellowFin>(std::vector<ag::Variable>{x});
   }
@@ -92,7 +89,6 @@ INSTANTIATE_TEST_SUITE_P(
         ConvergenceCase{"nesterov", 0.1, 2.0, 0.0, 400, 1e-8},
         ConvergenceCase{"adam", 0.05, 2.0, 0.0, 800, 1e-6},
         ConvergenceCase{"adagrad", 0.5, 2.0, 0.0, 800, 1e-4},
-        ConvergenceCase{"rmsprop", 0.02, 2.0, 0.0, 1500, 1e-4},
         ConvergenceCase{"yellowfin", 0.0, 2.0, 0.0, 1500, 1e-4},
         // Ill-conditioned (kappa = 100).
         ConvergenceCase{"sgd", 0.015, 100.0, 0.0, 4000, 1e-4},

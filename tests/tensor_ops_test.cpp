@@ -13,41 +13,8 @@ t::Tensor vec(std::vector<double> v) {
 }
 }  // namespace
 
-TEST(TensorOps, ElementwiseBinary) {
-  auto a = vec({1, 2, 3});
-  auto b = vec({4, 5, 6});
-  EXPECT_TRUE(t::allclose(t::add(a, b), vec({5, 7, 9})));
-  EXPECT_TRUE(t::allclose(t::sub(a, b), vec({-3, -3, -3})));
-  EXPECT_TRUE(t::allclose(t::mul(a, b), vec({4, 10, 18})));
-  EXPECT_TRUE(t::allclose(t::div(b, a), vec({4, 2.5, 2})));
-}
-
-TEST(TensorOps, BinaryShapeMismatchThrows) {
-  EXPECT_THROW(t::add(vec({1}), vec({1, 2})), std::invalid_argument);
-}
-
-TEST(TensorOps, ScalarBroadcast) {
-  auto a = vec({1, 2});
-  EXPECT_TRUE(t::allclose(t::add_scalar(a, 1.0), vec({2, 3})));
-  EXPECT_TRUE(t::allclose(t::mul_scalar(a, -2.0), vec({-2, -4})));
-}
-
 TEST(TensorOps, UnaryMath) {
-  auto a = vec({-1, 0, 2});
-  EXPECT_TRUE(t::allclose(t::neg(a), vec({1, 0, -2})));
-  EXPECT_TRUE(t::allclose(t::abs(a), vec({1, 0, 2})));
-  EXPECT_TRUE(t::allclose(t::square(a), vec({1, 0, 4})));
-  EXPECT_TRUE(t::allclose(t::relu(a), vec({0, 0, 2})));
-  EXPECT_NEAR(t::exp(vec({1}))[0], std::exp(1.0), 1e-12);
-  EXPECT_NEAR(t::log(vec({std::exp(2.0)}))[0], 2.0, 1e-12);
-  EXPECT_NEAR(t::sqrt(vec({9}))[0], 3.0, 1e-12);
-  EXPECT_NEAR(t::tanh(vec({0.5}))[0], std::tanh(0.5), 1e-12);
-  EXPECT_NEAR(t::sigmoid(vec({0}))[0], 0.5, 1e-12);
-}
-
-TEST(TensorOps, MapApplies) {
-  auto out = t::map(vec({1, 2, 3}), [](double x) { return 10 * x; });
-  EXPECT_TRUE(t::allclose(out, vec({10, 20, 30})));
+  EXPECT_TRUE(t::allclose(t::square(vec({-1, 0, 2})), vec({1, 0, 4})));
 }
 
 TEST(TensorOps, Reductions) {
@@ -92,18 +59,6 @@ TEST(TensorOps, TransposeRoundTrip) {
   EXPECT_EQ(at.shape(), (t::Shape{3, 2}));
   EXPECT_EQ(at.at({0, 1}), 4.0);
   EXPECT_TRUE(t::allclose(t::transpose(at), a));
-}
-
-TEST(TensorOps, AddRowBroadcast) {
-  t::Tensor a({2, 2}, {1, 2, 3, 4});
-  auto out = t::add_row_broadcast(a, vec({10, 20}));
-  EXPECT_EQ(out.at({0, 0}), 11.0);
-  EXPECT_EQ(out.at({1, 1}), 24.0);
-}
-
-TEST(TensorOps, SumRows) {
-  t::Tensor a({2, 3}, {1, 2, 3, 4, 5, 6});
-  EXPECT_TRUE(t::allclose(t::sum_rows(a), vec({5, 7, 9})));
 }
 
 TEST(TensorOps, MaxAbsDiffAndAllclose) {
