@@ -28,6 +28,7 @@
 #include "async/param_server.hpp"
 #include "core/alloc_count.hpp"
 #include "dist/checkpoint.hpp"
+#include "dist/wire.hpp"
 #include "tensor/random.hpp"
 #include "tuner/yellowfin.hpp"
 
@@ -203,6 +204,24 @@ TEST(PushLedger, StateRoundTripIsLossless) {
   EXPECT_EQ(b.entries[3].reply.applied_momentum, 0.25);
 }
 
+// Checkpoint state bytes fail as checkpoint errors: the state codec shares
+// its byte layout with the wire payload codec, but a torn snapshot must
+// raise core::StateError (restore's skip-this-candidate signal), never
+// dist::WireError.
+TEST(Checkpoint, StateReaderUnderrunAndTrailingBytesThrowStateError) {
+  std::vector<std::byte> buf;
+  yf::core::StateWriter out(buf);
+  out.u32(7);
+  yf::core::StateReader short_read(buf);
+  EXPECT_THROW(short_read.u64(), yf::core::StateError);  // 4 bytes can't make a u64
+  yf::core::StateReader trailing(buf);
+  trailing.u8();
+  EXPECT_THROW(trailing.expect_end(), yf::core::StateError);
+  std::vector<double> span(2);
+  yf::core::StateReader short_span(buf);
+  EXPECT_THROW(short_span.f64_span(span), yf::core::StateError);
+}
+
 // The durability headline: train, checkpoint, restore into a FRESH
 // server, keep training both -- every subsequent step is bit-identical.
 TEST(Checkpoint, DiskRoundTripContinuesBitIdentically) {
@@ -360,6 +379,49 @@ TEST(Checkpoint, PruneKeepsOnlyTheNewestN) {
   EXPECT_NE(::access(checkpoint_name(dir, 6).c_str(), F_OK), -1);
   EXPECT_EQ(::access(checkpoint_name(dir, 4).c_str(), F_OK), -1);
   EXPECT_EQ(::access(checkpoint_name(dir, 2).c_str(), F_OK), -1);
+
+  remove_tree(dir);
+}
+
+// The file header, decoded by hand rather than through the state codec:
+// "YFCK", u32 format version, u64 payload length, u64 XXH64 of the
+// payload, all little-endian, with the payload at offset 24.
+TEST(Checkpoint, HeaderLayoutIsExactlyAsSpecified) {
+  const std::string dir = make_temp_dir();
+  ASSERT_FALSE(dir.empty());
+  Rig a;
+  dist::PushLedger ledger;
+  dist::Checkpointer ckpt(dir);
+  ckpt.write(*a.server, ledger, 7);
+
+  const std::string path = checkpoint_name(dir, 7);
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  ASSERT_GE(fd, 0);
+  std::vector<std::byte> file;
+  std::byte chunk[4096];
+  for (ssize_t n; (n = ::read(fd, chunk, sizeof(chunk))) > 0;) {
+    file.insert(file.end(), chunk, chunk + n);
+  }
+  ::close(fd);
+  ASSERT_GT(file.size(), dist::kCheckpointHeaderBytes);
+  ASSERT_EQ(dist::kCheckpointHeaderBytes, 24u);
+
+  const auto le = [&](std::size_t at, std::size_t n) {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      v |= std::to_integer<std::uint64_t>(file[at + i]) << (8 * i);
+    }
+    return v;
+  };
+  EXPECT_EQ(std::to_integer<char>(file[0]), 'Y');
+  EXPECT_EQ(std::to_integer<char>(file[1]), 'F');
+  EXPECT_EQ(std::to_integer<char>(file[2]), 'C');
+  EXPECT_EQ(std::to_integer<char>(file[3]), 'K');
+  EXPECT_EQ(le(4, 4), dist::kCheckpointVersion);
+  const auto payload = std::span<const std::byte>(file).subspan(24);
+  EXPECT_EQ(le(8, 8), payload.size());
+  EXPECT_EQ(le(16, 8), dist::xxh64(payload));
+  EXPECT_EQ(le(24, 8), 7u);  // the payload opens with the update index
 
   remove_tree(dir);
 }

@@ -340,6 +340,44 @@ TEST(DistEngine, TruncatedPushPayloadGetsErrorFrame) {
   fx.net->shutdown();
 }
 
+// The kPushReply payload byte for byte: i64 update index, u8 has-estimate
+// flag, f64 estimate (0 when absent), f64 applied and f64 target
+// momentum, all little-endian. A first push reads versions 0, so Eq. 37
+// has no x_{j-1} and the estimate is absent.
+TEST(DistEngine, PushReplyPayloadIsPinned) {
+  ErrorFixture fx;
+  auto stream = dist::TcpStream::connect(kHost, fx.net->port(), std::chrono::seconds(5));
+  std::vector<std::byte> reply;
+  const auto hello = hello_payload();
+  ASSERT_EQ(raw_round_trip(stream, dist::Op::kHello, hello, reply).op, dist::Op::kHelloAck);
+  ASSERT_EQ(raw_round_trip(stream, dist::Op::kPull, {}, reply).op, dist::Op::kPullReply);
+  dist::PayloadReader pulled(reply);
+  std::vector<std::int64_t> versions(pulled.u64());
+  pulled.i64_span(versions);
+
+  std::vector<std::byte> push;
+  dist::PayloadWriter out(push);
+  out.u64(1);  // push seq
+  out.u64(versions.size());
+  out.i64_span(versions);
+  const std::vector<double> grad(static_cast<std::size_t>(fx.server->size()), 0.25);
+  out.f64_span(grad);
+  ASSERT_EQ(raw_round_trip(stream, dist::Op::kPush, push, reply).op, dist::Op::kPushReply);
+
+  const std::vector<std::uint8_t> expected = {
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // update_index 1
+      0x00,                                            // no mu_hat_total
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // mu_hat_total slot: 0.0
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f,  // applied_momentum 0.5
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f,  // target_momentum 0.5
+  };
+  ASSERT_EQ(reply.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(std::to_integer<std::uint8_t>(reply[i]), expected[i]) << "byte " << i;
+  }
+  fx.net->shutdown();
+}
+
 // ---------------------------------------------------------------------------
 // Shutdown contracts (the drain-on-shutdown idiom, both sides).
 // ---------------------------------------------------------------------------
