@@ -73,6 +73,29 @@ struct ApplyStats {
   std::optional<double> mu_hat_total;
   double applied_momentum = 0.0;  ///< algorithmic momentum used this push
   double target_momentum = 0.0;   ///< tuner target (or mu_target)
+
+  /// The one encoding of this record, which the push reply and the
+  /// checkpoint's push ledger both carry: i64 update index, u8 1 when
+  /// mu_hat_total is set, f64 mu_hat_total (0 when unset), f64 applied
+  /// and f64 target momentum.
+  void encode(core::ByteWriter& w) const {
+    w.i64(update_index);
+    w.u8(mu_hat_total ? 1 : 0);
+    w.f64(mu_hat_total.value_or(0.0));
+    w.f64(applied_momentum);
+    w.f64(target_momentum);
+  }
+  template <class Error>
+  static ApplyStats decode(core::ByteReader<Error>& r) {
+    ApplyStats s;
+    s.update_index = r.i64();
+    const bool has_mu = r.u8() != 0;
+    const double mu = r.f64();
+    if (has_mu) s.mu_hat_total = mu;
+    s.applied_momentum = r.f64();
+    s.target_momentum = r.f64();
+    return s;
+  }
 };
 
 class ShardedParamServer {

@@ -1,8 +1,5 @@
 #include "core/state.hpp"
 
-#include <bit>
-#include <string>
-
 namespace yf::core {
 
 namespace {
@@ -13,55 +10,31 @@ void put_le(std::vector<std::byte>& out, std::uint64_t v, int bytes) {
   }
 }
 
-std::uint64_t get_le(std::span<const std::byte> in, std::size_t offset, int bytes) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < bytes; ++i) {
-    v |= std::to_integer<std::uint64_t>(in[offset + static_cast<std::size_t>(i)]) << (8 * i);
+template <typename T>
+void put_span(std::vector<std::byte>& out, std::span<const T> v) {
+  static_assert(sizeof(T) == 8);
+  if constexpr (std::endian::native == std::endian::little) {
+    const std::size_t at = out.size();
+    out.resize(at + v.size_bytes());
+    if (!v.empty()) std::memcpy(out.data() + at, v.data(), v.size_bytes());
+  } else {
+    out.reserve(out.size() + v.size_bytes());
+    for (const T x : v) put_le(out, std::bit_cast<std::uint64_t>(x), 8);
   }
-  return v;
 }
 
 }  // namespace
 
-void StateWriter::u8(std::uint8_t v) { put_le(*out_, v, 1); }
-void StateWriter::u32(std::uint32_t v) { put_le(*out_, v, 4); }
-void StateWriter::u64(std::uint64_t v) { put_le(*out_, v, 8); }
-void StateWriter::i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-void StateWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+void ByteWriter::u8(std::uint8_t v) { put_le(*out_, v, 1); }
+void ByteWriter::u16(std::uint16_t v) { put_le(*out_, v, 2); }
+void ByteWriter::u32(std::uint32_t v) { put_le(*out_, v, 4); }
+void ByteWriter::u64(std::uint64_t v) { put_le(*out_, v, 8); }
+void ByteWriter::f64_span(std::span<const double> v) { put_span(*out_, v); }
+void ByteWriter::i64_span(std::span<const std::int64_t> v) { put_span(*out_, v); }
 
-void StateWriter::f64_span(std::span<const double> v) {
-  out_->reserve(out_->size() + v.size() * 8);
-  for (const double d : v) f64(d);
-}
-
-std::span<const std::byte> StateReader::take(std::size_t n, const char* what) {
-  if (n > data_.size() - pos_) {
-    throw StateError(std::string("state underrun reading ") + what);
-  }
-  const auto out = data_.subspan(pos_, n);
-  pos_ += n;
-  return out;
-}
-
-std::uint8_t StateReader::u8() { return static_cast<std::uint8_t>(get_le(take(1, "u8"), 0, 1)); }
-std::uint32_t StateReader::u32() {
-  return static_cast<std::uint32_t>(get_le(take(4, "u32"), 0, 4));
-}
-std::uint64_t StateReader::u64() { return get_le(take(8, "u64"), 0, 8); }
-std::int64_t StateReader::i64() { return static_cast<std::int64_t>(u64()); }
-double StateReader::f64() { return std::bit_cast<double>(u64()); }
-
-void StateReader::f64_span(std::span<double> dst) {
-  const auto bytes = take(dst.size() * 8, "f64 span");
-  for (std::size_t i = 0; i < dst.size(); ++i) {
-    dst[i] = std::bit_cast<double>(get_le(bytes, i * 8, 8));
-  }
-}
-
-void StateReader::expect_end() const {
-  if (pos_ != data_.size()) {
-    throw StateError("trailing bytes after state (layout drift between writer and reader?)");
-  }
+void ByteWriter::str(std::string_view s) {
+  u32(static_cast<std::uint32_t>(s.size()));
+  for (const char c : s) out_->push_back(static_cast<std::byte>(c));
 }
 
 }  // namespace yf::core

@@ -24,25 +24,6 @@ constexpr const char* kSuffix = ".yfck";
 // Zero-padded to a fixed width so lexical directory order is index order.
 constexpr const char* kNameFormat = "%s/ckpt-%020lld%s";
 
-void save_stats(core::StateWriter& w, const async::ApplyStats& s) {
-  w.i64(s.update_index);
-  w.u8(s.mu_hat_total ? 1 : 0);
-  w.f64(s.mu_hat_total.value_or(0.0));
-  w.f64(s.applied_momentum);
-  w.f64(s.target_momentum);
-}
-
-async::ApplyStats load_stats(core::StateReader& r) {
-  async::ApplyStats s;
-  s.update_index = r.i64();
-  const bool has_mu = r.u8() != 0;
-  const double mu = r.f64();
-  if (has_mu) s.mu_hat_total = mu;
-  s.applied_momentum = r.f64();
-  s.target_momentum = r.f64();
-  return s;
-}
-
 [[noreturn]] void raise_errno(const char* what, const char* path) {
   throw CheckpointError(std::string(what) + " " + path + ": " + std::strerror(errno));
 }
@@ -114,7 +95,7 @@ void PushLedger::save_state(core::StateWriter& w) const {
   for (const auto& [id, entry] : entries) {
     w.u64(id);
     w.u64(entry.last_seq);
-    save_stats(w, entry.reply);
+    entry.reply.encode(w);
   }
 }
 
@@ -128,7 +109,7 @@ void PushLedger::load_state(core::StateReader& r) {
     const std::uint64_t id = r.u64();
     Entry entry;
     entry.last_seq = r.u64();
-    entry.reply = load_stats(r);
+    entry.reply = async::ApplyStats::decode(r);
     entries.emplace(id, entry);
   }
 }
@@ -152,8 +133,8 @@ void Checkpointer::write(const async::ShardedParamServer& server, const PushLedg
 
   file_.clear();
   file_.reserve(kCheckpointHeaderBytes + payload_.size());
-  for (const std::uint8_t m : kMagic) file_.push_back(static_cast<std::byte>(m));
   core::StateWriter h(file_);
+  for (const std::uint8_t m : kMagic) h.u8(m);
   h.u32(kCheckpointVersion);
   h.u64(payload_.size());
   h.u64(xxh64(payload_));
@@ -215,12 +196,10 @@ std::int64_t load_checkpoint(const std::string& path, async::ShardedParamServer&
   if (done != size || size < kCheckpointHeaderBytes) {
     throw CheckpointError("checkpoint " + path + ": truncated header");
   }
-  for (std::size_t i = 0; i < 4; ++i) {
-    if (std::to_integer<std::uint8_t>(bytes[i]) != kMagic[i]) {
-      throw CheckpointError("checkpoint " + path + ": bad magic");
-    }
+  core::StateReader header(std::span<const std::byte>(bytes).first(kCheckpointHeaderBytes));
+  for (const std::uint8_t m : kMagic) {
+    if (header.u8() != m) throw CheckpointError("checkpoint " + path + ": bad magic");
   }
-  core::StateReader header(std::span<const std::byte>(bytes).subspan(4, 20));
   const std::uint32_t version = header.u32();
   if (version != kCheckpointVersion) {
     throw CheckpointError("checkpoint " + path + ": unsupported version " +

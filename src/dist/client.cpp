@@ -188,13 +188,7 @@ async::ApplyStats RemoteParamClient::push(std::span<double> grad,
   out.f64_span(grad);
   round_trip(Op::kPush, Op::kPushReply);
   PayloadReader in(reply_);
-  async::ApplyStats stats;
-  stats.update_index = in.i64();
-  const bool has_mu = in.u8() != 0;
-  const double mu_hat = in.f64();
-  if (has_mu) stats.mu_hat_total = mu_hat;
-  stats.applied_momentum = in.f64();
-  stats.target_momentum = in.f64();
+  const auto stats = async::ApplyStats::decode(in);
   in.expect_end();
   return stats;
 }

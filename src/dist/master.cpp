@@ -164,11 +164,7 @@ void MasterServer::serve_connection(TcpStream& stream) {
               stats.update_index % opts_.checkpoint_every == 0) {
             write_checkpoint(stats.update_index);
           }
-          out.i64(stats.update_index);
-          out.u8(stats.mu_hat_total.has_value() ? 1 : 0);
-          out.f64(stats.mu_hat_total.value_or(0.0));
-          out.f64(stats.applied_momentum);
-          out.f64(stats.target_momentum);
+          stats.encode(out);
           write_frame(sink, Op::kPushReply, reply, scratch);
           break;
         }

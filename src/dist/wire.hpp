@@ -17,13 +17,12 @@
 // Version 1 was the same layout with an FNV-1a 64 checksum; version 2
 // peers reject it.
 //
-// All multi-byte fields are little-endian, written explicitly byte by
-// byte so the encoding is identical on any host (value spans are one
-// memcpy on little-endian hosts: the same bytes). Doubles travel as their
-// IEEE-754 bit pattern (std::bit_cast through uint64), so a value
-// round-trips EXACTLY -- the one-worker socket trajectory is specified to
-// be bit-identical to the in-process engine, which a textual or lossy
-// encoding could not deliver.
+// The header and every payload encode through the one byte codec
+// (core/state.hpp), the same one checkpoints use: little-endian fields,
+// doubles as their IEEE-754 bit pattern, so a value round-trips EXACTLY --
+// the one-worker socket trajectory is specified to be bit-identical to
+// the in-process engine, which a textual or lossy encoding could not
+// deliver.
 //
 // The framing layer is blocking-I/O over two single-method interfaces
 // (ByteSource/ByteSink) and owns all partial-read handling: read_frame()
@@ -42,9 +41,9 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
-#include <string>
-#include <string_view>
 #include <vector>
+
+#include "core/state.hpp"
 
 namespace yf::dist {
 
@@ -71,7 +70,7 @@ enum class Op : std::uint16_t {
   kPullReply = 4,    ///< master -> worker: u64 K, K x i64 versions, N x f64 values
   kPush = 5,         ///< worker -> master: u64 push seq (0 = unsequenced),
                      ///< u64 K, K x i64 versions, N x f64 grads
-  kPushReply = 6,    ///< master -> worker: ApplyStats (see client.cpp)
+  kPushReply = 6,    ///< master -> worker: ApplyStats::encode (async/param_server.hpp)
   kShutdown = 7,     ///< worker -> master: no more requests (empty)
   kShutdownAck = 8,  ///< master -> worker: drained, closing (empty)
   kError = 9,        ///< either direction: utf-8 message; connection-fatal
@@ -143,54 +142,9 @@ void write_frame(ByteSink& sink, Op op, std::span<const std::byte> payload,
 bool read_frame(ByteSource& src, FrameHeader& header, std::vector<std::byte>& payload,
                 std::size_t max_payload = kDefaultMaxPayload);
 
-// ---------------------------------------------------------------------------
-// Payload encoding: explicit little-endian primitives with bounds-checked
-// reads. Doubles are bit-exact (IEEE-754 bits through uint64).
-// ---------------------------------------------------------------------------
-
-class PayloadWriter {
- public:
-  /// Appends to `out`; the caller clears/reuses the buffer between frames.
-  explicit PayloadWriter(std::vector<std::byte>& out) : out_(&out) {}
-
-  void u8(std::uint8_t v);
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void i64(std::int64_t v);  ///< two's-complement through u64
-  void f64(double v);        ///< exact: IEEE-754 bit pattern
-  void f64_span(std::span<const double> v);
-  void i64_span(std::span<const std::int64_t> v);
-  void str(std::string_view s);  ///< u32 length + bytes
-
- private:
-  std::vector<std::byte>* out_;
-};
-
-class PayloadReader {
- public:
-  explicit PayloadReader(std::span<const std::byte> data) : data_(data) {}
-
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  std::int64_t i64();
-  double f64();
-  void f64_span(std::span<double> dst);
-  void i64_span(std::span<std::int64_t> dst);
-  std::string str(std::size_t max_len = 1u << 16);
-
-  std::size_t remaining() const { return data_.size() - pos_; }
-  /// Throws WireError if payload bytes remain unconsumed -- a frame must
-  /// be read completely so version-1 peers notice trailing garbage.
-  void expect_end() const;
-
- private:
-  std::span<const std::byte> take(std::size_t n, const char* what);
-
-  std::span<const std::byte> data_;
-  std::size_t pos_ = 0;
-};
+/// Payload encoding: the core byte codec (core/state.hpp), whose reads
+/// throw WireError here.
+using PayloadWriter = core::ByteWriter;
+using PayloadReader = core::ByteReader<WireError>;
 
 }  // namespace yf::dist
