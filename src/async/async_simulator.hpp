@@ -62,9 +62,6 @@ class AsyncTrainer {
   /// are tape handles, valid until the next step() or the trainer dies.
   AsyncStepStats step();
 
-  const TotalMomentumEstimator& estimator() const { return estimator_; }
-  const tuner::ClosedLoopController& controller() const { return controller_; }
-
  private:
   std::shared_ptr<optim::Optimizer> optimizer_;
   /// Resolves the Algorithm 5 knobs (target / applied momentum) — the

@@ -164,7 +164,7 @@ ApplyStats ShardedParamServer::push(std::span<double> grad, const PullTicket& ti
     const auto* x_next = shard.lookup(j + 1);
     if (!x_prev || !x_read || !x_next) continue;
     ratio_count += eq37_ratios(*x_prev, *x_read, *x_next, grad.subspan(lo, n), plan.lr,
-                               opts_.denom_eps, std::span(ratios).subspan(ratio_count, n));
+                               kEq37DenomEps, std::span(ratios).subspan(ratio_count, n));
   }
 
   // This push's mu_hat_T, from its own ratios: no other push reads them,
@@ -172,8 +172,8 @@ ApplyStats ShardedParamServer::push(std::span<double> grad, const PullTicket& ti
   std::optional<double> estimate;
   if (ratio_count > 0) estimate = median_inplace(std::span(ratios).first(ratio_count));
 
-  // Closing global stage: advance the optimizer, fold the estimate into
-  // the smoothed total momentum, and run the Algorithm 5 feedback.
+  // Closing global stage: advance the optimizer and run the Algorithm 5
+  // feedback.
   ApplyStats stats;
   stats.applied_momentum = plan.mu;
   stats.mu_hat_total = estimate;
@@ -181,23 +181,12 @@ ApplyStats ShardedParamServer::push(std::span<double> grad, const PullTicket& ti
     std::scoped_lock lock(stage_mu_);
     optimizer_->end_apply(plan);
     stats.update_index = updates_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (estimate) {
-      smoothed_ = smoothed_init_
-                      ? opts_.smooth_beta * smoothed_ + (1.0 - opts_.smooth_beta) * *estimate
-                      : *estimate;
-      smoothed_init_ = true;
-      if (opts_.closed_loop) {
-        control_.set_applied(controller_.update(control_.target(), *estimate));
-      }
+    if (estimate && opts_.closed_loop) {
+      control_.set_applied(controller_.update(control_.target(), *estimate));
     }
     stats.target_momentum = control_.target();
   }
   return stats;
-}
-
-double ShardedParamServer::smoothed_total_momentum() const {
-  std::scoped_lock lock(stage_mu_);
-  return smoothed_;
 }
 
 void ShardedParamServer::save_state(core::StateWriter& w) const {
@@ -222,8 +211,6 @@ void ShardedParamServer::save_state(core::StateWriter& w) const {
     }
   }
   w.i64(updates_.load(std::memory_order_relaxed));
-  w.f64(smoothed_);
-  w.u8(smoothed_init_ ? 1 : 0);
   w.f64(controller_.applied_momentum());
   optimizer_->save_state(w);
 }
@@ -262,8 +249,6 @@ void ShardedParamServer::load_state(core::StateReader& r) {
   const std::int64_t updates = r.i64();
   if (updates < 0) throw core::StateError("ShardedParamServer: negative update counter");
   updates_.store(updates, std::memory_order_relaxed);
-  smoothed_ = r.f64();
-  smoothed_init_ = r.u8() != 0;
   const double applied = r.f64();
   if (opts_.closed_loop) {
     // Re-seed the feedback loop at the checkpointed applied momentum; the

@@ -52,14 +52,12 @@ struct ParamServerOptions {
   /// Keep per-shard iterate history and estimate mu_hat_T on every push.
   bool measure = true;
   std::int64_t history = 64;  ///< retained iterate versions per shard (>= 3)
-  double denom_eps = 1e-10;   ///< skip coordinates with tinier movement
   /// Algorithm 5: feed mu_hat_T back into the applied momentum. Requires
   /// `measure` and a YellowFin optimizer (target = its tuned momentum) or
   /// a MomentumSGD plus an explicit `mu_target`.
   bool closed_loop = false;
   double gamma = 0.01;               ///< feedback gain
   std::optional<double> mu_target;   ///< closed-loop target for MomentumSGD
-  double smooth_beta = 0.95;         ///< EWMA on mu_hat (Fig. 4 solid line)
 };
 
 /// Per-shard versions observed by a pull; pairs a gradient with the
@@ -131,26 +129,22 @@ class ShardedParamServer {
 
   /// Total gradients applied so far.
   std::int64_t updates() const { return updates_.load(std::memory_order_relaxed); }
-  /// EWMA of mu_hat_T estimates (0 until the first estimate).
-  double smoothed_total_momentum() const;
 
   /// Serialize/restore the full server state bit-exactly for
   /// checkpoint/restore (DESIGN.md §14): master values, per-shard
-  /// versions and iterate-history rings, the update counter, the Eq. 37
-  /// smoothing state, the controller's applied momentum, and the
-  /// optimizer's own save_state. Geometry and options are configuration;
-  /// load_state validates them against this instance and throws
-  /// core::StateError on mismatch. Both take the stage lock and each
-  /// shard lock for race-free byte access, but callers must quiesce
-  /// in-flight pushes for a consistent cut (the dist master serializes
-  /// checkpoints against pushes with its own lock).
+  /// versions and iterate-history rings, the update counter, the
+  /// controller's applied momentum, and the optimizer's own save_state.
+  /// Geometry and options are configuration; load_state validates them
+  /// against this instance and throws core::StateError on mismatch. Both
+  /// take the stage lock and each shard lock for race-free byte access,
+  /// but callers must quiesce in-flight pushes for a consistent cut (the
+  /// dist master serializes checkpoints against pushes with its own
+  /// lock).
   void save_state(core::StateWriter& w) const;
   void load_state(core::StateReader& r);
 
-  const tuner::ClosedLoopController& controller() const { return controller_; }
   optim::Optimizer& optimizer() { return *optimizer_; }
   const optim::Optimizer& optimizer() const { return *optimizer_; }
-  const ParamServerOptions& options() const { return opts_; }
 
  private:
   struct Shard {
@@ -179,13 +173,11 @@ class ShardedParamServer {
   ParamServerOptions opts_;
   std::int64_t size_ = 0;
   std::deque<Shard> shards_;  ///< deque: Shard holds a mutex (immovable)
-  /// Serializes the optimizer's global stages (begin/end_apply), the
-  /// controller, and the smoothed estimate.
+  /// Serializes the optimizer's global stages (begin/end_apply) and the
+  /// controller.
   mutable std::mutex stage_mu_;
   std::atomic<std::int64_t> updates_{0};
   tuner::ClosedLoopController controller_;
-  double smoothed_ = 0.0;
-  bool smoothed_init_ = false;
 };
 
 // ---------------------------------------------------------------------------

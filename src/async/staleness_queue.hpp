@@ -34,7 +34,6 @@ class StalenessQueue {
     return std::nullopt;
   }
 
-  std::int64_t staleness() const { return staleness_; }
   std::size_t pending() const { return queue_.size(); }
 
  private:

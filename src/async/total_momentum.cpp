@@ -98,8 +98,8 @@ double median_inplace(std::span<double> values) {
 
 double median(std::vector<double> values) { return median_inplace(values); }
 
-TotalMomentumEstimator::TotalMomentumEstimator(std::int64_t staleness, double denom_eps)
-    : staleness_(staleness), denom_eps_(denom_eps) {
+TotalMomentumEstimator::TotalMomentumEstimator(std::int64_t staleness)
+    : staleness_(staleness) {
   if (staleness < 0) throw std::invalid_argument("TotalMomentumEstimator: staleness >= 0");
 }
 
@@ -121,22 +121,9 @@ std::optional<double> TotalMomentumEstimator::estimate() const {
   const Record& next = history_[2];   // x_{i+1}
   ratios_.resize(static_cast<std::size_t>(cur.x.size()));
   const std::size_t count = eq37_ratios(prev.x.data(), cur.x.data(), next.x.data(), cur.g.data(),
-                                        cur.alpha, denom_eps_, ratios_);
+                                        cur.alpha, kEq37DenomEps, ratios_);
   if (count == 0) return std::nullopt;
   return median_inplace(std::span(ratios_).first(count));
-}
-
-double TotalMomentumEstimator::smoothed(double beta) {
-  const auto est = estimate();
-  if (est) {
-    if (!smoothed_init_) {
-      smoothed_value_ = *est;
-      smoothed_init_ = true;
-    } else {
-      smoothed_value_ = beta * smoothed_value_ + (1.0 - beta) * (*est);
-    }
-  }
-  return smoothed_value_;
 }
 
 }  // namespace yf::async

@@ -10,7 +10,8 @@
 //
 // where g_i is the stochastic gradient evaluated AT iterate x_i. The
 // elementwise median makes the estimate robust to coordinates with tiny
-// iterate movement; coordinates with |denominator| < eps are skipped.
+// iterate movement; coordinates with |denominator| < kEq37DenomEps are
+// skipped.
 #pragma once
 
 #include <cstddef>
@@ -27,7 +28,7 @@ namespace yf::async {
 class TotalMomentumEstimator {
  public:
   /// `staleness` = tau (0 for synchronous training).
-  explicit TotalMomentumEstimator(std::int64_t staleness, double denom_eps = 1e-10);
+  explicit TotalMomentumEstimator(std::int64_t staleness);
 
   /// Record one server step: the iterate BEFORE the update, the stochastic
   /// gradient evaluated at that same iterate, and the learning rate in
@@ -39,11 +40,6 @@ class TotalMomentumEstimator {
   /// or when every coordinate's denominator underflows.
   std::optional<double> estimate() const;
 
-  /// Running average of estimates (the solid red line in Fig. 4).
-  double smoothed(double beta = 0.9);
-
-  std::int64_t staleness() const { return staleness_; }
-
  private:
   struct Record {
     tensor::Tensor x;
@@ -51,13 +47,14 @@ class TotalMomentumEstimator {
     double alpha;
   };
   std::int64_t staleness_;
-  double denom_eps_;
   std::deque<Record> history_;
   /// Eq. 37 ratio scratch; its capacity is kept across estimate() calls.
   mutable std::vector<double> ratios_;
-  double smoothed_value_ = 0.0;
-  bool smoothed_init_ = false;
 };
+
+/// Eq. 37 skips coordinates whose |x_read - x_prev| is below this: the
+/// parameter server and TotalMomentumEstimator both pass it as `eps`.
+inline constexpr double kEq37DenomEps = 1e-10;
 
 /// Eq. 37's per-coordinate ratios ((x_next - x_read) + lr * g) /
 /// (x_read - x_prev), packed into the front of `out` for every coordinate

@@ -79,7 +79,6 @@ class GraphTape {
   // -- Introspection / stats. -----------------------------------------------
   std::int64_t steps() const { return steps_; }
   std::size_t recorded_nodes() const { return nodes_.size(); }
-  std::size_t cursor() const { return cursor_; }
   std::int64_t replayed_nodes() const { return replayed_; }
   std::int64_t fresh_nodes() const { return fresh_; }
   core::Workspace& workspace() { return ws_; }

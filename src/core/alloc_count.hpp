@@ -1,11 +1,11 @@
 // Allocation-counting hooks (DESIGN.md §8).
 //
 // The library itself never replaces the global allocator; it only exposes
-// process-wide counters that a *test-only* `operator new`/`operator
-// delete` replacement increments (tests/alloc_count_test.cpp defines the
-// replacement inside its own binary). Production binaries link this TU
-// too, but with nothing calling note_alloc() the counters stay at zero
-// and cost two unused atomics.
+// a process-wide counter that a *test-only* `operator new` replacement
+// increments (tests/alloc_count_test.cpp defines the replacement inside
+// its own binary). Production binaries link this TU too, but with nothing
+// calling note_alloc() the counter stays at zero and costs one unused
+// atomic.
 //
 // This is how the zero-allocation contract of the autograd tape is
 // *proved* rather than asserted: warm a training step up, snapshot
@@ -21,14 +21,10 @@ namespace yf::core {
 /// counting allocator TU is linked in and installed).
 std::uint64_t heap_alloc_count();
 
-/// Number of heap deallocations observed.
-std::uint64_t heap_free_count();
-
 namespace detail {
-/// Called by a replaced operator new / operator delete. Safe from any
-/// thread; relaxed ordering (counts, not synchronization).
+/// Called by a replaced operator new. Safe from any thread; relaxed
+/// ordering (counts, not synchronization).
 void note_alloc();
-void note_free();
 }  // namespace detail
 
 }  // namespace yf::core

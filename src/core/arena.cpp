@@ -91,10 +91,6 @@ tensor::Tensor ParamArena::values_window(std::int64_t offset, std::int64_t len) 
   return window_into(values_, offset, len, total_);
 }
 
-tensor::Tensor ParamArena::grads_window(std::int64_t offset, std::int64_t len) const {
-  return window_into(grads_, offset, len, total_);
-}
-
 void ParamArena::zero_grads() { core::fill(grads(), 0.0); }
 
 tensor::Tensor ParamArena::make_buffer() const { return tensor::Tensor(tensor::Shape{total_}); }

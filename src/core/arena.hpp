@@ -72,13 +72,11 @@ class ParamArena {
     return grads().subspan(static_cast<std::size_t>(slots_[i].offset), slot_size(i));
   }
 
-  /// Contiguous shard windows over the flat buffers: a rank-1 `view_of`
-  /// tensor aliasing [offset, offset + len) of the value / gradient
-  /// buffer. Windows may span parameter boundaries — the parameter server
-  /// partitions the arena by scalar count, not by slot
-  /// (async/param_server, DESIGN.md §5).
+  /// Contiguous shard window over the flat value buffer: a rank-1
+  /// `view_of` tensor aliasing [offset, offset + len). Windows may span
+  /// parameter boundaries — the parameter server partitions the arena by
+  /// scalar count, not by slot (async/param_server, DESIGN.md §5).
   tensor::Tensor values_window(std::int64_t offset, std::int64_t len) const;
-  tensor::Tensor grads_window(std::int64_t offset, std::int64_t len) const;
 
   /// Zero the whole gradient buffer in one pass.
   void zero_grads();

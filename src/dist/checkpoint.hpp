@@ -6,13 +6,17 @@
 //
 //   offset size field
 //   0      4    magic        "YFCK" (0x59 0x46 0x43 0x4b)
-//   4      4    version      checkpoint format version, currently 2
+//   4      4    version      checkpoint format version, currently 3
 //   8      8    payload_len  bytes following the header
 //   16     8    checksum     XXH64 (seed 0) over the payload bytes
 //   24     ..   payload      u64 update index,
 //                            ShardedParamServer::save_state (values,
 //                            shard versions + histories, tuner/optimizer
 //                            state), PushLedger::save_state
+//
+// All fields go through the core byte codec (core/state.hpp), the one the
+// wire uses. Version 2 also carried the server's smoothed Eq. 37 estimate
+// and Adam's beta1; version-3 readers reject it like any other version.
 //
 // Placement is write-temp-then-rename: the bytes land in
 // `ckpt-<index>.yfck.tmp`, are fsync'd, and only then renamed to
@@ -49,7 +53,7 @@ class CheckpointError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 inline constexpr std::size_t kCheckpointHeaderBytes = 24;
 
 /// Exactly-once bookkeeping for the push protocol: per worker, the last
@@ -88,7 +92,6 @@ class Checkpointer {
   void write(const async::ShardedParamServer& server, const PushLedger& ledger,
              std::int64_t index);
 
-  const std::string& dir() const { return dir_; }
   std::int64_t written() const { return written_; }
 
  private:

@@ -75,17 +75,6 @@ FaultKind kind_from_name(std::string_view name, std::string_view tok) {
 
 }  // namespace
 
-const char* fault_kind_name(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kNone: return "none";
-    case FaultKind::kDrop: return "drop";
-    case FaultKind::kTruncate: return "trunc";
-    case FaultKind::kCorrupt: return "corrupt";
-    case FaultKind::kDelay: return "delay";
-  }
-  return "unknown";
-}
-
 bool FaultPlan::active() const {
   return drop > 0.0 || truncate > 0.0 || corrupt > 0.0 || delay > 0.0 || !directives.empty();
 }

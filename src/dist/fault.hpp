@@ -50,8 +50,6 @@ class FaultInjected : public SocketError {
 
 enum class FaultKind : std::uint8_t { kNone = 0, kDrop, kTruncate, kCorrupt, kDelay };
 
-const char* fault_kind_name(FaultKind kind);
-
 struct FaultPlan {
   std::uint64_t seed = 0;
   double drop = 0.0;
@@ -102,7 +100,6 @@ class FaultInjector {
 
   std::uint64_t frames_seen() const;
   std::uint64_t faults_fired() const;
-  const FaultPlan& plan() const { return plan_; }
 
  private:
   FaultPlan plan_;

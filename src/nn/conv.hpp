@@ -16,9 +16,6 @@ class Conv2d : public Module {
   autograd::Variable weight;  ///< [out, in, k, k]
   autograd::Variable bias;    ///< [out]
 
-  std::int64_t stride() const { return stride_; }
-  std::int64_t pad() const { return pad_; }
-
  private:
   std::int64_t stride_, pad_;
 };

@@ -14,12 +14,6 @@ class Embedding : public Module {
   autograd::Variable forward(const std::vector<std::int64_t>& indices) const;
 
   autograd::Variable weight;  ///< [V, E]
-
-  std::int64_t vocab() const { return vocab_; }
-  std::int64_t dim() const { return dim_; }
-
- private:
-  std::int64_t vocab_, dim_;
 };
 
 }  // namespace yf::nn

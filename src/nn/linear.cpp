@@ -7,11 +7,11 @@ namespace yf::nn {
 
 Linear::Linear(std::int64_t in_features, std::int64_t out_features, tensor::Rng& rng,
                bool with_bias)
-    : in_(in_features), out_(out_features), with_bias_(with_bias) {
+    : with_bias_(with_bias) {
   weight = register_parameter(
-      "weight", init::xavier_uniform({in_, out_}, in_, out_, rng));
+      "weight", init::xavier_uniform({in_features, out_features}, in_features, out_features, rng));
   if (with_bias_) {
-    bias = register_parameter("bias", tensor::Tensor::zeros({out_}));
+    bias = register_parameter("bias", tensor::Tensor::zeros({out_features}));
   }
 }
 

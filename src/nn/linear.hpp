@@ -13,14 +13,10 @@ class Linear : public Module {
 
   autograd::Variable forward(const autograd::Variable& x) const;
 
-  std::int64_t in_features() const { return in_; }
-  std::int64_t out_features() const { return out_; }
-
   autograd::Variable weight;  ///< [in, out]
   autograd::Variable bias;    ///< [out]; undefined when constructed without bias
 
  private:
-  std::int64_t in_, out_;
   bool with_bias_;
 };
 

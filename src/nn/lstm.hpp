@@ -85,7 +85,6 @@ class LSTM : public Module {
     states_scratch_.clear();
   }
 
-  std::int64_t num_layers() const { return static_cast<std::int64_t>(cells_.size()); }
   const LSTMCell& cell(std::int64_t i) const { return *cells_[static_cast<std::size_t>(i)]; }
 
  private:

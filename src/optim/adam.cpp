@@ -29,7 +29,6 @@ void Adam::step_span(const ApplyPlan& plan, std::int64_t lo, std::int64_t hi) {
 void Adam::save_state(core::StateWriter& w) const {
   Optimizer::save_state(w);
   w.f64(lr_);
-  w.f64(beta1_);
   w.f64_span(m_.data());
   w.f64_span(v_.data());
 }
@@ -37,7 +36,6 @@ void Adam::save_state(core::StateWriter& w) const {
 void Adam::load_state(core::StateReader& r) {
   Optimizer::load_state(r);
   lr_ = r.f64();
-  beta1_ = r.f64();
   r.f64_span(m_.data());
   r.f64_span(v_.data());
 }

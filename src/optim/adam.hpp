@@ -19,10 +19,7 @@ class Adam : public Optimizer {
   double lr() const override { return lr_; }
   void set_lr(double lr) override { lr_ = lr; }
 
-  double beta1() const { return beta1_; }
-  void set_beta1(double b1) { beta1_ = b1; }
-
-  /// lr, beta1 (both externally driven) and the moment buffers.
+  /// lr (externally driven) and the moment buffers.
   void save_state(core::StateWriter& w) const override;
   void load_state(core::StateReader& r) override;
 

@@ -106,7 +106,7 @@ class Optimizer {
 
   /// Serialize/restore the optimizer's mutable state bit-exactly: the
   /// iteration counter, externally driven hyperparameters (set_lr /
-  /// set_momentum / set_beta1 targets), and slot buffers (velocity,
+  /// set_momentum targets), and slot buffers (velocity,
   /// moments). Parameter VALUES live in the arena and are serialized by
   /// the arena's owner (dist/checkpoint, DESIGN.md §14). Configuration
   /// (betas, eps, nesterov, options structs) is NOT part of the snapshot:

@@ -87,7 +87,6 @@ class LMServer {
 
   ServeStats stats() const;
 
-  const ServeOptions& options() const { return opts_; }
   std::int64_t vocab() const { return vocab_; }
   const SnapshotStore& store() const { return store_; }
   core::ParamArena& arena() { return arena_; }

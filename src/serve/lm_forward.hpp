@@ -49,10 +49,6 @@ class LMForward {
   /// calling thread -- allocate nothing. Call from the serving thread.
   void warm_all(int slot);
 
-  std::int64_t seq_len() const { return seq_len_; }
-  std::int64_t max_batch() const { return max_batch_; }
-  std::int64_t vocab() const { return vocab_; }
-
  private:
   struct LayerWeights {
     tensor::Tensor w_x;  ///< [input, 4H]

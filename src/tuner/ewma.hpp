@@ -23,10 +23,7 @@ class Ewma {
   /// Debiased current value (0 before any update).
   double value() const;
 
-  /// Raw (biased) accumulator, exposed for tests.
-  double raw() const { return raw_; }
   std::int64_t count() const { return count_; }
-  double beta() const { return beta_; }
 
   void reset();
 

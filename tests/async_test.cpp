@@ -188,24 +188,6 @@ TEST(TotalMomentum, RecoversAlgorithmicMomentumSynchronously) {
   EXPECT_TRUE(est.estimate().has_value());
 }
 
-TEST(TotalMomentum, SmoothedTracksEstimates) {
-  async::TotalMomentumEstimator est(0);
-  t::Tensor x({2}, {1.0, 1.0});
-  t::Tensor x_prev = x.clone();
-  const double mu = 0.4, alpha = 0.1;
-  for (int step = 0; step < 30; ++step) {
-    t::Tensor g({2});
-    for (int j = 0; j < 2; ++j) g[j] = x[j];
-    est.record(x, g, alpha);
-    t::Tensor x_next = x.clone();
-    for (int j = 0; j < 2; ++j) x_next[j] = x[j] - alpha * g[j] + mu * (x[j] - x_prev[j]);
-    x_prev = x;
-    x = x_next;
-    est.smoothed(0.5);
-  }
-  EXPECT_NEAR(est.smoothed(0.5), mu, 1e-6);
-}
-
 namespace {
 
 /// Quadratic bowl task on a Variable parameter, for AsyncTrainer tests.

@@ -54,7 +54,6 @@ void* counted_aligned_alloc(std::size_t size, std::size_t align) {
 
 [[gnu::noinline]] void counted_free(void* p) {
   if (p == nullptr) return;
-  yf::core::detail::note_free();
   std::free(p);
 }
 
