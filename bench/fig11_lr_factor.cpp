@@ -21,7 +21,7 @@ struct Outcome {
 
 Outcome search(const std::function<yfb::ModelTask(std::uint64_t)>& make,
                const std::string& opt_name, const std::vector<double>& grid,
-               std::int64_t iterations, std::int64_t window, bool val_higher_better) {
+               std::int64_t iterations, std::int64_t window) {
   Outcome out{0.0, 1e300, 0.0};
   for (double hyper : grid) {
     // Train once per hyper (seed 1) and probe validation at the end.
@@ -37,7 +37,6 @@ Outcome search(const std::function<yfb::ModelTask(std::uint64_t)>& make,
                 score, val);
     if (score < out.best_loss) out = {hyper, score, val};
   }
-  (void)val_higher_better;
   return out;
 }
 
@@ -46,10 +45,10 @@ void panel(const char* name, const std::function<yfb::ModelTask(std::uint64_t)>&
            const char* val_name) {
   std::printf("\n-- %s --\n", name);
   std::printf("  YF factor search {1/3, 0.5, 1, 2, 3, 10}:\n");
-  const auto yf = search(make, "yellowfin", {1.0 / 3.0, 0.5, 1.0, 2.0, 3.0, 10.0}, iterations,
-                         window, true);
+  const auto yf =
+      search(make, "yellowfin", {1.0 / 3.0, 0.5, 1.0, 2.0, 3.0, 10.0}, iterations, window);
   std::printf("  Adam lr search:\n");
-  const auto adam = search(make, "adam", adam_grid, iterations, window, true);
+  const auto adam = search(make, "adam", adam_grid, iterations, window);
   std::printf("  => best YF factor %g (%s %.4f) | best Adam lr %g (%s %.4f)\n", yf.best_hyper,
               val_name, yf.val, adam.best_hyper, val_name, adam.val);
 }
@@ -61,7 +60,8 @@ int main() {
   const std::int64_t window = yfb::iters(25, 200);
   std::printf("Figure 11: lr-factor search for YellowFin vs searched Adam\n");
 
-  // "ResNext-sub": the deeper CNN config (blocks_per_stage = 2 via 10-class task).
+  // "ResNext-sub": make_cifar_task(10, s) is table2's CIFAR10-sub model, a
+  // MiniResNet with one block per stage; no deeper CNN config is built.
   panel("ResNext-sub CNN (val accuracy)",
         [](std::uint64_t s) { return yfb::make_cifar_task(10, s); },
         {0.0001, 0.0005, 0.001, 0.005}, iterations, window, "val_acc");

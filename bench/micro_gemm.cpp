@@ -28,32 +28,6 @@ namespace {
 namespace core = yf::core;
 namespace t = yf::tensor;
 
-/// Force `backend` for one benchmark run (skips simd on machines
-/// without AVX2), restoring the process default on destruction.
-class BackendScope {
- public:
-  BackendScope(benchmark::State& state, core::KernelBackend backend)
-      : previous_(core::active_kernel_backend()) {
-    if (backend == core::KernelBackend::kSimd && !core::simd_supported()) {
-      state.SkipWithError("simd backend unsupported on this machine");
-      ok_ = false;
-      return;
-    }
-    core::set_kernel_backend(backend);
-    state.SetLabel(core::kernel_backend_name(backend));
-  }
-  ~BackendScope() {
-    if (ok_) core::set_kernel_backend(previous_);
-  }
-  BackendScope(const BackendScope&) = delete;
-  BackendScope& operator=(const BackendScope&) = delete;
-  explicit operator bool() const { return ok_; }
-
- private:
-  core::KernelBackend previous_;
-  bool ok_ = true;
-};
-
 struct Operands {
   t::Tensor a, b, c;
 };
@@ -68,7 +42,7 @@ Operands make_operands(core::GemmVariant v, std::int64_t m, std::int64_t n, std:
 }
 
 void run_gemm(benchmark::State& state, core::GemmVariant v, core::KernelBackend backend) {
-  BackendScope scope(state, backend);
+  yfb::BackendScope scope(state, backend);
   if (!scope) return;
   const auto m = state.range(0), n = state.range(1), k = state.range(2);
   auto ops = make_operands(v, m, n, k);
@@ -131,7 +105,7 @@ YF_GEMM_BENCH(BM_GemmTn);
 // LSTM weight gradient dW_h += h^T @ dGates (TN 16x64x6).
 
 void run_grad_add(benchmark::State& state, core::KernelBackend backend, bool accumulate) {
-  BackendScope scope(state, backend);
+  yfb::BackendScope scope(state, backend);
   if (!scope) return;
   const auto m = state.range(0), n = state.range(1), k = state.range(2);
   auto ops = make_operands(core::GemmVariant::kTN, m, n, k);
@@ -168,7 +142,7 @@ YF_GEMM_BENCH(BM_GemmTnAccumulate);
 // packed hierarchy must win, on both backends.
 
 void BM_GemmPackedForced(benchmark::State& state, core::KernelBackend backend) {
-  BackendScope scope(state, backend);
+  yfb::BackendScope scope(state, backend);
   if (!scope) return;
   const auto n = state.range(0);
   auto ops = make_operands(core::GemmVariant::kNN, n, n, n);
@@ -181,7 +155,7 @@ void BM_GemmPackedForced(benchmark::State& state, core::KernelBackend backend) {
 }
 
 void BM_GemmSmallForced(benchmark::State& state, core::KernelBackend backend) {
-  BackendScope scope(state, backend);
+  yfb::BackendScope scope(state, backend);
   if (!scope) return;
   const auto n = state.range(0);
   auto ops = make_operands(core::GemmVariant::kNN, n, n, n);

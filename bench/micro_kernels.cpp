@@ -36,36 +36,6 @@ namespace ag = yf::autograd;
 namespace core = yf::core;
 namespace t = yf::tensor;
 
-/// Force `backend` for the duration of one benchmark run, restoring the
-/// process default on destruction so the Old* baselines (whose tensor
-/// ops dispatch through the same table) and filtered subsets always run
-/// under the auto-detected backend regardless of registration order.
-/// Converts to false (after flagging the run skipped) when the machine
-/// cannot run the requested backend.
-class BackendScope {
- public:
-  BackendScope(benchmark::State& state, core::KernelBackend backend)
-      : previous_(core::active_kernel_backend()) {
-    if (backend == core::KernelBackend::kSimd && !core::simd_supported()) {
-      state.SkipWithError("simd backend unsupported on this machine");
-      ok_ = false;
-      return;
-    }
-    core::set_kernel_backend(backend);
-    state.SetLabel(core::kernel_backend_name(backend));
-  }
-  ~BackendScope() {
-    if (ok_) core::set_kernel_backend(previous_);
-  }
-  BackendScope(const BackendScope&) = delete;
-  BackendScope& operator=(const BackendScope&) = delete;
-  explicit operator bool() const { return ok_; }
-
- private:
-  core::KernelBackend previous_;
-  bool ok_ = true;
-};
-
 std::vector<ag::Variable> make_params(std::int64_t count, std::int64_t size) {
   t::Rng rng(1);
   std::vector<ag::Variable> params;
@@ -103,7 +73,7 @@ void BM_OldPerTensorMomentum(benchmark::State& state) {
 BENCHMARK(BM_OldPerTensorMomentum)->Args({256, 64})->Args({1, 100000});
 
 void BM_FusedArenaMomentum(benchmark::State& state, core::KernelBackend backend) {
-  BackendScope scope(state, backend);
+  yfb::BackendScope scope(state, backend);
   if (!scope) return;
   auto params = make_params(state.range(0), state.range(1));
   yf::optim::MomentumSGD opt(params, 1e-6, 0.9);
@@ -149,7 +119,7 @@ void BM_OldPerTensorAdam(benchmark::State& state) {
 BENCHMARK(BM_OldPerTensorAdam)->Args({256, 64})->Args({1, 100000});
 
 void BM_FusedArenaAdam(benchmark::State& state, core::KernelBackend backend) {
-  BackendScope scope(state, backend);
+  yfb::BackendScope scope(state, backend);
   if (!scope) return;
   auto params = make_params(state.range(0), state.range(1));
   yf::optim::Adam opt(params, 1e-6);
@@ -199,7 +169,7 @@ void BM_OldTunerMeasure(benchmark::State& state) {
 BENCHMARK(BM_OldTunerMeasure)->Args({256, 64})->Args({1, 100000});
 
 void BM_FusedTunerMeasure(benchmark::State& state, core::KernelBackend backend) {
-  BackendScope scope(state, backend);
+  yfb::BackendScope scope(state, backend);
   if (!scope) return;
   auto params = make_params(state.range(0), state.range(1));
   yf::core::ParamArena arena(params);
@@ -226,7 +196,7 @@ BENCHMARK_CAPTURE(BM_FusedTunerMeasure, simd, core::KernelBackend::kSimd)
 //    recorded by micro_tuner_overhead). ---------------------------------------
 
 void BM_FusedYellowFinStep(benchmark::State& state, core::KernelBackend backend) {
-  BackendScope scope(state, backend);
+  yfb::BackendScope scope(state, backend);
   if (!scope) return;
   auto params = make_params(state.range(0), state.range(1));
   yf::tuner::YellowFinOptions opts;
@@ -286,15 +256,15 @@ BENCHMARK(BM_LibmUnarySigmoid)->Arg(96)->Arg(100000);
 BENCHMARK(BM_LibmUnaryTanh)->Arg(96)->Arg(100000);
 
 void BM_UnaryExp(benchmark::State& state, core::KernelBackend backend) {
-  BackendScope scope(state, backend);
+  yfb::BackendScope scope(state, backend);
   if (scope) run_unary(state, core::exp);
 }
 void BM_UnarySigmoid(benchmark::State& state, core::KernelBackend backend) {
-  BackendScope scope(state, backend);
+  yfb::BackendScope scope(state, backend);
   if (scope) run_unary(state, core::sigmoid);
 }
 void BM_UnaryTanh(benchmark::State& state, core::KernelBackend backend) {
-  BackendScope scope(state, backend);
+  yfb::BackendScope scope(state, backend);
   if (scope) run_unary(state, core::tanh);
 }
 BENCHMARK_CAPTURE(BM_UnaryExp, scalar, core::KernelBackend::kScalar)->Arg(96)->Arg(100000);
@@ -333,7 +303,7 @@ YF_TABLE_UNARY_BENCH(BM_TableTanh);
 // -- Blocked matmul through the kernel backends. -----------------------------
 
 void BM_Matmul(benchmark::State& state, core::KernelBackend backend) {
-  BackendScope scope(state, backend);
+  yfb::BackendScope scope(state, backend);
   if (!scope) return;
   const auto m = state.range(0), k = state.range(1), n = state.range(2);
   t::Rng rng(9);

@@ -79,8 +79,8 @@ class ByteReader {
   std::uint64_t u64() { return word(8, "u64"); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64() { return std::bit_cast<double>(u64()); }
-  void f64_span(std::span<double> dst) { span(dst, "f64 span"); }
-  void i64_span(std::span<std::int64_t> dst) { span(dst, "i64 span"); }
+  void f64_span(std::span<double> dst) { copy_span(dst, "f64 span"); }
+  void i64_span(std::span<std::int64_t> dst) { copy_span(dst, "i64 span"); }
   std::string str(std::size_t max_len = 1u << 16) {
     const std::uint32_t len = u32();
     if (len > max_len) throw Error("encoded string exceeds its bound");
@@ -105,7 +105,7 @@ class ByteReader {
   }
   std::uint64_t word(std::size_t n, const char* what) { return get_le(take(n, what).data(), n); }
   template <class T>
-  void span(std::span<T> dst, const char* what) {
+  void copy_span(std::span<T> dst, const char* what) {
     const auto in = take(dst.size_bytes(), what);
     if constexpr (std::endian::native == std::endian::little) {
       if (!dst.empty()) std::memcpy(dst.data(), in.data(), dst.size_bytes());
