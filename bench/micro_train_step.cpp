@@ -21,7 +21,9 @@
 // replayed step holds next to its time.
 //
 // Args: the LM runs {batch, seq_len_plus1}, the quadratic runs
-// {rows, dim}.
+// {rows, dim}. BM_TsSubTrainStep_Tape is table2's TS-sub char LM at
+// batch 6 x 13 tokens, the step perfbench's gated train_lm workload
+// times end to end, so its phase split and tape_nodes are that step's.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -82,26 +84,36 @@ void report_tape_counters(benchmark::State& state, const ag::GraphTape& tape) {
   state.counters["tape_nodes"] = benchmark::Counter(static_cast<double>(tape.recorded_nodes()));
 }
 
+/// The model and language of an LM bench row (two LSTM layers each).
+struct LmShape {
+  std::int64_t vocab, embed_dim, hidden;
+  std::uint64_t text_seed;
+};
+constexpr LmShape kLmShape{32, 16, 24, 0};
+/// table2's TS-sub char LM (make_char_lm_task's model and language).
+constexpr LmShape kTsSubShape{33, 12, 16, 13};
+
 struct LmTask {
   std::vector<std::vector<std::int64_t>> batches;
   std::unique_ptr<nn::LSTMLanguageModel> model;
   std::unique_ptr<yf::tuner::YellowFin> opt;
   std::int64_t batch, seq_plus1;
 
-  LmTask(std::int64_t batch_size, std::int64_t seq_len_plus1)
+  LmTask(std::int64_t batch_size, std::int64_t seq_len_plus1, const LmShape& shape = kLmShape)
       : batch(batch_size), seq_plus1(seq_len_plus1) {
     yf::data::MarkovTextConfig dcfg;
-    dcfg.vocab = 32;
+    dcfg.vocab = shape.vocab;
     dcfg.branching = 3;
+    dcfg.seed = shape.text_seed;
     yf::data::MarkovText dataset(dcfg);
     t::Rng data_rng(17);
     for (int i = 0; i < 8; ++i) {
       batches.push_back(dataset.sample_batch(batch, seq_plus1, data_rng));
     }
     nn::LanguageModelConfig cfg;
-    cfg.vocab = 32;
-    cfg.embed_dim = 16;
-    cfg.hidden = 24;
+    cfg.vocab = shape.vocab;
+    cfg.embed_dim = shape.embed_dim;
+    cfg.hidden = shape.hidden;
     cfg.layers = 2;
     t::Rng model_rng(1);
     model = std::make_unique<nn::LSTMLanguageModel>(cfg, model_rng);
@@ -132,8 +144,8 @@ void BM_LmTrainStep_Heap(benchmark::State& state) {
   clock.report(state);
 }
 
-void BM_LmTrainStep_Tape(benchmark::State& state) {
-  LmTask task(state.range(0), state.range(1));
+void run_lm_tape(benchmark::State& state, const LmShape& shape) {
+  LmTask task(state.range(0), state.range(1), shape);
   ag::GraphTape tape;
   ag::TapeScope scope(&tape);
   PhaseClock warmup_clock, clock;
@@ -155,8 +167,12 @@ void BM_LmTrainStep_Tape(benchmark::State& state) {
   report_tape_counters(state, tape);
 }
 
+void BM_LmTrainStep_Tape(benchmark::State& state) { run_lm_tape(state, kLmShape); }
+void BM_TsSubTrainStep_Tape(benchmark::State& state) { run_lm_tape(state, kTsSubShape); }
+
 BENCHMARK(BM_LmTrainStep_Heap)->Args({4, 9})->Args({8, 17});
 BENCHMARK(BM_LmTrainStep_Tape)->Args({4, 9})->Args({8, 17});
+BENCHMARK(BM_TsSubTrainStep_Tape)->Args({6, 13});
 
 struct QuadraticTask {
   ag::Variable w, x, y;

@@ -42,6 +42,39 @@ const double* value_ptr(const Node& n) { return n.value.data().data(); }
 
 using core::GemmVariant;
 
+/// Signature of lstm_cell nodes; a parent carrying it holds a packed state.
+constexpr char kLstmCellOp[] = "lstm_cell";
+
+/// Where an op reads a [B, cols] operand: all of a plain variable, or half
+/// of a packed lstm_cell state [2B, cols] -- its h rows (first half) for
+/// lstm_cell's x and h_prev and for the head ops' x, its c rows (second
+/// half) for c_prev.
+struct CellOperand {
+  std::int64_t rows = 0;    ///< B
+  std::int64_t offset = 0;  ///< first element read
+  bool packed = false;
+};
+
+CellOperand cell_operand(const Variable& v, bool c_rows) {
+  const auto& t = v.value();
+  CellOperand o;
+  o.packed = v.node()->op_name == kLstmCellOp;
+  o.rows = t.ndim() == 2 ? (o.packed ? t.dim(0) / 2 : t.dim(0)) : -1;
+  o.offset = o.packed && c_rows ? o.rows * t.dim(1) : 0;
+  return o;
+}
+
+/// The parents of an op over a list of variables, in a per-thread vector:
+/// concat_cols and the loss take one per step, and a fresh vector each
+/// step would be a steady-state allocation. The caller clears it once the
+/// frame holds the parents, so no handles linger.
+std::vector<NodePtr>& parent_list(std::span<const Variable> vars) {
+  static thread_local std::vector<NodePtr> parents;
+  parents.clear();
+  for (const auto& v : vars) parents.push_back(v.node());
+  return parents;
+}
+
 }  // namespace
 
 Variable add(const Variable& a, const Variable& b) {
@@ -278,13 +311,7 @@ Variable concat_cols(const std::vector<Variable>& parts) {
     }
     total += p.value().dim(1);
   }
-  // Reused per-thread parent scratch: concat is called every step with a
-  // seq-length worth of parts, and a fresh vector each call would be a
-  // steady-state allocation. Cleared before return so no handles linger.
-  static thread_local std::vector<NodePtr> parent_scratch;
-  parent_scratch.clear();
-  for (const auto& p : parts) parent_scratch.push_back(p.node());
-
+  std::vector<NodePtr>& parent_scratch = parent_list(parts);
   const std::int64_t dims[] = {m, total};
   auto f = make_frame("concat_cols", parent_scratch, dims);
   auto& out = f.node->value;
@@ -377,13 +404,16 @@ Variable matmul_nt(const Variable& a, const Variable& b) {
     throw std::invalid_argument("matmul_nt: inner dimension mismatch " +
                                 t::to_string(av.shape()) + " vs " + t::to_string(bv.shape()));
   }
-  const auto m = av.dim(0), k = av.dim(1), n = bv.dim(0);
+  // The A rows read: all of a plain A, the h rows of a packed state.
+  const auto m = cell_operand(a, false).rows, k = av.dim(1), n = bv.dim(0);
   auto an = a.node();
   auto bn = b.node();
   const NodePtr parents[] = {an, bn};
   const std::int64_t dims[] = {m, n};
   auto f = make_frame("matmul_nt", parents, dims);
-  t::matmul_nt_into(f.node->value, av, bv);
+  // matmul_nt_into's GEMM, over A's first m rows.
+  core::gemm(GemmVariant::kNT, f.node->value.data().data(), value_ptr(*an), value_ptr(*bn), m, n,
+             k);
   if (f.fresh && f.node->requires_grad) {
     // C = A Bᵀ: dA += dC @ B (plain NN), dB += dCᵀ @ A (TN).
     f.node->backward_fn = [an, bn, m, k, n](Node& nn) {
@@ -444,6 +474,55 @@ Variable add_row_broadcast(const Variable& a, const Variable& bias) {
   return Variable(std::move(f.handle));
 }
 
+// One node for the chain add_row_broadcast(matmul(x, w), b). The pullback
+// keeps each of the chain's sums: the chain's add_row_broadcast passed its
+// gradient unchanged to the matmul, whose NT and TN GEMMs added into dx
+// and dw; on a packed x they add into the h rows of the state's gradient,
+// where slice_rows's pullback added the same values.
+Variable linear(const Variable& x, const Variable& w, const Variable& b) {
+  const auto& wv = w.value();
+  const auto& bv = b.value();
+  const CellOperand xo = cell_operand(x, false);
+  if (xo.rows < 0 || wv.ndim() != 2 || bv.ndim() != 1 || x.value().dim(1) != wv.dim(0) ||
+      bv.dim(0) != wv.dim(1)) {
+    throw std::invalid_argument(
+        "linear: expected x [B, I] (or a packed [2B, I] state), w [I, N] and b [N], got " +
+        t::to_string(x.value().shape()) + ", " + t::to_string(wv.shape()) + " and " +
+        t::to_string(bv.shape()));
+  }
+  const std::int64_t m = xo.rows, k = wv.dim(0), n = wv.dim(1);
+  auto xn = x.node();
+  auto wn = w.node();
+  auto bn = b.node();
+  const NodePtr parents[] = {xn, wn, bn};
+  const std::int64_t dims[] = {m, n};
+  auto f = make_frame("linear", parents, dims);
+  // A packed x is read through a view of its h rows, built once per node:
+  // a replayed node reads the same parent buffer.
+  if (f.fresh && xo.packed) f.node->scratch.push_back(t::Tensor::view_of(xn->value, 0, {m, k}));
+  t::linear_into(f.node->value, xo.packed ? f.node->scratch[0] : xn->value, wv, bv);
+  if (f.fresh && f.node->requires_grad) {
+    t::Tensor colsum;
+    if (bn->requires_grad) colsum = make_scratch({n});
+    f.node->backward_fn = [xn, wn, bn, colsum, m, k, n](Node& nn) mutable {
+      const double* dy = nn.grad.data().data();
+      if (xn->requires_grad) {
+        core::gemm(GemmVariant::kNT, grad_ptr(*xn), dy, value_ptr(*wn), m, k, n,
+                   /*accumulate=*/true);
+      }
+      if (wn->requires_grad) {
+        core::gemm(GemmVariant::kTN, grad_ptr(*wn), value_ptr(*xn), dy, k, n, m,
+                   /*accumulate=*/true);
+      }
+      if (bn->requires_grad) {
+        t::sum_rows_into(colsum, nn.grad);
+        bn->ensure_grad().add_(colsum);
+      }
+    };
+  }
+  return Variable(std::move(f.handle));
+}
+
 Variable slice_rows(const Variable& a, std::int64_t row_begin, std::int64_t row_end) {
   const auto& v = a.value();
   if (v.ndim() != 2) throw std::invalid_argument("slice_rows: expected 2-D input");
@@ -472,25 +551,34 @@ Variable slice_rows(const Variable& a, std::int64_t row_begin, std::int64_t row_
 
 namespace {
 
-/// Signature of lstm_cell nodes; a parent carrying it holds a packed state.
-constexpr char kLstmCellOp[] = "lstm_cell";
-
-/// Where lstm_cell reads a [B, cols] operand: all of a plain variable,
-/// or half of a packed lstm_cell state [2B, cols] -- its h rows (first
-/// half) for x and h_prev, its c rows (second half) for c_prev.
-struct CellOperand {
-  std::int64_t rows = 0;    ///< B
-  std::int64_t offset = 0;  ///< first element read
-  bool packed = false;
-};
-
-CellOperand cell_operand(const Variable& v, bool c_rows) {
-  const auto& t = v.value();
-  CellOperand o;
-  o.packed = v.node()->op_name == kLstmCellOp;
-  o.rows = t.ndim() == 2 ? (o.packed ? t.dim(0) / 2 : t.dim(0)) : -1;
-  o.offset = o.packed && c_rows ? o.rows * t.dim(1) : 0;
-  return o;
+/// lstm_cell's per-element pullback over its batch x hid elements. Per
+/// element: dc = dc_out + (dh * o) * (1 - tanh(c)^2), then the gate
+/// gradients di = dc * g, df = dc * c_prev, dg = dc * i and do = dh *
+/// tanh(c) times each activation's derivative, into d, and with kCarry
+/// the carry dc_prev += dc * f. The buffers never alias (d is the input
+/// node's gradient, dh and dc_out the h and c rows of the cell's own), so
+/// with the carry test a template argument gcc vectorizes the loop; each
+/// element's operations are unchanged.
+template <bool kCarry>
+void cell_pullback(double* __restrict d, double* __restrict dcp, const double* __restrict dh,
+                   const double* __restrict dc_out, const double* __restrict gv,
+                   const double* __restrict tc, const double* __restrict cp, std::int64_t batch,
+                   std::int64_t hid) {
+  const std::int64_t g4 = 4 * hid;
+  for (std::int64_t r = 0; r < batch; ++r) {
+    const double* gi = gv + r * g4;
+    double* dr = d + r * g4;
+    for (std::int64_t j = 0; j < hid; ++j) {
+      const std::int64_t k = r * hid + j;
+      const double i = gi[j], fg = gi[hid + j], g = gi[2 * hid + j], o = gi[3 * hid + j];
+      const double dc = dc_out[k] + (dh[k] * o) * (1.0 - tc[k] * tc[k]);
+      dr[j] = (dc * g) * (i * (1.0 - i));
+      dr[hid + j] = (dc * cp[k]) * (fg * (1.0 - fg));
+      dr[2 * hid + j] = (dc * i) * (1.0 - g * g);
+      dr[3 * hid + j] = (dh[k] * tc[k]) * (o * (1.0 - o));
+      if constexpr (kCarry) dcp[k] += dc * fg;
+    }
+  }
 }
 
 }  // namespace
@@ -564,30 +652,16 @@ Variable lstm_cell(const Variable& x, const Variable& h_prev, const Variable& c_
       // dz is written (not added) straight into the input node's gradient:
       // this node is the only one that reads that node.
       t::Tensor& dz = zn->ensure_grad();
+      double* d = dz.data().data();
       const double* dh = n.grad.data().data();
-      const double* dc_out = dh + batch * hid;
       const double* gv = n.scratch[1].data().data();
       const double* tc = n.scratch[2].data().data();
       const double* cp = value_ptr(*cn) + c_off;
-      double* dcp = cn->requires_grad ? grad_ptr(*cn) + c_off : nullptr;
-      double* d = dz.data().data();
-      // Per element: dc = dc_out + (dh * o) * (1 - tanh(c)^2), then the
-      // gate gradients di = dc * g, df = dc * c_prev, dg = dc * i and
-      // do = dh * tanh(c) times each activation's derivative, and the
-      // carry dc_prev += dc * f.
-      for (std::int64_t r = 0; r < batch; ++r) {
-        const double* gi = gv + r * g4;
-        double* dr = d + r * g4;
-        for (std::int64_t j = 0; j < hid; ++j) {
-          const std::int64_t k = r * hid + j;
-          const double i = gi[j], fg = gi[hid + j], g = gi[2 * hid + j], o = gi[3 * hid + j];
-          const double dc = dc_out[k] + (dh[k] * o) * (1.0 - tc[k] * tc[k]);
-          dr[j] = (dc * g) * (i * (1.0 - i));
-          dr[hid + j] = (dc * cp[k]) * (fg * (1.0 - fg));
-          dr[2 * hid + j] = (dc * i) * (1.0 - g * g);
-          dr[3 * hid + j] = (dh[k] * tc[k]) * (o * (1.0 - o));
-          if (dcp != nullptr) dcp[k] += dc * fg;
-        }
+      if (cn->requires_grad) {
+        cell_pullback<true>(d, grad_ptr(*cn) + c_off, dh, dh + batch * hid, gv, tc, cp, batch,
+                            hid);
+      } else {
+        cell_pullback<false>(d, nullptr, dh, dh + batch * hid, gv, tc, cp, batch, hid);
       }
       if (hn->requires_grad) {
         core::gemm(GemmVariant::kNT, grad_ptr(*hn), d, value_ptr(*whn), batch, hid, g4,
@@ -608,19 +682,40 @@ Variable lstm_cell(const Variable& x, const Variable& h_prev, const Variable& c_
 
 namespace {
 
-/// Max of row i of the row-major [*, c] tensor v (the softmax shift).
-double row_max(const t::Tensor& v, std::int64_t i, std::int64_t c) {
-  double mx = -1e300;
-  for (std::int64_t j = 0; j < c; ++j) mx = std::max(mx, v[i * c + j]);
+/// Max of the c values at x (the softmax shift), starting from the first:
+/// a fixed start below some row's values would stand in for its max.
+double row_max(const double* x, std::int64_t c) {
+  double mx = x[0];
+  for (std::int64_t j = 1; j < c; ++j) mx = std::max(mx, x[j]);
   return mx;
 }
+
+/// From |max(x)| = 2^53 on, doubles lie 2 or more apart, so log z +
+/// max(x) loses log z (and a row of ties reads loss 0): such a row's loss
+/// and probabilities are taken relative to its max instead. Every row
+/// whose max lies below it in magnitude keeps the historical arithmetic.
+constexpr double kHugeLogit = 0x1p53;
 
 }  // namespace
 
 Variable softmax_cross_entropy(const Variable& logits, const std::vector<std::int64_t>& labels) {
-  const auto& v = logits.value();
-  if (v.ndim() != 2) throw std::invalid_argument("softmax_cross_entropy: expected 2-D logits");
-  const auto m = v.dim(0), c = v.dim(1);
+  return softmax_cross_entropy(std::span<const Variable>(&logits, 1), labels);
+}
+
+Variable softmax_cross_entropy(std::span<const Variable> steps,
+                               const std::vector<std::int64_t>& labels) {
+  if (steps.empty()) throw std::invalid_argument("softmax_cross_entropy: no logits");
+  const auto& v0 = steps[0].value();
+  if (v0.ndim() != 2) throw std::invalid_argument("softmax_cross_entropy: expected 2-D logits");
+  for (const auto& s : steps) {
+    if (s.value().shape() != v0.shape()) {
+      throw std::invalid_argument("softmax_cross_entropy: step blocks " +
+                                  t::to_string(v0.shape()) + " and " +
+                                  t::to_string(s.value().shape()) + " differ");
+    }
+  }
+  const auto nsteps = static_cast<std::int64_t>(steps.size());
+  const auto rows = v0.dim(0), c = v0.dim(1), m = rows * nsteps;
   if (static_cast<std::int64_t>(labels.size()) != m) {
     throw std::invalid_argument("softmax_cross_entropy: batch " + std::to_string(m) + " vs " +
                                 std::to_string(labels.size()) + " labels");
@@ -630,47 +725,73 @@ Variable softmax_cross_entropy(const Variable& logits, const std::vector<std::in
   for (const auto y : labels) {
     if (y < 0 || y >= c) throw std::out_of_range("softmax_cross_entropy: label out of range");
   }
-  auto an = logits.node();
-  const NodePtr parents[] = {an};
+  std::vector<NodePtr>& parents = parent_list(steps);
   const std::int64_t one[] = {1};
   auto f = make_frame("softmax_cross_entropy", parents, one);
+  parents.clear();
   if (f.fresh) f.node->scratch.push_back(make_scratch({m, c}));  // cached probabilities
   // Labels change every step: refresh the node's integer payload on both
   // fresh recording and replay.
   f.node->ints.assign(labels.begin(), labels.end());
 
+  // Row i = b*T + t of the stacked logits is row b of step block t.
+  const auto logit_row = [&steps, c](std::int64_t b, std::int64_t t) {
+    return steps[static_cast<std::size_t>(t)].value().data().data() + b * c;
+  };
   // Forward: mean_i [ logsumexp(x_i) - x_i[y_i] ]. Cache probabilities for
   // the pullback: d/dx = (softmax(x) - onehot(y)) / m.
   // The probs scratch first holds the max-shifted rows, exp'd in place to
   // sum each row; then x - logsumexp(x), exp'd in place again.
   t::Tensor& probs = f.node->scratch[0];
-  for (std::int64_t i = 0; i < m; ++i) {
-    const double mx = row_max(v, i, c);
-    for (std::int64_t j = 0; j < c; ++j) probs[i * c + j] = v[i * c + j] - mx;
+  double* p = probs.data().data();
+  for (std::int64_t b = 0; b < rows; ++b) {
+    for (std::int64_t t = 0; t < nsteps; ++t) {
+      const double* x = logit_row(b, t);
+      double* pi = p + (b * nsteps + t) * c;
+      const double mx = row_max(x, c);
+      for (std::int64_t j = 0; j < c; ++j) pi[j] = x[j] - mx;
+    }
   }
   core::exp(probs.data(), probs.data());
   double loss = 0.0;
-  for (std::int64_t i = 0; i < m; ++i) {
-    const auto y = labels[static_cast<std::size_t>(i)];
-    double z = 0.0;
-    for (std::int64_t j = 0; j < c; ++j) z += probs[i * c + j];
-    const double logz = std::log(z) + row_max(v, i, c);
-    loss += logz - v[i * c + y];
-    for (std::int64_t j = 0; j < c; ++j) probs[i * c + j] = v[i * c + j] - logz;
+  for (std::int64_t b = 0; b < rows; ++b) {
+    for (std::int64_t t = 0; t < nsteps; ++t) {
+      const std::int64_t i = b * nsteps + t;
+      const double* x = logit_row(b, t);
+      double* pi = p + i * c;
+      const auto y = labels[static_cast<std::size_t>(i)];
+      double z = 0.0;
+      for (std::int64_t j = 0; j < c; ++j) z += pi[j];
+      const double mx = row_max(x, c);
+      if (std::abs(mx) < kHugeLogit) {
+        const double logz = std::log(z) + mx;
+        loss += logz - x[y];
+        for (std::int64_t j = 0; j < c; ++j) pi[j] = x[j] - logz;
+      } else {
+        const double logz = std::log(z);
+        loss += logz - (x[y] - mx);
+        for (std::int64_t j = 0; j < c; ++j) pi[j] = (x[j] - mx) - logz;
+      }
+    }
   }
   core::exp(probs.data(), probs.data());
   loss /= static_cast<double>(m);
   f.node->value[0] = loss;
   if (f.fresh && f.node->requires_grad) {
-    t::Tensor probs_ref = probs;  // shares storage with the node scratch
-    f.node->backward_fn = [an, probs_ref, m, c](Node& n) {
-      if (!an->requires_grad) return;
-      auto& g = an->ensure_grad();
+    f.node->backward_fn = [rows, nsteps, m, c](Node& n) {
+      const double* probs_ptr = n.scratch[0].data().data();
       const double scale = n.grad[0] / static_cast<double>(m);
-      for (std::int64_t i = 0; i < m; ++i) {
-        const auto y = n.ints[static_cast<std::size_t>(i)];
-        for (std::int64_t j = 0; j < c; ++j) {
-          g[i * c + j] += scale * (probs_ref[i * c + j] - (j == y ? 1.0 : 0.0));
+      for (std::int64_t t = 0; t < nsteps; ++t) {
+        Node& step = *n.parents[static_cast<std::size_t>(t)];
+        if (!step.requires_grad) continue;
+        double* g = grad_ptr(step);
+        for (std::int64_t b = 0; b < rows; ++b) {
+          const std::int64_t i = b * nsteps + t;
+          const auto y = n.ints[static_cast<std::size_t>(i)];
+          const double* pi = probs_ptr + i * c;
+          for (std::int64_t j = 0; j < c; ++j) {
+            g[b * c + j] += scale * (pi[j] - (j == y ? 1.0 : 0.0));
+          }
         }
       }
     };

@@ -6,7 +6,11 @@
 // accumulate form, with no product scratch. Ops taking integer index
 // arguments (embedding, cross-entropy labels) treat those as
 // non-differentiable. The LSTM cell is one op over a packed [2B, H] state
-// (lstm_cell), so the recurrence records two nodes per cell step.
+// (lstm_cell), so the recurrence records two nodes per cell step. The ops
+// that read an LSTM's output (lstm_cell itself, linear and matmul_nt) take
+// that packed state as x and read its h rows in place, and the loss reads
+// an LM's per-step logits where they lie: an LM step records one head node
+// per step and one loss node (DESIGN.md §8).
 #pragma once
 
 #include <cstdint>
@@ -59,17 +63,33 @@ Variable concat_cols(const std::vector<Variable>& parts);
 Variable matmul(const Variable& a, const Variable& b);
 /// C = A @ Bᵀ without materializing the transpose (A [m,k], B [n,k]):
 /// the GEMM NT variant absorbs it in the packing step. Used for the
-/// tied-embedding decode.
+/// tied-embedding decode, so A may be a packed lstm_cell state [2m, k],
+/// whose h rows are read in place.
 Variable matmul_nt(const Variable& a, const Variable& b);
 /// Transpose of a 2-D variable.
 Variable transpose(const Variable& a);
 /// y[m,n] = a[m,n] + bias[n].
 Variable add_row_broadcast(const Variable& a, const Variable& bias);
+/// y[B,N] = x[B,I] @ w[I,N] + b[N] as one node (nn::Linear, the LM head),
+/// through tensor::linear_into. x may be a packed lstm_cell state [2B, I],
+/// whose h rows are read in place. Value and gradients are bit-identical
+/// to add_row_broadcast(matmul(x, w), b) on a plain x, and to the same
+/// over slice_rows(x, 0, B) on a packed one.
+Variable linear(const Variable& x, const Variable& w, const Variable& b);
 
 // -- Neural-net specific. ------------------------------------------------------
-/// Mean cross-entropy of logits [B, C] against integer labels (size B).
-/// Numerically stable log-sum-exp formulation.
+/// Mean cross-entropy of logits [M, C] against integer labels (size M).
+/// Numerically stable log-sum-exp formulation. The one-block case of the
+/// form below.
 Variable softmax_cross_entropy(const Variable& logits, const std::vector<std::int64_t>& labels);
+/// The same over T step blocks of logits, each [B, C], read in place as
+/// one [B*T, C] matrix whose row b*T + t is row b of block t; labels (size
+/// B*T) follow that order. An LM's loss passes its per-step logits here,
+/// so no node copies them into one tensor. Values and gradients are
+/// bit-identical to the one-tensor form over
+/// reshape(concat_cols(steps), {B*T, C}).
+Variable softmax_cross_entropy(std::span<const Variable> steps,
+                               const std::vector<std::int64_t>& labels);
 
 /// One LSTM cell step as one op (gate layout i | f | g | o, each H
 /// columns wide). Its value is the packed state [2B, H]: rows [0, B) hold

@@ -1,5 +1,6 @@
 #include "data/markov_text.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -25,18 +26,28 @@ MarkovText::MarkovText(const MarkovTextConfig& cfg) : cfg_(cfg) {
     }
     for (auto& w : row) w /= total;
   }
+  cumulative_.reserve(static_cast<std::size_t>(cfg.vocab * cfg.vocab));
+  for (const auto& row : transitions_) {
+    double acc = 0.0;
+    for (const double w : row) cumulative_.push_back(acc += w);
+  }
 }
 
 std::vector<std::int64_t> MarkovText::sample_batch(std::int64_t batch,
                                                    std::int64_t seq_len_plus1,
                                                    tensor::Rng& rng) const {
+  // Each draw is Rng::categorical(transition_row(s)) without re-summing the
+  // row: the same uniform(0, total) call against the same running sums,
+  // so the tokens and the generator's state match it exactly.
+  const std::int64_t v = cfg_.vocab;
   std::vector<std::int64_t> out(static_cast<std::size_t>(batch * seq_len_plus1));
   for (std::int64_t b = 0; b < batch; ++b) {
-    std::int64_t s = rng.index(cfg_.vocab);
+    std::int64_t s = rng.index(v);
     for (std::int64_t t = 0; t < seq_len_plus1; ++t) {
       out[static_cast<std::size_t>(b * seq_len_plus1 + t)] = s;
-      const auto& row = transitions_[static_cast<std::size_t>(s)];
-      s = rng.categorical({row.data(), row.size()});
+      const double* sums = cumulative_.data() + s * v;
+      const double u = rng.uniform(0.0, sums[v - 1]);
+      s = std::min<std::int64_t>(std::upper_bound(sums, sums + v, u) - sums, v - 1);
     }
   }
   return out;

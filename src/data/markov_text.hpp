@@ -37,6 +37,10 @@ class MarkovText {
  private:
   MarkovTextConfig cfg_;
   std::vector<std::vector<double>> transitions_;  ///< vocab rows, each sums to 1
+  /// Running sums of each transition row ([vocab, vocab], flat), formed in
+  /// Rng::categorical's order: the last of a row is the total it draws
+  /// against, and a draw picks the first sum above it.
+  std::vector<double> cumulative_;
 };
 
 }  // namespace yf::data

@@ -1,3 +1,9 @@
+// A training step of the LSTM LM records, per predicted token, the
+// embedding, two nodes per layer (lstm_input and lstm_cell) and one head
+// node -- linear, or matmul_nt when tied -- that reads the h rows of the
+// step's packed top-layer state in place; then one loss node reads every
+// step's [B, V] logits where they lie (DESIGN.md §8). logits() builds the
+// [B*T, V] tensor its callers read with concat_cols and reshape instead.
 #include "nn/language_model.hpp"
 
 #include <stdexcept>
@@ -23,8 +29,8 @@ LSTMLanguageModel::LSTMLanguageModel(const LanguageModelConfig& cfg, tensor::Rng
   }
 }
 
-autograd::Variable LSTMLanguageModel::logits(const std::vector<std::int64_t>& inputs,
-                                             std::int64_t batch, std::int64_t seq_len) const {
+const std::vector<autograd::Variable>& LSTMLanguageModel::step_logits(
+    const std::vector<std::int64_t>& inputs, std::int64_t batch, std::int64_t seq_len) const {
   if (static_cast<std::int64_t>(inputs.size()) != batch * seq_len) {
     throw std::invalid_argument("LSTMLanguageModel::logits: token count mismatch");
   }
@@ -37,10 +43,11 @@ autograd::Variable LSTMLanguageModel::logits(const std::vector<std::int64_t>& in
       col_[static_cast<std::size_t>(b)] = inputs[static_cast<std::size_t>(b * seq_len + t)];
     steps_.push_back(embed_->forward(col_));
   }
+  // Each output is a step's packed top-layer state; the head reads its h
+  // rows in place. Project each step to logits [B, V] on its own: one
+  // projection of all steps stacked into [B*T, H] would sum each weight
+  // gradient in a different order and move every trajectory.
   const auto& outputs = lstm_->forward(steps_);
-  // Project each step's top-layer h [B, H] to logits [B, V] on its own.
-  // One projection of all steps stacked into [B*T, H] would sum each
-  // weight gradient in a different order and move every trajectory.
   step_logits_.clear();
   step_logits_.reserve(outputs.size());
   for (const auto& h : outputs) {
@@ -53,16 +60,25 @@ autograd::Variable LSTMLanguageModel::logits(const std::vector<std::int64_t>& in
       step_logits_.push_back(ag::matmul_nt(h, embed_->weight));
     }
   }
-  // Interleave rows so that row = b*T + t: concat columns of [B, V] steps
-  // then reshape [B, T*V] -> [B*T, V].
-  auto wide = ag::concat_cols(step_logits_);  // [B, T*V]
-  auto out = ag::reshape(wide, {batch * seq_len, cfg_.vocab});
-  // Release the scratch handles: the graph now lives (only) through
-  // `out`'s parent chain, so dropping `out` frees the whole step on the
-  // heap path instead of pinning it until the next forward.
+  return step_logits_;
+}
+
+void LSTMLanguageModel::release_scratch() const {
+  // Drop the scratch handles: the graph then lives (only) through the
+  // returned variable's parent chain, so dropping it frees the whole step
+  // on the heap path instead of pinning it until the next forward.
   steps_.clear();
   step_logits_.clear();
   lstm_->clear_scratch();
+}
+
+autograd::Variable LSTMLanguageModel::logits(const std::vector<std::int64_t>& inputs,
+                                             std::int64_t batch, std::int64_t seq_len) const {
+  // Interleave rows so that row = b*T + t: concat columns of [B, V] steps
+  // then reshape [B, T*V] -> [B*T, V].
+  auto wide = ag::concat_cols(step_logits(inputs, batch, seq_len));  // [B, T*V]
+  auto out = ag::reshape(wide, {batch * seq_len, cfg_.vocab});
+  release_scratch();
   return out;
 }
 
@@ -84,8 +100,11 @@ autograd::Variable LSTMLanguageModel::loss(const std::vector<std::int64_t>& toke
           tokens[static_cast<std::size_t>(b * seq_len_plus1 + t + 1)];
     }
   }
-  auto lg = logits(inputs_, batch, seq_len);
-  return ag::softmax_cross_entropy(lg, targets_);
+  // The loss reads the step logits in place, in the [B*T, V] row order
+  // (row = b*T + t) that logits() builds with two copies.
+  auto out = ag::softmax_cross_entropy(step_logits(inputs_, batch, seq_len), targets_);
+  release_scratch();
+  return out;
 }
 
 }  // namespace yf::nn

@@ -33,6 +33,8 @@ class LSTMLanguageModel : public Module {
                           std::int64_t seq_len_plus1) const;
 
   /// Logits at every step: tokens [B, T] -> [B*T, V] (row = b*T + t).
+  /// loss() reads the same logits per step, without this copy into one
+  /// tensor.
   autograd::Variable logits(const std::vector<std::int64_t>& inputs, std::int64_t batch,
                             std::int64_t seq_len) const;
 
@@ -50,6 +52,12 @@ class LSTMLanguageModel : public Module {
   std::shared_ptr<Embedding> embed_;
   std::shared_ptr<LSTM> lstm_;
   std::shared_ptr<Linear> out_;  ///< null when tied
+
+  /// One [B, V] logits node per step, in step_logits_.
+  const std::vector<autograd::Variable>& step_logits(const std::vector<std::int64_t>& inputs,
+                                                     std::int64_t batch,
+                                                     std::int64_t seq_len) const;
+  void release_scratch() const;
 
   // Per-call scratch reused across steps so a steady-state training step
   // performs no heap allocation (DESIGN.md §8). One thread drives a

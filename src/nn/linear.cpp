@@ -16,9 +16,7 @@ Linear::Linear(std::int64_t in_features, std::int64_t out_features, tensor::Rng&
 }
 
 autograd::Variable Linear::forward(const autograd::Variable& x) const {
-  auto y = autograd::matmul(x, weight);
-  if (with_bias_) y = autograd::add_row_broadcast(y, bias);
-  return y;
+  return with_bias_ ? autograd::linear(x, weight, bias) : autograd::matmul(x, weight);
 }
 
 }  // namespace yf::nn

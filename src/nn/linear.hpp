@@ -1,4 +1,6 @@
 // Fully-connected layer: y = x @ W + b, x: [B, in], W: [in, out], b: [out].
+// With its bias it is one autograd node (autograd::linear), and x may be
+// an LSTM's packed state, whose h rows it reads in place.
 #pragma once
 
 #include "nn/module.hpp"

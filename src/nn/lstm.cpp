@@ -62,7 +62,7 @@ const std::vector<autograd::Variable>& LSTM::forward(
       layer_in = ag::lstm_cell(layer_in, st[l].h, st[l].c, cell.w_x, cell.w_h, cell.b);
       st[l] = {layer_in, layer_in};
     }
-    outputs_.push_back(ag::slice_rows(layer_in, 0, batch));
+    outputs_.push_back(layer_in);
   }
   if (final_states != nullptr) {
     final_states->resize(cells_.size());

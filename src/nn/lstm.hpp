@@ -4,10 +4,12 @@
 // nodes: the input projection x @ w_x, then the cell (h_prev @ w_h and the
 // cell math, whose forward kernels tensor::lstm_{gates,cell,hidden}_into
 // serve::LMForward calls too; DESIGN.md §8, §11, §13). The cell's value
-// packs the new state as [2B, H], h rows then c rows. Inside
-// LSTM::forward the next step and the next layer read those rows
-// directly; only each step's top-layer h and the final states a caller
-// asks for become slice_rows nodes. Nodes per step, not one op per layer
+// packs the new state as [2B, H], h rows then c rows. The next step and
+// the next layer read those rows in place, and so does whatever reads
+// LSTM::forward's outputs: each is a step's packed top-layer state, whose
+// first B rows are h, and autograd::linear and matmul_nt (the LM heads)
+// read those rows where they lie. Only the final states a caller asks for
+// become slice_rows nodes. Nodes per step, not one op per layer
 // sequence: every step's nodes must keep their own place in the backward
 // order, or the weight and embedding gradients sum in another order
 // (DESIGN.md §13). Gate layout in the [B, 4H] gate tensor: input |
@@ -60,7 +62,8 @@ class LSTM : public Module {
        tensor::Rng& rng, double init_scale = 1.0);
 
   /// Run over a sequence of per-step inputs (each [B, input]); returns the
-  /// top-layer output at every step (each [B, H]). The run starts from
+  /// top layer's packed lstm_cell state at every step (each [2B, H]: h
+  /// rows, then c rows). The run starts from
   /// `initial` when it is non-null and non-empty, else from zero states.
   /// With `final_states`, the final h and c of each layer are left there
   /// as row-view nodes; without it none are recorded. The two may point

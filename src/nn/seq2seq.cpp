@@ -1,3 +1,8 @@
+// The decoder's head reads each step's packed state in place (one linear
+// node per step), and the loss reads the decoder's step logits where they
+// lie; decode_logits() builds the [B*T, V] tensor token_accuracy reads
+// with concat_cols and reshape. The encoder's final states stay
+// slice_rows nodes: they start the decoder (DESIGN.md §8, §13).
 #include "nn/seq2seq.hpp"
 
 #include <stdexcept>
@@ -21,11 +26,9 @@ Seq2Seq::Seq2Seq(const Seq2SeqConfig& cfg, tensor::Rng& rng) : cfg_(cfg) {
   register_module("out", out_);
 }
 
-autograd::Variable Seq2Seq::decode_logits(const std::vector<std::int64_t>& src,
-                                          std::int64_t src_len,
-                                          const std::vector<std::int64_t>& tgt,
-                                          std::int64_t tgt_len_plus1,
-                                          std::int64_t batch) const {
+const std::vector<autograd::Variable>& Seq2Seq::step_logits(
+    const std::vector<std::int64_t>& src, std::int64_t src_len,
+    const std::vector<std::int64_t>& tgt, std::int64_t tgt_len_plus1, std::int64_t batch) const {
   if (static_cast<std::int64_t>(src.size()) != batch * src_len ||
       static_cast<std::int64_t>(tgt.size()) != batch * tgt_len_plus1) {
     throw std::invalid_argument("Seq2Seq: token buffer size mismatch");
@@ -50,14 +53,17 @@ autograd::Variable Seq2Seq::decode_logits(const std::vector<std::int64_t>& src,
       col_[static_cast<std::size_t>(b)] = tgt[static_cast<std::size_t>(b * tgt_len_plus1 + t)];
     dec_steps_.push_back(tgt_embed_->forward(col_));
   }
-  // The decoder's own final states are not read: it records none.
+  // The decoder's own final states are not read: it records none. Each
+  // output is a step's packed state, whose h rows the head reads in place.
   const auto& dec_out = decoder_->forward(dec_steps_, &states_);
   step_logits_.clear();
   step_logits_.reserve(dec_out.size());
   for (const auto& h : dec_out) step_logits_.push_back(out_->forward(h));
-  auto wide = ag::concat_cols(step_logits_);  // [B, T*V]
-  auto out = ag::reshape(wide, {batch * tgt_len, cfg_.tgt_vocab});
-  // Release the scratch handles so the returned logits are the only
+  return step_logits_;
+}
+
+void Seq2Seq::release_scratch() const {
+  // Release the scratch handles so the returned variable is the only
   // thing keeping this step's graph alive (see language_model.cpp).
   enc_steps_.clear();
   dec_steps_.clear();
@@ -65,6 +71,17 @@ autograd::Variable Seq2Seq::decode_logits(const std::vector<std::int64_t>& src,
   states_.clear();
   encoder_->clear_scratch();
   decoder_->clear_scratch();
+}
+
+autograd::Variable Seq2Seq::decode_logits(const std::vector<std::int64_t>& src,
+                                          std::int64_t src_len,
+                                          const std::vector<std::int64_t>& tgt,
+                                          std::int64_t tgt_len_plus1,
+                                          std::int64_t batch) const {
+  const auto& steps = step_logits(src, src_len, tgt, tgt_len_plus1, batch);
+  auto wide = ag::concat_cols(steps);  // [B, T*V]
+  auto out = ag::reshape(wide, {batch * (tgt_len_plus1 - 1), cfg_.tgt_vocab});
+  release_scratch();
   return out;
 }
 
@@ -72,13 +89,16 @@ autograd::Variable Seq2Seq::loss(const std::vector<std::int64_t>& src, std::int6
                                  const std::vector<std::int64_t>& tgt,
                                  std::int64_t tgt_len_plus1, std::int64_t batch) const {
   const auto tgt_len = tgt_len_plus1 - 1;
-  auto lg = decode_logits(src, src_len, tgt, tgt_len_plus1, batch);
-  std::vector<std::int64_t> targets(static_cast<std::size_t>(batch * tgt_len));
+  const auto& steps = step_logits(src, src_len, tgt, tgt_len_plus1, batch);
+  targets_.resize(static_cast<std::size_t>(batch * tgt_len));
   for (std::int64_t b = 0; b < batch; ++b)
     for (std::int64_t t = 0; t < tgt_len; ++t)
-      targets[static_cast<std::size_t>(b * tgt_len + t)] =
+      targets_[static_cast<std::size_t>(b * tgt_len + t)] =
           tgt[static_cast<std::size_t>(b * tgt_len_plus1 + t + 1)];
-  return ag::softmax_cross_entropy(lg, targets);
+  // The loss reads the step logits in place, rows in decode_logits' order.
+  auto out = ag::softmax_cross_entropy(steps, targets_);
+  release_scratch();
+  return out;
 }
 
 double Seq2Seq::token_accuracy(const std::vector<std::int64_t>& src, std::int64_t src_len,

@@ -43,9 +43,17 @@ class Seq2Seq : public Module {
   const Seq2SeqConfig& config() const { return cfg_; }
 
  private:
+  /// Decoder logits [B*T, V], row = b*T + t (token_accuracy reads them).
   autograd::Variable decode_logits(const std::vector<std::int64_t>& src, std::int64_t src_len,
                                    const std::vector<std::int64_t>& tgt,
                                    std::int64_t tgt_len_plus1, std::int64_t batch) const;
+  /// One [B, V] logits node per decoder step, in step_logits_.
+  const std::vector<autograd::Variable>& step_logits(const std::vector<std::int64_t>& src,
+                                                     std::int64_t src_len,
+                                                     const std::vector<std::int64_t>& tgt,
+                                                     std::int64_t tgt_len_plus1,
+                                                     std::int64_t batch) const;
+  void release_scratch() const;
 
   Seq2SeqConfig cfg_;
   std::shared_ptr<Embedding> src_embed_, tgt_embed_;

@@ -1,5 +1,6 @@
 #include "serve/lm_forward.hpp"
 
+#include <algorithm>
 #include <array>
 #include <stdexcept>
 
@@ -30,7 +31,7 @@ struct LMForward::Plan {
   std::vector<std::array<t::Tensor, 2>> h;  ///< [L][2] ping-pong hidden state
   std::vector<std::array<t::Tensor, 2>> c;  ///< [L][2] ping-pong cell state
   t::Tensor zero_state;                     ///< [b, H] all-zero initial h/c
-  t::Tensor sl, slb;                        ///< [b, V] step logits (slb: +bias)
+  t::Tensor top;                            ///< [b*T, H] top-layer h, row b*T + t
   t::Tensor logits;                         ///< [b*T, V]
 };
 
@@ -98,8 +99,7 @@ LMForward::Plan& LMForward::plan(std::int64_t batch) {
     }
   }
   p->zero_state = ws_.acquire({b, hidden_});  // acquired zero-filled, never written
-  p->sl = ws_.acquire({b, vocab_});
-  if (!tied_) p->slb = ws_.acquire({b, vocab_});
+  p->top = ws_.acquire({b * seq_len_, hidden_});
   p->logits = ws_.acquire({b * seq_len_, vocab_});
   slot = std::move(p);
   return *slot;
@@ -116,7 +116,7 @@ const t::Tensor& LMForward::forward(std::span<const std::int64_t> tokens, std::i
   }
   Plan& p = plan(batch);
   const SlotWeights& W = slots_[static_cast<std::size_t>(slot)];
-  const auto E = embed_dim_, V = vocab_, T = seq_len_;
+  const auto E = embed_dim_, H = hidden_, T = seq_len_;
   const auto& embed = W.embed;
 
   for (std::int64_t tstep = 0; tstep < T; ++tstep) {
@@ -142,21 +142,20 @@ const t::Tensor& LMForward::forward(std::span<const std::int64_t> tokens, std::i
       t::lstm_hidden_into(h_next, p.tc, p.gates, c_next);
       x = &h_next;
     }
-    // Output projection of the top-layer h, then scatter into the final
-    // [b*T, V] layout (row = b*T + t), matching concat_cols + reshape.
-    const t::Tensor* step_logits;
-    if (tied_) {
-      t::matmul_nt_into(p.sl, *x, embed);
-      step_logits = &p.sl;
-    } else {
-      t::matmul_into(p.sl, *x, W.w_out);
-      t::add_row_broadcast_into(p.slb, p.sl, W.b_out);
-      step_logits = &p.slb;
-    }
+    // Keep the top-layer h rows in the logits' row order (row = b*T + t).
+    const double* h = x->data().data();
+    double* top = p.top.data().data();
     for (std::int64_t bi = 0; bi < batch; ++bi) {
-      const std::int64_t row = bi * T + tstep;
-      for (std::int64_t j = 0; j < V; ++j) p.logits[row * V + j] = (*step_logits)[bi * V + j];
+      std::copy_n(h + bi * H, H, top + (bi * T + tstep) * H);
     }
+  }
+  // The head over every step at once, with the training head's kernels:
+  // a GEMM row depends only on its own A row (DESIGN.md §9), so logits row
+  // b*T + t is row b of step t's training logits.
+  if (tied_) {
+    t::matmul_nt_into(p.logits, p.top, embed);
+  } else {
+    t::linear_into(p.logits, p.top, W.w_out, W.b_out);
   }
   return p.logits;
 }

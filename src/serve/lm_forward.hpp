@@ -3,11 +3,14 @@
 // Runs LSTMLanguageModel::logits()'s kernel sequence over weights read
 // from a pinned SnapshotStore slot instead of the live arena. Each cell
 // step calls the training cell's own kernels (two matmuls, then
-// tensor::lstm_{gates,cell,hidden}_into); the embedding gather, output
-// projection and row scatter repeat the autograd ops' value paths.
-// Because both paths execute the identical kernel sequence on identical
-// inputs, served logits are bit-identical to the training tape's forward
-// for the same snapshot (pinned by EXPECT_EQ in tests/serve_test.cpp).
+// tensor::lstm_{gates,cell,hidden}_into), and the head calls the training
+// head's: tensor::linear_into, or matmul_nt_into when the weights are
+// tied. It runs once per forward over the top-layer h rows of every step,
+// gathered in the logits' row order; a GEMM row depends only on its own
+// input row, so each logits row equals the training step's. Only the
+// embedding gather repeats an autograd op's value path. Served logits are
+// therefore bit-identical to the training tape's forward for the same
+// snapshot (pinned by EXPECT_EQ in tests/serve_test.cpp).
 //
 // All buffers live in per-batch-size Plans acquired from an owned
 // Workspace; after warm_all() a forward performs zero heap allocations.

@@ -237,6 +237,18 @@ void add_row_broadcast_into(Tensor& out, const Tensor& a, const Tensor& bias) {
   });
 }
 
+namespace {
+
+/// out[j] += a[i, j] for every row i in turn. The pointers never alias, so
+/// gcc vectorizes across j; each out[j] still adds its rows in order.
+void add_rows(double* __restrict out, const double* __restrict a, std::int64_t m,
+              std::int64_t n) {
+  for (std::int64_t i = 0; i < m; ++i)
+    for (std::int64_t j = 0; j < n; ++j) out[j] += a[i * n + j];
+}
+
+}  // namespace
+
 void sum_rows_into(Tensor& out, const Tensor& a) {
   if (a.ndim() != 2) {
     throw std::invalid_argument("sum_rows: expected 2-D tensor, got " + to_string(a.shape()));
@@ -246,11 +258,23 @@ void sum_rows_into(Tensor& out, const Tensor& a) {
     throw std::invalid_argument("sum_rows: output shape " + to_string(out.shape()) +
                                 " does not match [" + std::to_string(n) + "]");
   }
-  const auto* pa = a.data().data();
-  auto* po = out.data().data();
   core::fill(out.data(), 0.0);
-  for (std::int64_t i = 0; i < m; ++i)
-    for (std::int64_t j = 0; j < n; ++j) po[j] += pa[i * n + j];
+  add_rows(out.data().data(), a.data().data(), m, n);
+}
+
+void linear_into(Tensor& y, const Tensor& x, const Tensor& w, const Tensor& b) {
+  const MatmulDims d = check_matmul(y, x, w, core::GemmVariant::kNN, "linear");
+  if (b.ndim() != 1 || b.dim(0) != d.n) {
+    throw std::invalid_argument("linear: bias " + to_string(b.shape()) + " does not match [" +
+                                std::to_string(d.n) + "]");
+  }
+  double* py = y.data().data();
+  core::gemm(core::GemmVariant::kNN, py, x.data().data(), w.data().data(), d.m, d.n, d.k);
+  const double* pb = b.data().data();
+  for (std::int64_t i = 0; i < d.m; ++i) {
+    double* row = py + i * d.n;
+    for (std::int64_t j = 0; j < d.n; ++j) row[j] += pb[j];
+  }
 }
 
 namespace {

@@ -61,6 +61,13 @@ void add_row_broadcast_into(Tensor& out, const Tensor& a, const Tensor& bias);
 /// Column sums of a 2-D [m, n] tensor into a rank-1 out of length n.
 void sum_rows_into(Tensor& out, const Tensor& a);
 
+// -- Linear layer. -------------------------------------------------------------
+/// y[m, n] = (x[m, k] @ w[k, n]) + b[n]: the GEMM's product with the bias
+/// added to each row, the bits of matmul_into then add_row_broadcast_into.
+/// The LM head's forward, written once: the autograd op linear and
+/// serve::LMForward both call it.
+void linear_into(Tensor& y, const Tensor& x, const Tensor& w, const Tensor& b);
+
 // -- LSTM cell (gate layout i | f | g | o, each H columns wide). --------------
 // The cell's forward math, written once: the autograd op lstm_cell and
 // serve::LMForward both call these.

@@ -209,6 +209,23 @@ TEST(Autograd, SoftmaxCrossEntropyIsStableForHugeLogits) {
   EXPECT_NEAR(loss.value().item(), 0.0, 1e-9);
 }
 
+// Rows far below any fixed starting max, and rows whose magnitude swallows
+// log z: a uniform row is log C and (1/C - onehot) whatever its level.
+TEST(Autograd, SoftmaxCrossEntropyHandlesRowsOfAnyMagnitude) {
+  for (const double level : {-2e300, -1e300, -1e17, 1e17, 2e300}) {
+    auto a = ag::Variable(t::Tensor({1, 3}, {level, level, level}), true);
+    auto loss = ag::softmax_cross_entropy(a, {1});
+    EXPECT_NEAR(loss.value().item(), std::log(3.0), 1e-15) << level;
+    loss.backward();
+    EXPECT_NEAR(a.grad().at({0, 0}), 1.0 / 3.0, 1e-15) << level;
+    EXPECT_NEAR(a.grad().at({0, 1}), -2.0 / 3.0, 1e-15) << level;
+    EXPECT_NEAR(a.grad().at({0, 2}), 1.0 / 3.0, 1e-15) << level;
+  }
+  // A row with no ties at such a level is exact either way.
+  auto a = ag::Variable(t::Tensor({1, 2}, {-2e300, -3e300}), true);
+  EXPECT_EQ(ag::softmax_cross_entropy(a, {1}).value().item(), 1e300);
+}
+
 TEST(Autograd, EmbeddingLookupAndScatter) {
   auto w = ag::Variable(t::Tensor({3, 2}, {0, 1, 10, 11, 20, 21}), true);
   auto e = ag::embedding(w, {2, 0, 2});

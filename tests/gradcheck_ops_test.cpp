@@ -80,6 +80,51 @@ TEST(Gradcheck, AddRowBroadcast) {
   EXPECT_TRUE(result.ok) << result.detail;
 }
 
+TEST(Gradcheck, Linear) {
+  t::Rng rng(41);
+  auto x = ag::Variable(rng.normal_tensor({3, 4}), true);
+  auto w = ag::Variable(rng.normal_tensor({4, 5}), true);
+  auto b = ag::Variable(rng.normal_tensor({5}), true);
+  auto fn = [](const std::vector<ag::Variable>& in) {
+    return ag::sum(ag::square(ag::linear(in[0], in[1], in[2])));
+  };
+  const auto result = ag::gradcheck(fn, {x, w, b});
+  EXPECT_TRUE(result.ok) << result.detail;
+}
+
+// linear over a packed lstm_cell state reads its h rows; the gradient
+// reaches the cell's inputs through them.
+TEST(Gradcheck, LinearOverPackedState) {
+  t::Rng rng(43);
+  auto x = ag::Variable(rng.normal_tensor({2, 3}), true);
+  auto h = ag::Variable(rng.normal_tensor({2, 4}, 0.0, 0.5), true);
+  auto c = ag::Variable(rng.normal_tensor({2, 4}, 0.0, 0.5), true);
+  auto w_x = ag::Variable(rng.normal_tensor({3, 16}, 0.0, 0.5), true);
+  auto w_h = ag::Variable(rng.normal_tensor({4, 16}, 0.0, 0.5), true);
+  auto b = ag::Variable(rng.normal_tensor({16}, 0.0, 0.5), true);
+  auto w = ag::Variable(rng.normal_tensor({4, 5}), true);
+  auto bo = ag::Variable(rng.normal_tensor({5}), true);
+  auto fn = [](const std::vector<ag::Variable>& in) {
+    const auto packed = ag::lstm_cell(in[0], in[1], in[2], in[3], in[4], in[5]);
+    return ag::sum(ag::square(ag::linear(packed, in[6], in[7])));
+  };
+  const auto result = ag::gradcheck(fn, {x, h, c, w_x, w_h, b, w, bo}, 1e-5, 1e-6, 1e-3);
+  EXPECT_TRUE(result.ok) << result.detail;
+}
+
+TEST(Gradcheck, SoftmaxCrossEntropyOverStepBlocks) {
+  t::Rng rng(47);
+  auto s0 = ag::Variable(rng.normal_tensor({2, 5}), true);
+  auto s1 = ag::Variable(rng.normal_tensor({2, 5}), true);
+  auto s2 = ag::Variable(rng.normal_tensor({2, 5}), true);
+  const std::vector<std::int64_t> labels = {0, 2, 4, 1, 3, 3};  // row b*T + t
+  auto fn = [&](const std::vector<ag::Variable>& in) {
+    return ag::softmax_cross_entropy(in, labels);
+  };
+  const auto result = ag::gradcheck(fn, {s0, s1, s2});
+  EXPECT_TRUE(result.ok) << result.detail;
+}
+
 TEST(Gradcheck, SoftmaxCrossEntropy) {
   t::Rng rng(19);
   auto logits = ag::Variable(rng.normal_tensor({4, 5}), true);

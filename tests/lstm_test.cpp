@@ -96,6 +96,8 @@ TEST(LstmCell, StateShapes) {
   EXPECT_EQ(next.c.value().shape(), (t::Shape{4, 7}));
 }
 
+// Each output is the step's packed top-layer state [2B, H]: the h rows
+// the head reads, then the c rows, as a stack of LSTMCell steps computes.
 TEST(Lstm, StackOutputsOnePerStep) {
   t::Rng rng(4);
   nn::LSTM lstm(3, 6, 2, rng);
@@ -103,7 +105,22 @@ TEST(Lstm, StackOutputsOnePerStep) {
   for (int i = 0; i < 5; ++i) steps.push_back(ag::Variable(rng.normal_tensor({2, 3})));
   auto outs = lstm.forward(steps);
   ASSERT_EQ(outs.size(), 5u);
-  for (const auto& o : outs) EXPECT_EQ(o.value().shape(), (t::Shape{2, 6}));
+  auto states = lstm.zero_states(2);
+  for (std::size_t s = 0; s < outs.size(); ++s) {
+    ag::Variable x = steps[s];
+    for (std::size_t l = 0; l < states.size(); ++l) {
+      states[l] = lstm.cell(static_cast<std::int64_t>(l)).forward(x, states[l]);
+      x = states[l].h;
+    }
+    const auto& packed = outs[s].value();
+    ASSERT_EQ(packed.shape(), (t::Shape{4, 6}));
+    const auto h = states.back().h.value().data();
+    const auto c = states.back().c.value().data();
+    for (std::size_t i = 0; i < h.size(); ++i) {
+      EXPECT_EQ(packed[static_cast<std::int64_t>(i)], h[i]) << "step " << s;
+      EXPECT_EQ(packed[static_cast<std::int64_t>(h.size() + i)], c[i]) << "step " << s;
+    }
+  }
 }
 
 TEST(Lstm, StatesCarryAcrossCalls) {
@@ -327,6 +344,184 @@ TEST(Lstm, CellOpRejectsMismatchedShapes) {
   EXPECT_THROW(ag::lstm_cell(var({3, 3}), packed, packed, wx, wh, b), std::invalid_argument);
   EXPECT_THROW(ag::lstm_cell(packed, s, s, wx, wh, b), std::invalid_argument);
   EXPECT_EQ(tape.recorded_nodes(), recorded);
+}
+
+// -- The head ops against the chains they replace. ----------------------------
+
+namespace {
+
+/// One LM head step: a [B, H] input -- the packed state of an lstm_cell,
+/// or a plain leaf -- projected to [B, V] logits, with leaves that keep
+/// their identity across tape steps (refill() rewrites their values).
+struct HeadStep {
+  static constexpr std::int64_t kBatch = 5, kInput = 3, kHidden = 7, kVocab = 9;
+  t::Rng init{31};
+  nn::LSTMCell cell{kInput, kHidden, init};
+  ag::Variable x, h0, c0, plain;  ///< cell inputs and initial state; the plain input
+  ag::Variable w, b, r;           ///< head weight and bias; loss weights of the logits
+
+  HeadStep() {
+    const auto leaf = [](t::Shape s, bool grad) { return ag::Variable(t::Tensor::zeros(s), grad); };
+    x = leaf({kBatch, kInput}, true);
+    h0 = leaf({kBatch, kHidden}, true);
+    c0 = leaf({kBatch, kHidden}, true);
+    plain = leaf({kBatch, kHidden}, true);
+    w = leaf({kHidden, kVocab}, true);
+    b = leaf({kVocab}, true);
+    r = leaf({kBatch, kVocab}, false);
+  }
+
+  void refill(std::uint64_t seed) {
+    t::Rng rng(seed);
+    for (auto* v : {&x, &h0, &c0, &plain, &w, &b, &r}) {
+      t::copy_into(v->value(), rng.normal_tensor(v->value().shape()));
+    }
+  }
+
+  /// The logits, then the gradients of the head's input (the whole packed
+  /// state when packed), w, b and the cell's leaves, of loss = sum(y * r).
+  std::vector<double> run(bool packed, bool one_node) {
+    std::vector<ag::Variable> leaves = {x, h0, c0, plain, w, b, cell.w_x, cell.w_h, cell.b};
+    for (auto& v : leaves) v.zero_grad();
+    const auto in = packed ? ag::lstm_cell(x, h0, c0, cell.w_x, cell.w_h, cell.b) : plain;
+    const auto y = one_node ? ag::linear(in, w, b)
+                            : ag::add_row_broadcast(
+                                  ag::matmul(packed ? ag::slice_rows(in, 0, kBatch) : in, w), b);
+    ag::sum(ag::mul(y, r)).backward();
+    std::vector<double> out(y.value().data().begin(), y.value().data().end());
+    const auto append = [&out](const t::Tensor& g) {
+      out.insert(out.end(), g.data().begin(), g.data().end());
+    };
+    append(in.grad());
+    for (const auto& v : leaves) append(v.grad());
+    return out;
+  }
+};
+
+/// T step blocks [B, C] of logits and B*T labels, with leaves that keep
+/// their identity across tape steps.
+struct StepLoss {
+  static constexpr std::int64_t kBatch = 4, kSteps = 3, kClasses = 6;
+  std::vector<ag::Variable> steps;
+  std::vector<std::int64_t> labels;
+
+  StepLoss() {
+    for (std::int64_t s = 0; s < kSteps; ++s) {
+      steps.emplace_back(t::Tensor::zeros({kBatch, kClasses}), true);
+    }
+    labels.resize(static_cast<std::size_t>(kBatch * kSteps));
+  }
+
+  /// Step 1 is scaled so that its rows span hundreds of nats.
+  void refill(std::uint64_t seed) {
+    t::Rng rng(seed);
+    for (std::int64_t s = 0; s < kSteps; ++s) {
+      t::copy_into(steps[static_cast<std::size_t>(s)].value(),
+                   rng.normal_tensor({kBatch, kClasses}, 0.0, s == 1 ? 100.0 : 2.0));
+    }
+    for (auto& y : labels) y = rng.index(kClasses);
+  }
+
+  /// The loss, then every step's gradient.
+  std::vector<double> run(bool in_place) {
+    for (auto& v : steps) v.zero_grad();
+    auto loss =
+        in_place ? ag::softmax_cross_entropy(steps, labels)
+                 : ag::softmax_cross_entropy(
+                       ag::reshape(ag::concat_cols(steps), {kBatch * kSteps, kClasses}), labels);
+    loss.backward();
+    std::vector<double> out = {loss.value().item()};
+    for (const auto& v : steps) out.insert(out.end(), v.grad().data().begin(), v.grad().data().end());
+    return out;
+  }
+};
+
+}  // namespace
+
+// linear against add_row_broadcast(matmul(x, w), b), on a plain x and on a
+// packed lstm_cell state (against the slice_rows of its h rows): the
+// logits and every gradient, bit for bit, under every kernel table. On
+// the heap, then on a tape over one recording step and one replay with
+// new values, which the packed case reads through its cached row view.
+TEST(Lstm, LinearMatchesMatmulChain) {
+  for (const auto& table : yf::core::detail::runnable_tables()) {
+    SCOPED_TRACE(table.name);
+    const yf::core::detail::ActiveTableScope scope(*table.table);
+    for (const bool packed : {false, true}) {
+      const std::string tag = packed ? "packed x" : "plain x";
+      HeadStep h;
+      std::vector<std::vector<double>> ref;
+      for (const std::uint64_t seed : {1, 2}) {
+        h.refill(seed);
+        ref.push_back(h.run(packed, false));
+        expect_same_bits(ref.back(), h.run(packed, true), tag + " heap");
+      }
+      ag::GraphTape tape;
+      ag::TapeScope tape_scope(&tape);
+      for (const std::uint64_t seed : {1, 2}) {
+        h.refill(seed);
+        tape.begin_step();
+        expect_same_bits(ref[seed - 1], h.run(packed, true), tag + " tape");
+      }
+      EXPECT_EQ(tape.fresh_nodes(), tape.replayed_nodes()) << tag;
+    }
+  }
+}
+
+// The loss over step blocks against the one-tensor loss of
+// reshape(concat_cols(steps)), which it replaces in LM losses: the loss and
+// every step's gradient, bit for bit, under every kernel table, on the
+// heap and on a replaying tape.
+TEST(Lstm, StepCrossEntropyMatchesConcatChain) {
+  for (const auto& table : yf::core::detail::runnable_tables()) {
+    SCOPED_TRACE(table.name);
+    const yf::core::detail::ActiveTableScope scope(*table.table);
+    StepLoss sl;
+    std::vector<std::vector<double>> ref;
+    for (const std::uint64_t seed : {1, 2}) {
+      sl.refill(seed);
+      ref.push_back(sl.run(false));
+      expect_same_bits(ref.back(), sl.run(true), "heap");
+    }
+    ag::GraphTape tape;
+    ag::TapeScope tape_scope(&tape);
+    for (const std::uint64_t seed : {1, 2}) {
+      sl.refill(seed);
+      tape.begin_step();
+      expect_same_bits(ref[seed - 1], sl.run(true), "tape");
+    }
+    EXPECT_EQ(tape.fresh_nodes(), tape.replayed_nodes());
+  }
+}
+
+// A train_lm step (TS-sub: vocab 33, embed 12, hidden 16, 2 layers, batch
+// 6 x 13 tokens) records 74 nodes: the zero state, then per predicted
+// token the embedding, two nodes per layer's cell and one head node, then
+// the loss. After the first step every later step replays all of them.
+TEST(Lstm, TrainLmStepRecords74NodesAndReplaysThem) {
+  yf::data::MarkovTextConfig dcfg;
+  dcfg.vocab = 33;
+  dcfg.branching = 3;
+  dcfg.seed = 13;
+  yf::data::MarkovText text(dcfg);
+  nn::LanguageModelConfig cfg;
+  cfg.vocab = 33;
+  cfg.embed_dim = 12;
+  cfg.hidden = 16;
+  cfg.layers = 2;
+  t::Rng init(1);
+  nn::LSTMLanguageModel model(cfg, init);
+  t::Rng data_rng(2001);
+  ag::GraphTape tape;
+  ag::TapeScope scope(&tape);
+  for (int step = 0; step < 3; ++step) {
+    tape.begin_step();
+    const auto tokens = text.sample_batch(6, 13, data_rng);
+    model.loss(tokens, 6, 13).backward();
+  }
+  EXPECT_EQ(tape.recorded_nodes(), 74u);
+  EXPECT_EQ(tape.fresh_nodes(), 74);
+  EXPECT_EQ(tape.replayed_nodes(), 2 * 74);
 }
 
 // -- Golden LM trajectory. ---------------------------------------------------
